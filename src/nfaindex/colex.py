@@ -6,16 +6,25 @@ computes the union of all co-lex relations of an automaton, which is
 always a preorder: a distinct pair (u, v) belongs to it exactly when no
 pair of equally labelled paths into u and v passes through a pair of
 states whose incoming-label sets are out of order.  That characterization
-is implemented by seeding the label-violating pairs and propagating
-"badness" forward through the pair graph to a fixpoint, O(m^2) in the
-number m of transitions.
+is implemented by seeding the label-violating pairs from per-state
+incoming-label ranks and propagating "badness" forward through the pair
+graph to a fixpoint.  Propagation is semi-naive and runs on numpy arrays:
+each round expands only the pairs marked in the previous round, (u, v) to
+targets(u, a) x targets(v, a) for every label a, using one out-edge CSR
+per label, and the unmarked distinct candidates form the next frontier.
+Every pair is expanded at most once, so the work is O(sum_a |E_a|^2) for
+the edge sets E_a of the labels, within O(m^2) in the number m of
+transitions; memory stays O(n^2) for n states: the mark matrix, the
+frontier and batches of bounded size.
 
 ``cfs_order`` computes the maximum co-lex relation of the quotient by the
 coarsest forward-stable partition, where it is guaranteed antisymmetric,
 and lifts it back to the states.  The lifted preorder always contains the
 maximum co-lex relation, has at most its width, and never has more
 classes; ``compare_report`` evaluates both and cross-checks those
-guarantees, raising InternalInvariantViolation on any discrepancy.
+guarantees, raising InternalInvariantViolation on any discrepancy.  When
+the partition is discrete the quotient is a renaming of the automaton, so
+``compare_report`` reuses the maximum co-lex relation as the lifted order.
 """
 
 from __future__ import annotations
@@ -25,10 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import Nfa, lambda_leq
+from .automaton import Nfa
 from .errors import EqualPair, InternalInvariantViolation, InvalidParameter
 from .fs_partition import QuotientMap, build_quotient, coarsest_fs_partition
-from .relations import Relation, check_colex_relation, induced_equivalence, width
+from .relations import (
+    Relation,
+    check_colex_relation,
+    induced_equivalence,
+    label_bounds,
+    label_edges,
+    width,
+)
 
 
 class PairGraph:
@@ -87,29 +103,64 @@ def preceding_pairs_oracle(nfa: Nfa, u: int, v: int) -> frozenset[tuple[int, int
     return frozenset(seen)
 
 
+# Frontier pairs taken per numpy batch during propagation, and the most
+# candidate pairs one batch expands to for one label; a single frontier pair
+# with a larger product is expanded in a batch of its own.
+_CHUNK = 1 << 12
+
+
+def _successor_pairs(ptr: np.ndarray, tgt: np.ndarray, deg: np.ndarray,
+                     u: np.ndarray, v: np.ndarray,
+                     cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (x, y) in targets(u[i]) x targets(v[i]), over all i, for one label.
+
+    ``ptr``/``tgt`` are the label's out-edge CSR, ``deg`` its out-degrees
+    and ``cnt[i] = deg[u[i]] * deg[v[i]]``.
+    """
+    pair = np.repeat(np.arange(len(u)), cnt)
+    k = np.arange(len(pair)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    dv = deg[v][pair]
+    return tgt[ptr[u][pair] + k // dv], tgt[ptr[v][pair] + k % dv]
+
+
 def max_colex_relation(nfa: Nfa) -> Relation:
     """Union of all co-lex relations of the automaton; always a preorder.
 
     Seeds the distinct pairs whose incoming-label sets are out of order and
-    spreads that mark forward through the pair graph; the surviving pairs,
-    plus the diagonal, form the result.  Transitivity and both co-lex
-    axioms are re-verified before returning.
+    spreads that mark forward through the pair graph, one frontier of newly
+    marked pairs per round; the surviving pairs, plus the diagonal, form the
+    result.  Transitivity and both co-lex axioms are re-verified before
+    returning.
     """
     n = nfa.n_states
-    bad = np.zeros((n, n), dtype=bool)
-    queue: deque[tuple[int, int]] = deque()
-    for u in range(n):
-        for v in range(n):
-            if u != v and not lambda_leq(nfa.lambda_sets[u], nfa.lambda_sets[v]):
-                bad[u, v] = True
-                queue.append((u, v))
-    pg = PairGraph(nfa)
-    while queue:
-        u, v = queue.popleft()
-        for (x, y) in pg.successors(u, v):
-            if not bad[x, y]:
-                bad[x, y] = True
-                queue.append((x, y))
+    hi, lo = label_bounds(nfa)
+    bad = hi[:, None] > lo[None, :]
+    np.fill_diagonal(bad, False)
+    flat = bad.reshape(-1)
+    csr = []
+    for src, dst in label_edges(nfa):
+        ptr = np.searchsorted(src, np.arange(n + 1))
+        csr.append((ptr, dst, np.diff(ptr)))
+    # slot[c] == position of c in its batch marks a first occurrence.
+    slot = np.empty(n * n, dtype=np.intp)
+    frontier = np.flatnonzero(flat)
+    while len(frontier):
+        found = []
+        for f in range(0, len(frontier), _CHUNK):
+            u, v = np.divmod(frontier[f:f + _CHUNK], n)
+            for ptr, tgt, deg in csr:
+                cnt = deg[u] * deg[v]
+                cuts = np.flatnonzero(np.diff(np.cumsum(cnt) // _CHUNK)) + 1
+                for s, e in zip([0, *cuts], [*cuts, len(cnt)]):
+                    x, y = _successor_pairs(ptr, tgt, deg, u[s:e], v[s:e], cnt[s:e])
+                    cand = x * n + y
+                    cand = cand[(x != y) & ~flat[cand]]
+                    pos = np.arange(len(cand))
+                    slot[cand] = pos
+                    cand = cand[slot[cand] == pos]
+                    flat[cand] = True
+                    found.append(cand)
+        frontier = np.concatenate(found)
 
     rel = Relation.from_matrix(~bad)
     witness = rel.transitivity_witness()
@@ -143,15 +194,21 @@ def cfs_order(nfa: Nfa) -> tuple[Relation, QuotientMap]:
     quotient relation is guaranteed; its failure means a bug and raises
     InternalInvariantViolation.
     """
-    partition = coarsest_fs_partition(nfa)
-    qm = build_quotient(nfa, partition)
-    qrel = max_colex_relation(qm.quotient)
-    if not qrel.is_antisymmetric():
+    qm = build_quotient(nfa, coarsest_fs_partition(nfa))
+    return _lifted_quotient_order(qm), qm
+
+
+def _require_antisymmetric(rel: Relation) -> Relation:
+    if not rel.is_antisymmetric():
         raise InternalInvariantViolation(
             "maximum co-lex relation of the forward-stable quotient is not antisymmetric")
-    beta = np.array(partition.block_of)
-    lifted = Relation.from_matrix(qrel.bits[beta[:, None], beta[None, :]])
-    return lifted, qm
+    return rel
+
+
+def _lifted_quotient_order(qm: QuotientMap) -> Relation:
+    qrel = _require_antisymmetric(max_colex_relation(qm.quotient))
+    beta = np.array(qm.partition.block_of)
+    return Relation.from_matrix(qrel.bits[beta[:, None], beta[None, :]])
 
 
 def is_quasi_wheeler(nfa: Nfa) -> tuple[bool, Relation | None]:
@@ -221,16 +278,22 @@ def compare_report(nfa: Nfa) -> CompareReport:
     guarantee raises InternalInvariantViolation.
     """
     rel_r = max_colex_relation(nfa)
-    rel_fs, qm = cfs_order(nfa)
+    partition = coarsest_fs_partition(nfa)
+    if partition.n_blocks == nfa.n_states:
+        # A discrete partition makes the quotient a renaming of the
+        # automaton, so its lifted maximum co-lex order is rel_r itself.
+        rel_fs = _require_antisymmetric(rel_r)
+    else:
+        rel_fs = _lifted_quotient_order(build_quotient(nfa, partition))
     classes_r = induced_equivalence(rel_r)
     width_r = width(rel_r).width
-    width_fs = width(rel_fs).width
+    width_fs = width_r if rel_fs is rel_r else width(rel_fs).width
     superset = rel_fs.superset_of(rel_r)
     consistent = all(len(s) == 1 for s in nfa.lambda_sets)
     report = CompareReport(
         n_states=nfa.n_states,
         classes_R=classes_r.n_blocks,
-        classes_FS=qm.partition.n_blocks,
+        classes_FS=partition.n_blocks,
         width_R=width_r,
         width_FS=width_fs,
         superset_holds=superset,
@@ -248,7 +311,7 @@ def compare_report(nfa: Nfa) -> CompareReport:
         raise InternalInvariantViolation(
             f"forward-stable construction has larger width "
             f"({report.width_FS} > {report.width_R})")
-    if (rel_r == rel_fs) != (classes_r == qm.partition):
+    if (rel_r == rel_fs) != (classes_r == partition):
         raise InternalInvariantViolation(
             "relation equality and class-partition equality disagree")
     if report.max_order_exists != (report.classes_R == nfa.n_states):

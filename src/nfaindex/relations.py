@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .automaton import Nfa, label_key, lambda_leq
+from .automaton import HASH, Nfa, label_key
 from .errors import (
     InternalInvariantViolation,
     NotPreorder,
@@ -82,7 +82,9 @@ class Relation:
         return bool(np.all(self.bits | self.bits.T))
 
     def _compose(self) -> np.ndarray:
-        a = self.bits.astype(np.uint8)
+        # float32 counts the middle elements exactly up to 2**24; uint8 would
+        # wrap at 256 and hide a gap shared by 256 middles.
+        a = self.bits.astype(np.float32)
         return (a @ a) > 0
 
     def transitivity_witness(self) -> tuple[int, int, int] | None:
@@ -157,30 +159,77 @@ def _check_size(nfa: Nfa, rel: Relation) -> None:
             f"relation over {rel.n} elements, automaton has {nfa.n_states} states")
 
 
+# Cells of one label's edge-pair mask examined per numpy batch.
+_AXIOM2_CELLS = 1 << 14
+
+
+def label_bounds(nfa: Nfa) -> tuple[np.ndarray, np.ndarray]:
+    """Highest and lowest rank of each state's incoming labels.
+
+    HASH ranks 0 and the alphabet 1, 2, ... in label order, so
+    ``hi[u] <= lo[v]`` holds exactly when lambda_leq(λ(u), λ(v)).
+    """
+    rank = {a: i for i, a in enumerate(nfa.alphabet, 1)}
+    rank[HASH] = 0
+    hi = np.array([max(rank[a] for a in s) for s in nfa.lambda_sets], dtype=np.intp)
+    lo = np.array([min(rank[a] for a in s) for s in nfa.lambda_sets], dtype=np.intp)
+    return hi, lo
+
+
+def label_edges(nfa: Nfa) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per label in alphabet order, its edges as (sources, targets) arrays
+    sorted by source, then target."""
+    by_label: dict[str, tuple[list[int], list[int]]] = {a: ([], []) for a in nfa.alphabet}
+    for (u, a, v) in nfa.transitions:
+        src, dst = by_label[a]
+        src.append(u)
+        dst.append(v)
+    return [(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
+            for src, dst in by_label.values()]
+
+
+def _first_hit(mask: np.ndarray) -> tuple[int, int] | None:
+    """Row-major first True cell of a 2-D mask, or None."""
+    flat = int(mask.argmax())
+    if not mask.flat[flat]:
+        return None
+    i, j = np.unravel_index(flat, mask.shape)
+    return int(i), int(j)
+
+
 def _axiom1_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | None:
-    max_key = [max(label_key(a) for a in s) for s in nfa.lambda_sets]
-    min_key = [min(label_key(a) for a in s) for s in nfa.lambda_sets]
-    for u in range(nfa.n_states):
-        for v in range(nfa.n_states):
-            if u != v and rel.bits[u, v] and max_key[u] > min_key[v]:
-                return Violation(
-                    "labels-decrease", (u, v),
-                    f"{nfa.names[u]} {strict_name} {nfa.names[v]} but incoming labels "
-                    f"{sorted(nfa.lambda_sets[u])} exceed {sorted(nfa.lambda_sets[v])}")
-    return None
+    hi, lo = label_bounds(nfa)
+    bad = rel.bits & (hi[:, None] > lo[None, :])
+    np.fill_diagonal(bad, False)
+    hit = _first_hit(bad)
+    if hit is None:
+        return None
+    u, v = hit
+    return Violation(
+        "labels-decrease", (u, v),
+        f"{nfa.names[u]} {strict_name} {nfa.names[v]} but incoming labels "
+        f"{sorted(nfa.lambda_sets[u])} exceed {sorted(nfa.lambda_sets[v])}")
 
 
 def _axiom2_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | None:
-    for a in nfa.alphabet:
-        edges = [(u, v) for (u, lab, v) in nfa.transitions if lab == a]
-        for (up, u) in edges:
-            for (vp, v) in edges:
-                if u != v and rel.bits[u, v] and not rel.bits[up, vp]:
-                    return Violation(
-                        "predecessors-unrelated", (u, v, up, vp, a),
-                        f"{nfa.names[u]} {strict_name} {nfa.names[v]} via "
-                        f"{a!r}-edges from {nfa.names[up]}, {nfa.names[vp]} "
-                        f"but ({nfa.names[up]}, {nfa.names[vp]}) is not related")
+    # Cell (i, j) of a label's mask pairs its i-th and j-th edge, in the
+    # order the edges are listed, so the first hit is the first witness of
+    # a scan over edge pairs.
+    bits = rel.bits
+    for a, (src, dst) in zip(nfa.alphabet, label_edges(nfa)):
+        rows = max(1, _AXIOM2_CELLS // len(dst))
+        for r in range(0, len(dst), rows):
+            s, d = src[r:r + rows, None], dst[r:r + rows, None]
+            hit = _first_hit(bits[d, dst] & (d != dst) & ~bits[s, src])
+            if hit is None:
+                continue
+            i, j = hit[0] + r, hit[1]
+            up, u, vp, v = int(src[i]), int(dst[i]), int(src[j]), int(dst[j])
+            return Violation(
+                "predecessors-unrelated", (u, v, up, vp, a),
+                f"{nfa.names[u]} {strict_name} {nfa.names[v]} via "
+                f"{a!r}-edges from {nfa.names[up]}, {nfa.names[vp]} "
+                f"but ({nfa.names[up]}, {nfa.names[vp]}) is not related")
     return None
 
 

@@ -1,5 +1,9 @@
 """Maximum co-lex relation, the forward-stable order, and the comparison."""
 
+import random
+from collections import deque
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +12,13 @@ from nfaindex import (
     EqualPair,
     InvalidParameter,
     Nfa,
+    PairGraph,
     cfs_order,
     check_colex_order,
     check_colex_relation,
     check_wheeler_preorder,
     compare_report,
+    gen_fixture,
     gen_random,
     gen_separation_family,
     induced_equivalence,
@@ -24,6 +30,8 @@ from nfaindex import (
     source_distances,
     width,
 )
+from nfaindex import colex
+from nfaindex.relations import label_bounds
 
 # names u1..u6 map to ids 0..5
 SEP6_EXPECTED = {
@@ -75,6 +83,70 @@ class TestMaxColexRelation:
                     lambda_leq(nfa.lambda_set(x), nfa.lambda_set(y))
                     for (x, y) in preceding_pairs_oracle(nfa, u, v))
                 assert rel.contains(u, v) == expected
+
+
+def separation_expected(n):
+    """Pairs of the maximum co-lex relation of gen_separation_family(n)."""
+    sinks = range(4, n)
+    return ({(0, x) for x in range(1, n)} | {(1, x) for x in range(2, n)}
+            | {(s, t) for s in sinks for t in (2, 3)} | {(2, 3)})
+
+
+def pair_graph_reference(nfa):
+    """Loop form of the maximum co-lex relation: seed the label-violating
+    pairs one by one, then mark everything they reach in the pair graph."""
+    n = nfa.n_states
+    bad = {(u, v) for u in range(n) for v in range(n)
+           if u != v and not lambda_leq(nfa.lambda_set(u), nfa.lambda_set(v))}
+    queue = deque(bad)
+    pg = PairGraph(nfa)
+    while queue:
+        for pair in pg.successors(*queue.popleft()):
+            if pair not in bad:
+                bad.add(pair)
+                queue.append(pair)
+    return {(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in bad}
+
+
+class TestMaxColexRelationAtScale:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_pair_graph_bfs_beyond_one_batch(self, seed):
+        # 170-190 states: the seeded frontier spans several propagation batches
+        nfa = gen_random(200, 2, 0.006, seed)
+        hi, lo = label_bounds(nfa)
+        assert (hi[:, None] > lo[None, :]).sum() > colex._CHUNK
+        assert set(max_colex_relation(nfa).pairs()) == pair_graph_reference(nfa)
+
+    def test_unary_path_thousand_states(self):
+        # each propagation round moves the mark one step along the path
+        n = 1000
+        rel = max_colex_relation(Nfa(n, 0, [(i, "a", i + 1) for i in range(n - 1)]))
+        assert int(rel.bits.sum()) == 500500
+        assert np.array_equal(rel.bits, np.triu(np.ones((n, n), dtype=bool)))
+
+    def test_separation_six_hundred_fan_out(self):
+        # the pair (u2, u3) alone expands to 596 x 596 candidate pairs
+        assert separation_expected(6) == SEP6_EXPECTED
+        rel = max_colex_relation(gen_separation_family(600))
+        assert set(rel.pairs()) == separation_expected(600)
+
+    @pytest.mark.parametrize("states,alphabet,density,seed", [
+        (60, 2, 0.016, 0), (60, 2, 0.016, 1), (60, 3, 0.01, 2),
+        (40, 2, 0.025, 3), (50, 2, 0.02, 4),
+    ])
+    def test_pointwise_characterization_mid_size(self, states, alphabet, density, seed):
+        # every related pair, plus a sample of the others
+        nfa = gen_random(states, alphabet, density, seed)
+        assert 30 <= nfa.n_states <= 60
+        rel = max_colex_relation(nfa)
+        rng = random.Random(seed)
+        pairs = set(rel.pairs()) | {tuple(rng.sample(range(nfa.n_states), 2))
+                                    for _ in range(100)}
+        for (u, v) in sorted(pairs):
+            expected = all(
+                lambda_leq(nfa.lambda_set(x), nfa.lambda_set(y))
+                for (x, y) in preceding_pairs_oracle(nfa, u, v))
+            assert rel.contains(u, v) == expected, (u, v)
 
 
 class TestMaxColexOrder:
@@ -236,6 +308,24 @@ class TestCompareReport:
             "superset_holds": True, "quasi_wheeler": True,
             "max_order_exists": True,
         }
+
+    def test_discrete_partition_reuses_the_max_relation(self, monkeypatch):
+        calls = []
+        real = colex.max_colex_relation
+
+        def counted(nfa):
+            calls.append(nfa.n_states)
+            return real(nfa)
+
+        monkeypatch.setattr(colex, "max_colex_relation", counted)
+        path = Nfa(6, 0, [(i, "a", i + 1) for i in range(5)])
+        rep = compare_report(path)
+        assert calls == [6]
+        assert (rep.classes_R, rep.classes_FS, rep.width_R, rep.width_FS) == (6, 6, 1, 1)
+        assert rep.max_order_exists and rep.quasi_wheeler
+        calls.clear()
+        compare_report(gen_fixture("fig2"))
+        assert calls == [7, 4]  # fig2 merges into a 4-state quotient
 
     @given(seed=st.integers(0, 400))
     @settings(max_examples=60, deadline=None)

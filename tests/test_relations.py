@@ -1,11 +1,14 @@
 """Relations: JSON forms, order checkers, width and its certificates."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfaindex import (
+    Nfa,
     NotPreorder,
     PartitionMismatch,
     Partition,
@@ -19,6 +22,8 @@ from nfaindex import (
     check_wheeler_order,
     check_wheeler_preorder,
     coarsest_fs_partition,
+    gen_fixture,
+    gen_random,
     gen_separation_family,
     induced_equivalence,
     induced_order,
@@ -27,6 +32,9 @@ from nfaindex import (
     relation_to_json_dict,
     width,
 )
+from nfaindex.automaton import label_key
+from nfaindex.cli import main
+from nfaindex.relations import Violation, _axiom1_violation, _axiom2_violation
 
 
 def closure(n, pairs):
@@ -304,3 +312,111 @@ class TestWheelerCheckers:
         ok, violation = check_wheeler_preorder(fig2, Relation(7, pairs))
         assert not ok
         assert violation.rule.startswith("quotient-")
+
+
+def wide_middle_star(middles=256):
+    """s0 -a-> s1..s(middles+2), related s1 < sX < s(middles+2) for every
+    middle sX, but not s1 < s(middles+2): one gap with ``middles`` witnesses."""
+    n = middles + 3
+    nfa = Nfa(n, 0, [(0, "a", x) for x in range(1, n)],
+              names=[f"s{i}" for i in range(n)])
+    last = n - 1
+    pairs = [(1, x) for x in range(2, last)] + [(x, last) for x in range(2, last)]
+    return nfa, Relation(n, pairs)
+
+
+class TestExactTransitivity:
+    def test_gap_with_256_middles_is_found(self):
+        nfa, rel = wide_middle_star(256)
+        assert rel.transitivity_witness() == (1, 2, 258)
+        ok, violation = check_colex_order(nfa, rel)
+        assert not ok and violation.rule == "not-transitive"
+        assert violation.witness == (1, 2, 258)
+
+    def test_gap_with_256_middles_through_the_cli(self, capsys, tmp_path):
+        nfa, rel = wide_middle_star(256)
+        nfa_path = tmp_path / "star.nfa"
+        nfa_path.write_text(nfa.serialize())
+        rel_path = tmp_path / "star.rel.json"
+        rel_path.write_text(json.dumps(relation_to_json_dict(rel, nfa.names)))
+        code = main(["check", str(nfa_path), "--relation", str(rel_path),
+                     "--kind", "colex-order"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert out["valid"] is False
+        assert out["violation"]["rule"] == "not-transitive"
+
+
+def axiom1_reference(nfa, rel, strict_name):
+    """Loop form of the axiom-1 check: first (u, v) in row-major order."""
+    max_key = [max(label_key(a) for a in s) for s in nfa.lambda_sets]
+    min_key = [min(label_key(a) for a in s) for s in nfa.lambda_sets]
+    for u in range(nfa.n_states):
+        for v in range(nfa.n_states):
+            if u != v and rel.bits[u, v] and max_key[u] > min_key[v]:
+                return Violation(
+                    "labels-decrease", (u, v),
+                    f"{nfa.names[u]} {strict_name} {nfa.names[v]} but incoming labels "
+                    f"{sorted(nfa.lambda_sets[u])} exceed {sorted(nfa.lambda_sets[v])}")
+    return None
+
+
+def axiom2_reference(nfa, rel, strict_name):
+    """Loop form of the axiom-2 check: first pair of equal-label edges."""
+    for a in nfa.alphabet:
+        edges = [(u, v) for (u, lab, v) in nfa.transitions if lab == a]
+        for (up, u) in edges:
+            for (vp, v) in edges:
+                if u != v and rel.bits[u, v] and not rel.bits[up, vp]:
+                    return Violation(
+                        "predecessors-unrelated", (u, v, up, vp, a),
+                        f"{nfa.names[u]} {strict_name} {nfa.names[v]} via "
+                        f"{a!r}-edges from {nfa.names[up]}, {nfa.names[vp]} "
+                        f"but ({nfa.names[up]}, {nfa.names[vp]}) is not related")
+    return None
+
+
+def trie(words):
+    """Trie over ``words``; node names are the prefixes they spell."""
+    names = ["root"]
+    ids = {"": 0}
+    trans = []
+    for word in words:
+        for i in range(1, len(word) + 1):
+            if word[:i] not in ids:
+                ids[word[:i]] = len(names)
+                names.append(word[:i])
+                trans.append((ids[word[:i - 1]], word[i - 1], ids[word[:i]]))
+    return Nfa(len(names), 0, trans, names=names)
+
+
+def corrupted(rel, rng, rate):
+    """Copy of ``rel`` with each off-diagonal cell flipped with probability ``rate``."""
+    return Relation.from_matrix(rel.bits ^ (rng.random(rel.bits.shape) < rate))
+
+
+class TestArrayCheckersMatchLoops:
+    @pytest.mark.parametrize("name", ["fig2", "trie", "random40"])
+    def test_same_first_violation(self, name):
+        if name == "fig2":
+            nfas = [gen_fixture("fig2")]
+        elif name == "trie":
+            rng = np.random.default_rng(1)
+            nfas = [trie(["".join(rng.choice(list("abc"), size=rng.integers(1, 7)))
+                          for _ in range(12)])]
+        else:
+            nfas = [gen_random(40, 3, 0.02, seed) for seed in range(4)]
+        rng = np.random.default_rng(7)
+        found = 0
+        for nfa in nfas:
+            base = max_colex_relation(nfa)
+            for rate in (0.0, 0.002, 0.01, 0.05, 0.3):
+                for _ in range(6):
+                    rel = corrupted(base, rng, rate)
+                    for strict_name in ("~", "<"):
+                        v1 = _axiom1_violation(nfa, rel, strict_name)
+                        assert v1 == axiom1_reference(nfa, rel, strict_name)
+                        v2 = _axiom2_violation(nfa, rel, strict_name)
+                        assert v2 == axiom2_reference(nfa, rel, strict_name)
+                        found += (v1 is not None) + (v2 is not None)
+        assert found > 0
