@@ -72,6 +72,25 @@ def _check_token(tok: str, what: str) -> str:
     return tok
 
 
+def _bfs_distances(n: int, source: int,
+                   edges: Iterable[tuple[int, str, int]]) -> list[int]:
+    """Edge count of a shortest path from ``source`` to each of 0..n-1 over
+    (from, label, to) edges; -1 marks an unreachable state."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for (u, _, v) in edges:
+        succ[u].append(v)
+    dist = [-1] * n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in succ[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 class Nfa:
     """Immutable NFA over integer state ids with named states.
 
@@ -150,9 +169,9 @@ class Nfa:
                     f"initial state has incoming transition "
                     f"{self.names[src]} {a} {self.names[self.initial]}")
 
-        reach = self._reachable()
-        if len(reach) != n_states:
-            missing = min(set(range(n_states)) - reach)
+        dist = _bfs_distances(n_states, self.initial, trans)
+        if -1 in dist:
+            missing = dist.index(-1)
             raise ValidationError(f"state {self.names[missing]!r} is unreachable")
 
         lam: list[frozenset[str]] = []
@@ -162,20 +181,6 @@ class Nfa:
             else:
                 lam.append(frozenset(a for a in self.alphabet if (u, a) in self._in))
         self.lambda_sets = tuple(lam)
-
-    def _reachable(self) -> set[int]:
-        succ: dict[int, set[int]] = {}
-        for (u, _, v) in self.transitions:
-            succ.setdefault(u, set()).add(v)
-        seen = {self.initial}
-        queue = deque([self.initial])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(succ.get(u, ())):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
     # -- queries ---------------------------------------------------------
 
@@ -399,30 +404,14 @@ def gen_random(states: int, alphabet_size: int, density: float, seed: int) -> Nf
     ]
     edges = [(u, a, v) for (u, a, v) in edges if v != 0]
 
-    def reachable(es: list[tuple[int, str, int]]) -> set[int]:
-        succ: dict[int, set[int]] = {}
-        for (u, _, v) in es:
-            succ.setdefault(u, set()).add(v)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in sorted(succ.get(x, ())):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    reach = reachable(edges)
-    if states > 1 and len(reach) == 1:
+    if states > 1 and all(u != 0 for (u, _, _) in edges):
         t = rng.randrange(1, states)
         a = labels[rng.randrange(alphabet_size)]
         edges.append((0, a, t))
-        reach = reachable(edges)
 
-    keep = sorted(reach)
+    keep = [u for u, d in enumerate(_bfs_distances(states, 0, edges)) if d >= 0]
     new_id = {old: i for i, old in enumerate(keep)}
-    edges = [(new_id[u], a, new_id[v]) for (u, a, v) in edges if u in reach]
+    edges = [(new_id[u], a, new_id[v]) for (u, a, v) in edges if u in new_id]
     names = [f"q{i}" for i in range(len(keep))]
     return Nfa(len(keep), 0, sorted(set(edges), key=lambda t: (t[0], t[1], t[2])),
                names=names)

@@ -3,18 +3,14 @@
 Data goes to stdout (or the -o path), diagnostics to stderr.  Exit codes:
 0 success, 1 bad input (parse, validation, malformed relation, bad
 parameters), 2 I/O failure, 3 internal invariant violation, 4 a check
-verdict of invalid.  Identical invocations produce byte-identical output;
-NFA_INDEX_THREADS > 0 lets ``sweep`` evaluate instances concurrently, with
-rows still emitted in input order (0 or unset means fully sequential).
+verdict of invalid.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .automaton import (
     Nfa,
@@ -96,16 +92,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("NFA_INDEX_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        raise InvalidParameter(f"NFA_INDEX_THREADS must be an integer, got {raw!r}")
 
 
 def _oracle_check(nfa: Nfa) -> None:
@@ -234,17 +220,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         raise InvalidParameter("choose --family sep or --random")
 
-    def evaluate(nfa: Nfa):
+    reports = []
+    for nfa in instances:
         if args.oracle:
             _oracle_check(nfa)
-        return compare_report(nfa)
-
-    threads = _thread_count()
-    if threads > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(evaluate, instances))
-    else:
-        reports = [evaluate(nfa) for nfa in instances]
+        reports.append(compare_report(nfa))
 
     if args.format == "json":
         text = _json([r.to_json_dict() for r in reports])
@@ -282,14 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None,
                        help="write to this path instead of stdout")
 
-    p = sub.add_parser("analyze",
+    p = sub.add_parser("analyze", aliases=["compare"],
                        help="summary of both constructions (classes, widths, flags)")
-    add_io(p)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("compare", help="alias of analyze")
     add_io(p)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
@@ -369,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

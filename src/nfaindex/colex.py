@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import Nfa
+from .automaton import Nfa, _bfs_distances
 from .errors import EqualPair, InternalInvariantViolation, InvalidParameter
 from .fs_partition import QuotientMap, build_quotient, coarsest_fs_partition
 from .relations import (
@@ -211,6 +211,11 @@ def _lifted_quotient_order(qm: QuotientMap) -> Relation:
     return Relation.from_matrix(qrel.bits[beta[:, None], beta[None, :]])
 
 
+def _quasi_wheeler(nfa: Nfa, rel_fs: Relation) -> bool:
+    # rel_fs is the lifted order from cfs_order.
+    return rel_fs.is_total() and all(len(s) == 1 for s in nfa.lambda_sets)
+
+
 def is_quasi_wheeler(nfa: Nfa) -> tuple[bool, Relation | None]:
     """Detect whether the automaton admits a Wheeler preorder.
 
@@ -219,28 +224,12 @@ def is_quasi_wheeler(nfa: Nfa) -> tuple[bool, Relation | None]:
     preorder is then itself a Wheeler preorder and is returned as witness.
     """
     rel, _ = cfs_order(nfa)
-    total = rel.is_total()
-    consistent = all(len(s) == 1 for s in nfa.lambda_sets)
-    if total and consistent:
-        return True, rel
-    return False, None
+    return (True, rel) if _quasi_wheeler(nfa, rel) else (False, None)
 
 
 def source_distances(nfa: Nfa) -> tuple[int, ...]:
     """Length of the shortest string from the initial state to each state."""
-    succ: dict[int, set[int]] = {}
-    for (u, _, v) in nfa.transitions:
-        succ.setdefault(u, set()).add(v)
-    dist = [-1] * nfa.n_states
-    dist[nfa.initial] = 0
-    queue = deque([nfa.initial])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(succ.get(u, ())):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return tuple(dist)
+    return tuple(_bfs_distances(nfa.n_states, nfa.initial, nfa.transitions))
 
 
 @dataclass(frozen=True)
@@ -289,7 +278,6 @@ def compare_report(nfa: Nfa) -> CompareReport:
     width_r = width(rel_r).width
     width_fs = width_r if rel_fs is rel_r else width(rel_fs).width
     superset = rel_fs.superset_of(rel_r)
-    consistent = all(len(s) == 1 for s in nfa.lambda_sets)
     report = CompareReport(
         n_states=nfa.n_states,
         classes_R=classes_r.n_blocks,
@@ -297,7 +285,7 @@ def compare_report(nfa: Nfa) -> CompareReport:
         width_R=width_r,
         width_FS=width_fs,
         superset_holds=superset,
-        quasi_wheeler=rel_fs.is_total() and consistent,
+        quasi_wheeler=_quasi_wheeler(nfa, rel_fs),
         max_order_exists=rel_r.is_antisymmetric(),
     )
     if not superset:

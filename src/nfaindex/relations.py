@@ -129,12 +129,16 @@ def relation_from_json_dict(obj, nfa: Nfa) -> Relation:
     if obj["n"] != nfa.n_states:
         raise SizeMismatch(
             f'relation is over {obj["n"]} states, automaton has {nfa.n_states}')
+    if not isinstance(obj["pairs"], (list, tuple)):
+        raise ValidationError('relation "pairs" must be a list of name pairs')
     pairs = []
     for item in obj["pairs"]:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ValidationError(f"malformed relation pair {item!r}")
         u_name, v_name = item
         for nm in (u_name, v_name):
+            if not isinstance(nm, str):
+                raise ValidationError(f"state name {nm!r} in relation is not a string")
             if nm not in nfa.id_of:
                 raise ValidationError(f"unknown state name {nm!r} in relation")
         pairs.append((nfa.id_of[u_name], nfa.id_of[v_name]))
@@ -247,23 +251,36 @@ def check_colex_relation(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | Non
     return (v is None), v
 
 
+def _transitivity_violation(nfa: Nfa, rel: Relation) -> Violation | None:
+    w = rel.transitivity_witness()
+    if w is None:
+        return None
+    u, v, x = w
+    return Violation(
+        "not-transitive", w,
+        f"({nfa.names[u]},{nfa.names[v]}) and ({nfa.names[v]},{nfa.names[x]}) "
+        f"present but ({nfa.names[u]},{nfa.names[x]}) absent")
+
+
+def _totality_violation(nfa: Nfa, rel: Relation) -> Violation | None:
+    hit = _first_hit(~(rel.bits | rel.bits.T))
+    if hit is None:
+        return None
+    u, v = hit
+    return Violation(
+        "not-total", (u, v), f"{nfa.names[u]} and {nfa.names[v]} are incomparable")
+
+
 def _partial_order_violation(nfa: Nfa, rel: Relation) -> Violation | None:
     sym = rel.bits & rel.bits.T
     np.fill_diagonal(sym, False)
-    hits = np.argwhere(sym)
-    if len(hits):
-        u, v = (int(x) for x in hits[0])
+    hit = _first_hit(sym)
+    if hit is not None:
+        u, v = hit
         return Violation(
             "not-antisymmetric", (u, v),
             f"both ({nfa.names[u]}, {nfa.names[v]}) and the reverse are present")
-    w = rel.transitivity_witness()
-    if w is not None:
-        u, v, x = w
-        return Violation(
-            "not-transitive", w,
-            f"({nfa.names[u]},{nfa.names[v]}) and ({nfa.names[v]},{nfa.names[x]}) "
-            f"present but ({nfa.names[u]},{nfa.names[x]}) absent")
-    return None
+    return _transitivity_violation(nfa, rel)
 
 
 def check_colex_order(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | None]:
@@ -286,16 +303,9 @@ def check_wheeler_order(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | None
     have non-decreasing targets.
     """
     _check_size(nfa, rel)
-    viol = _partial_order_violation(nfa, rel)
+    viol = _partial_order_violation(nfa, rel) or _totality_violation(nfa, rel)
     if viol is not None:
         return False, viol
-    conn = rel.bits | rel.bits.T
-    miss = np.argwhere(~conn)
-    if len(miss):
-        u, v = (int(x) for x in miss[0])
-        return False, Violation(
-            "not-total", (u, v),
-            f"{nfa.names[u]} and {nfa.names[v]} are incomparable")
     s = nfa.initial
     not_first = np.flatnonzero(~rel.bits[s])
     if len(not_first):
@@ -324,21 +334,10 @@ def check_wheeler_preorder(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | N
     """Total preorder whose classes are the coarsest forward-stable blocks
     and whose induced order is a Wheeler order of the quotient."""
     _check_size(nfa, rel)
-    w = rel.transitivity_witness()
-    if w is not None:
-        u, v, x = w
-        return False, Violation(
-            "not-transitive", w,
-            f"({nfa.names[u]},{nfa.names[v]}) and ({nfa.names[v]},{nfa.names[x]}) "
-            f"present but ({nfa.names[u]},{nfa.names[x]}) absent")
-    conn = rel.bits | rel.bits.T
-    miss = np.argwhere(~conn)
-    if len(miss):
-        u, v = (int(x) for x in miss[0])
-        return False, Violation(
-            "not-total", (u, v),
-            f"{nfa.names[u]} and {nfa.names[v]} are incomparable")
-    classes = induced_equivalence(rel)
+    viol = _transitivity_violation(nfa, rel) or _totality_violation(nfa, rel)
+    if viol is not None:
+        return False, viol
+    classes = _classes(rel)
     coarsest = coarsest_fs_partition(nfa)
     if classes != coarsest:
         return False, Violation(
@@ -346,7 +345,7 @@ def check_wheeler_preorder(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | N
             f"preorder classes {classes.blocks_by_name(nfa.names)} differ from the "
             f"coarsest forward-stable blocks {coarsest.blocks_by_name(nfa.names)}")
     qm = build_quotient(nfa, classes)
-    ok, viol = check_wheeler_order(qm.quotient, induced_order(rel, classes))
+    ok, viol = check_wheeler_order(qm.quotient, _class_order(rel, classes))
     if not ok:
         return False, Violation("quotient-" + viol.rule, viol.witness, viol.detail)
     return True, None
@@ -357,6 +356,11 @@ def induced_equivalence(rel: Relation) -> Partition:
     w = rel.transitivity_witness()
     if w is not None:
         raise NotPreorder(w)
+    return _classes(rel)
+
+
+def _classes(rel: Relation) -> Partition:
+    # Classes of a relation already known to be transitive.
     sym = rel.bits & rel.bits.T
     assigned = [-1] * rel.n
     blocks: list[list[int]] = []
@@ -377,7 +381,12 @@ def induced_order(rel: Relation, partition: Partition) -> Relation:
     """
     if partition != induced_equivalence(rel):
         raise PartitionMismatch("partition is not the class partition of the relation")
-    reps = [b[0] for b in partition.blocks]
+    return _class_order(rel, partition)
+
+
+def _class_order(rel: Relation, classes: Partition) -> Relation:
+    # Order on class indices, read off one representative per class.
+    reps = [b[0] for b in classes.blocks]
     return Relation.from_matrix(rel.bits[np.ix_(reps, reps)])
 
 
@@ -437,7 +446,7 @@ def width(rel: Relation) -> WidthCertificate:
     there is a bug, reported as InternalInvariantViolation.
     """
     classes = induced_equivalence(rel)  # raises NotPreorder on bad input
-    order = induced_order(rel, classes)
+    order = _class_order(rel, classes)
     m = classes.n_blocks
     strict = order.bits.copy()
     np.fill_diagonal(strict, False)

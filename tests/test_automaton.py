@@ -1,5 +1,6 @@
 """Data model: parsing, validation, label order, generators, DOT."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -239,6 +240,25 @@ class TestGenerators:
         assert nfa.n_states == 1
         assert nfa.alphabet == ()
         assert nfa.transitions == ()
+
+    @pytest.mark.parametrize("args,n_states,digest", [
+        ((6, 2, 0.3, 0), 6,
+         "e316bd557104164a1c2bb841945983e485fe5cf1705f0c4c6defc6dfb05ce2ed"),
+        ((12, 3, 0.15, 7), 12,
+         "1b704c4d90dd01a24be310bd3ff4ffff11182f69424dc4b0db3f6ca348fdde42"),
+        # pruning drops unreachable states
+        ((40, 2, 0.03, 3), 35,
+         "a0992938d2be318ba7da46fa04dfd5f8f06ce56aacfb5cf7a9ddd49d298e69a0"),
+        ((60, 3, 0.01, 11), 32,
+         "ec0360ce58c89b57bdf2d9f5ad1747f4f7344d2feae935aace9b0d9261e68d87"),
+        # nothing drawn: one edge out of the initial state is re-added
+        ((5, 2, 0.0, 1), 2,
+         "1a3de4d869fbf45c4a61062abfc54daff7e1bb027a9ca8c21226d2eb4767ea76"),
+    ])
+    def test_gen_random_output_is_pinned(self, args, n_states, digest):
+        nfa = gen_random(*args)
+        assert nfa.n_states == n_states
+        assert hashlib.sha256(nfa.serialize().encode()).hexdigest() == digest
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=60, deadline=None)

@@ -83,6 +83,13 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 1 and "line 1" in err
 
+    def test_non_utf8_automaton_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.nfa"
+        path.write_bytes(b"initial a\ntrans a \xff b\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
+
 
 class TestRelationsCommands:
     def test_maxrel_matches_library(self, capsys):
@@ -201,6 +208,28 @@ class TestCheck:
                          "--relation", str(path), "--kind", "colex-relation")
         assert code == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "pairs": 5}',
+        '{"n": 3, "pairs": "u1u2"}',
+        '{"n": 3, "pairs": [[["u1"], "u2"]]}',
+        '{"n": 3, "pairs": [["u1", 2]]}',
+    ])
+    def test_mistyped_pairs_are_input_errors(self, capsys, tmp_path, text):
+        path = tmp_path / "rel.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "--fixture", "wheeler3",
+                             "--relation", str(path), "--kind", "colex-relation")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_utf8_relation_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "rel.json"
+        path.write_bytes(b"\xff")
+        code, out, err = run(capsys, "check", "--fixture", "wheeler3",
+                             "--relation", str(path), "--kind", "colex-relation")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
+
 
 class TestGen:
     def test_fixture_round_trip(self, capsys):
@@ -273,20 +302,6 @@ class TestSweep:
                            "--density", "0.4", "--seed", "1", "--oracle")
         assert code == 0
         assert len(out.splitlines()) == 7
-
-    def test_threads_do_not_change_output(self, capsys, monkeypatch):
-        _, seq, _ = run(capsys, "sweep", "--family", "sep", "--from", "5",
-                        "--to", "9")
-        monkeypatch.setenv("NFA_INDEX_THREADS", "4")
-        _, par, _ = run(capsys, "sweep", "--family", "sep", "--from", "5",
-                        "--to", "9")
-        assert seq == par
-
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("NFA_INDEX_THREADS", "lots")
-        code, _, err = run(capsys, "sweep", "--family", "sep",
-                           "--from", "5", "--to", "6")
-        assert code == 1 and "NFA_INDEX_THREADS" in err
 
     def test_mutually_exclusive_modes(self, capsys):
         code, _, _ = run(capsys, "sweep", "--family", "sep", "--random",
