@@ -35,15 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automaton import Nfa, _bfs_distances
-from .errors import EqualPair, InternalInvariantViolation, InvalidParameter
+from .errors import EqualPair, InternalInvariantViolation, InvalidParameter, TooLarge
 from .fs_partition import QuotientMap, build_quotient, coarsest_fs_partition
 from .relations import (
     Relation,
+    _classes,
+    _width,
     check_colex_relation,
-    induced_equivalence,
     label_bounds,
     label_edges,
-    width,
 )
 
 
@@ -103,6 +103,12 @@ def preceding_pairs_oracle(nfa: Nfa, u: int, v: int) -> frozenset[tuple[int, int
     return frozenset(seen)
 
 
+# Most states whose maximum co-lex relation is computed.  The relation and
+# its propagation are stored densely, about 20 bytes per state pair at peak
+# (the mark matrix, an n*n index array and the self-checks' matrices):
+# some 350 MB at this limit.
+MAX_DENSE_STATES = 4096
+
 # Frontier pairs taken per numpy batch during propagation, and the most
 # candidate pairs one batch expands to for one label; a single frontier pair
 # with a larger product is expanded in a batch of its own.
@@ -130,9 +136,14 @@ def max_colex_relation(nfa: Nfa) -> Relation:
     spreads that mark forward through the pair graph, one frontier of newly
     marked pairs per round; the surviving pairs, plus the diagonal, form the
     result.  Transitivity and both co-lex axioms are re-verified before
-    returning.
+    returning.  Raises TooLarge, before allocating anything, for automata
+    of more than MAX_DENSE_STATES states.
     """
     n = nfa.n_states
+    if n > MAX_DENSE_STATES:
+        raise TooLarge(
+            f"the maximum co-lex relation is stored densely and is limited to "
+            f"{MAX_DENSE_STATES} states, got {n}")
     hi, lo = label_bounds(nfa)
     bad = hi[:, None] > lo[None, :]
     np.fill_diagonal(bad, False)
@@ -274,9 +285,12 @@ def compare_report(nfa: Nfa) -> CompareReport:
         rel_fs = _require_antisymmetric(rel_r)
     else:
         rel_fs = _lifted_quotient_order(build_quotient(nfa, partition))
-    classes_r = induced_equivalence(rel_r)
-    width_r = width(rel_r).width
-    width_fs = width_r if rel_fs is rel_r else width(rel_fs).width
+    # Both relations are preorders by construction (max_colex_relation has
+    # checked transitivity), and the classes of rel_fs are the partition's
+    # blocks because the quotient's relation is antisymmetric.
+    classes_r = _classes(rel_r)
+    width_r = _width(rel_r, classes_r).width
+    width_fs = width_r if rel_fs is rel_r else _width(rel_fs, partition).width
     superset = rel_fs.superset_of(rel_r)
     report = CompareReport(
         n_states=nfa.n_states,

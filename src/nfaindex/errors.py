@@ -64,7 +64,8 @@ class EqualPair(NfaIndexError):
 
 
 class TooLarge(NfaIndexError):
-    """Brute-force oracle guard: input exceeds the exhaustive-search bound."""
+    """Input exceeds a stated size limit: the exhaustive-search bound of a
+    brute-force oracle, or the state limit of dense n x n storage."""
 
 
 class InternalInvariantViolation(Exception):

@@ -3,8 +3,20 @@
 A partition P of the states is forward stable when for every pair of
 blocks S, T and every label a, the a-image of T either covers S or misses
 it entirely.  Forward stability is closed under coarsest-common-coarsening,
-so every NFA has a unique coarsest forward-stable partition; it is computed
-here by worklist splitter refinement.
+so every NFA has a unique coarsest forward-stable partition.
+
+It is computed by the partition refinement of Paige and Tarjan (SIAM J.
+Comput. 1987) on the label-wise reversed edges, with three-way splitting.
+Besides the partition being refined, a coarser partition of compound
+blocks is kept, and the fine partition is stable with respect to every
+compound block.  Each step takes a compound block S holding at least two
+fine blocks, makes its smaller block B a compound block of its own, and
+for every label a splits the fine blocks by delta(B, a) and then by
+delta(B, a) minus delta(S - B, a).  The second set holds the states whose
+number of a-predecessors in B equals their number in S; these counts are
+kept per (state, label, compound block).  A state lies in a block taken as
+B at most log2(n) times, and each time only its out-edges are walked, so
+the refinement runs in O(m log n) for m transitions and n states.
 
 The quotient automaton has one state per block and a block-level edge on a
 whenever some member pair has one.  For a forward-stable partition the
@@ -15,12 +27,16 @@ invariant, reported as QuotientInvalid.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automaton import Nfa
-from .errors import QuotientInvalid, SizeMismatch, ValidationError
+from .errors import (
+    InternalInvariantViolation,
+    QuotientInvalid,
+    SizeMismatch,
+    ValidationError,
+)
 
 
 class Partition:
@@ -126,47 +142,159 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
 
 
 def coarsest_fs_partition(nfa: Nfa) -> Partition:
-    """Unique coarsest forward-stable partition, by splitter refinement.
+    """Unique coarsest forward-stable partition, by Paige-Tarjan refinement.
 
-    Starts from the single-block partition and repeatedly splits blocks
-    against (block, label) images until stable.  When a block splits, both
-    halves re-enter the worklist with every label; pending splitters naming
-    a dead block are skipped, which is sound because the image of a block
-    is the union of the images of its fragments.
+    Starts from the single-block partition split by which labels enter each
+    state, with one compound block holding everything.  While a compound
+    block S holds two or more blocks, its smaller block B becomes a compound
+    block of its own and, for each label a on an edge leaving B, every
+    block is split by delta(B, a) and then by delta(B, a) minus
+    delta(S - B, a), the states none of whose a-predecessors lie in S - B.
+    Only the out-edges of B are walked, so the whole refinement is
+    O(m log n).  Forward stability of the result is re-verified in O(m)
+    before returning.
     """
+    partition = Partition(nfa.n_states, _refine(nfa))
+    _check_forward_stable(nfa, partition)
+    return partition
+
+
+def _refine(nfa: Nfa) -> list[list[int]]:
+    # The blocks of the coarsest forward-stable partition, unordered.  Kept
+    # apart so that its arrays are freed before the result is built and checked.
     n = nfa.n_states
-    blocks: list[frozenset[int]] = [frozenset(range(n))]
-    alive = set(blocks)
-    work: deque[tuple[frozenset[int], str]] = deque(
-        (blocks[0], a) for a in nfa.alphabet)
+    label_id = {a: i for i, a in enumerate(nfa.alphabet)}
+    lab = [label_id[a] for (_, a, _) in nfa.transitions]
+    tgt = [v for (_, _, v) in nfa.transitions]
+    out: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, _, _) in enumerate(nfa.transitions):
+        out[u].append(e)
 
-    while work:
-        t_blk, a = work.popleft()
-        if t_blk not in alive:
-            continue
-        image = nfa.delta_set(t_blk, a)
-        if not image:
-            continue
-        fresh: list[frozenset[int]] = []
-        next_blocks: list[frozenset[int]] = []
-        for s in blocks:
-            inter = s & image
-            if inter and inter != s:
-                diff = s - inter
-                next_blocks.append(inter)
-                next_blocks.append(diff)
-                fresh.append(inter)
-                fresh.append(diff)
-            else:
-                next_blocks.append(s)
-        if fresh:
-            blocks = next_blocks
-            alive = set(blocks)
-            for blk in fresh:
-                for b in nfa.alphabet:
-                    work.append((blk, b))
+    # Fine partition as one array: block b is elems[first[b]:end[b]], and
+    # its marked members sit at the front, in elems[first[b]:mid[b]].
+    elems = list(range(n))
+    loc = list(range(n))
+    blk = [0] * n
+    first, end, mid = [0], [n], [0]
+    touched: list[int] = []
+    # Compound blocks: the fine blocks of each, and those holding two or more.
+    cblk = [0]
+    members: list[list[int]] = [[0]]
+    ready: list[int] = []
 
-    return Partition(n, blocks)
+    def mark(x: int) -> None:
+        b = blk[x]
+        m = mid[b]
+        i = loc[x]
+        if i >= m:
+            if m == first[b]:
+                touched.append(b)
+            y = elems[m]
+            elems[i], loc[y] = y, i
+            elems[m], loc[x] = x, m
+            mid[b] = m + 1
+
+    def split() -> None:
+        # The marked part of each partly marked block becomes a new block
+        # in the same compound block.
+        for b in touched:
+            m, start = mid[b], first[b]
+            mid[b] = start
+            if m == end[b]:
+                continue
+            nb = len(first)
+            first.append(start)
+            end.append(m)
+            mid.append(start)
+            first[b] = mid[b] = m
+            for i in range(start, m):
+                blk[elems[i]] = nb
+            c = cblk[b]
+            cblk.append(c)
+            members[c].append(nb)
+            if len(members[c]) == 2:
+                ready.append(c)
+        touched.clear()
+
+    # cnt[rec[e]] counts the a-predecessors of v in the compound block of u,
+    # for edge e = (u, a, v); all such edges share one record.
+    rec_of: dict[tuple[int, int], int] = {}
+    rec = [rec_of.setdefault((v, a), len(rec_of)) for v, a in zip(tgt, lab)]
+    cnt = [0] * len(rec_of)
+    for r in rec:
+        cnt[r] += 1
+
+    # Make the partition stable with respect to the one compound block.
+    entered: list[list[int]] = [[] for _ in label_id]
+    for (v, a) in rec_of:
+        entered[a].append(v)
+    for targets in entered:
+        for v in targets:
+            mark(v)
+        split()
+
+    while ready:
+        s = ready.pop()
+        if len(members[s]) < 2:
+            continue
+        # B, the smaller of two blocks of S, leaves S as a compound block.
+        b, other = members[s].pop(), members[s].pop()
+        if end[b] - first[b] > end[other] - first[other]:
+            b, other = other, b
+        members[s].append(other)
+        if len(members[s]) >= 2:
+            ready.append(s)
+        cblk[b] = len(members)
+        members.append([b])
+
+        # Out-edges of B by label, collected before B itself may split.
+        by_label: dict[int, list[int]] = {}
+        for i in range(first[b], end[b]):
+            for e in out[elems[i]]:
+                by_label.setdefault(lab[e], []).append(e)
+        for edges in by_label.values():
+            hits: dict[int, int] = {}
+            for e in edges:
+                v = tgt[e]
+                hits[v] = hits.get(v, 0) + 1
+            for v in hits:
+                mark(v)
+            split()
+            old = {tgt[e]: rec[e] for e in edges}
+            for v, k in hits.items():
+                if k == cnt[old[v]]:
+                    mark(v)
+            split()
+            new: dict[int, int] = {}
+            for v, k in hits.items():
+                cnt[old[v]] -= k
+                new[v] = len(cnt)
+                cnt.append(k)
+            for e in edges:
+                rec[e] = new[tgt[e]]
+
+    return [elems[first[b]:end[b]] for b in range(len(first))]
+
+
+def _check_forward_stable(nfa: Nfa, partition: Partition) -> None:
+    """Raise InternalInvariantViolation unless the partition is forward stable.
+
+    Forward stability holds exactly when all members of each block have the
+    same set of (label, predecessor block) pairs, which takes O(m) to test.
+    """
+    beta = partition.block_of
+
+    def pairs(x: int) -> set[tuple[str, int]]:
+        return {(a, beta[u]) for a in nfa.lambda_sets[x] for u in nfa.sources(x, a)}
+
+    for i, block in enumerate(partition.blocks):
+        want = pairs(block[0])
+        for x in block[1:]:
+            if pairs(x) != want:
+                raise InternalInvariantViolation(
+                    f"coarsest forward-stable partition is not forward stable: "
+                    f"block {i} holds {nfa.names[block[0]]} and {nfa.names[x]}, "
+                    f"whose (label, predecessor block) pairs differ")
 
 
 @dataclass(frozen=True)

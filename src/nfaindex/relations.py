@@ -445,7 +445,11 @@ def width(rel: Relation) -> WidthCertificate:
     chain.  The certificate is re-validated before returning; a failure
     there is a bug, reported as InternalInvariantViolation.
     """
-    classes = induced_equivalence(rel)  # raises NotPreorder on bad input
+    return _width(rel, induced_equivalence(rel))  # raises NotPreorder on bad input
+
+
+def _width(rel: Relation, classes: Partition) -> WidthCertificate:
+    # Width of a preorder whose class partition the caller already holds.
     order = _class_order(rel, classes)
     m = classes.n_blocks
     strict = order.bits.copy()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from nfaindex import (
+    Nfa,
     cfs_order,
     gen_fixture,
     max_colex_relation,
@@ -12,6 +13,7 @@ from nfaindex import (
     relation_to_json_dict,
 )
 from nfaindex.cli import main
+from nfaindex.colex import MAX_DENSE_STATES
 
 
 def run(capsys, *argv):
@@ -146,6 +148,22 @@ class TestQuotient:
         code, out, _ = run(capsys, "quotient", "--fixture", "fig2",
                            "--format", "dot")
         assert code == 0 and out.startswith("digraph")
+
+
+    def test_above_the_dense_limit_quotient_works_and_maxrel_refuses(
+            self, capsys, tmp_path):
+        # Partition refinement has no dense storage, so a path one state
+        # beyond the limit still gets its (discrete) quotient.
+        n = MAX_DENSE_STATES + 1
+        path = tmp_path / "path.nfa"
+        path.write_text(Nfa(n, 0, [(i, "a", i + 1) for i in range(n - 1)]).serialize())
+        code, out, err = run(capsys, "maxrel", str(path))
+        assert code == 1 and out == ""
+        assert err == (f"error: the maximum co-lex relation is stored densely "
+                       f"and is limited to {MAX_DENSE_STATES} states, got {n}\n")
+        code, out, err = run(capsys, "quotient", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["blocks"]) == n
 
 
 class TestCheck:

@@ -13,6 +13,8 @@ from nfaindex import (
     InvalidParameter,
     Nfa,
     PairGraph,
+    Relation,
+    TooLarge,
     cfs_order,
     check_colex_order,
     check_colex_relation,
@@ -147,6 +149,19 @@ class TestMaxColexRelationAtScale:
                 lambda_leq(nfa.lambda_set(x), nfa.lambda_set(y))
                 for (x, y) in preceding_pairs_oracle(nfa, u, v))
             assert rel.contains(u, v) == expected, (u, v)
+
+
+    def test_state_limit_is_checked_before_any_allocation(self, monkeypatch):
+        limit = colex.MAX_DENSE_STATES
+        path = Nfa(limit + 1, 0, [(i, "a", i + 1) for i in range(limit)])
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("dense storage allocated above the limit")
+
+        monkeypatch.setattr(colex, "label_bounds", no_allocation)
+        monkeypatch.setattr(colex.np, "empty", no_allocation)
+        with pytest.raises(TooLarge, match=f"limited to {limit} states, got {limit + 1}"):
+            max_colex_relation(path)
 
 
 class TestMaxColexOrder:
@@ -326,6 +341,23 @@ class TestCompareReport:
         calls.clear()
         compare_report(gen_fixture("fig2"))
         assert calls == [7, 4]  # fig2 merges into a 4-state quotient
+
+    def test_transitivity_is_checked_once_per_max_relation(self, monkeypatch):
+        calls = []
+        real = Relation.transitivity_witness
+
+        def counted(rel):
+            calls.append(rel.n)
+            return real(rel)
+
+        monkeypatch.setattr(Relation, "transitivity_witness", counted)
+        nfa = gen_random(60, 3, 0.02, 4)
+        rep = compare_report(nfa)
+        assert rep.classes_FS == nfa.n_states  # discrete: one max_colex_relation
+        assert calls == [nfa.n_states]
+        calls.clear()
+        compare_report(gen_fixture("fig2"))
+        assert calls == [7, 4]  # the automaton's and the quotient's relation
 
     @given(seed=st.integers(0, 400))
     @settings(max_examples=60, deadline=None)

@@ -1,21 +1,27 @@
 """Forward stability: the checker, the refinement fixpoint, quotients."""
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfaindex import (
+    InternalInvariantViolation,
     Nfa,
     Partition,
     QuotientInvalid,
     SizeMismatch,
     ValidationError,
+    brute_coarsest_fs,
     build_quotient,
     coarsest_fs_partition,
     gen_random,
     gen_separation_family,
     is_forward_stable,
 )
+from nfaindex.fs_partition import _check_forward_stable
 
 
 class TestPartition:
@@ -118,6 +124,134 @@ class TestCoarsest:
         for block in coarsest_fs_partition(nfa).blocks:
             lams = {nfa.lambda_set(u) for u in block}
             assert len(lams) == 1
+
+
+def worklist_coarsest_fs_partition(nfa: Nfa) -> Partition:
+    """Unique coarsest forward-stable partition, by splitter refinement.
+
+    Starts from the single-block partition and repeatedly splits blocks
+    against (block, label) images until stable.  When a block splits, both
+    halves re-enter the worklist with every label; pending splitters naming
+    a dead block are skipped, which is sound because the image of a block
+    is the union of the images of its fragments.
+    """
+    n = nfa.n_states
+    blocks: list[frozenset[int]] = [frozenset(range(n))]
+    alive = set(blocks)
+    work: deque[tuple[frozenset[int], str]] = deque(
+        (blocks[0], a) for a in nfa.alphabet)
+
+    while work:
+        t_blk, a = work.popleft()
+        if t_blk not in alive:
+            continue
+        image = nfa.delta_set(t_blk, a)
+        if not image:
+            continue
+        fresh: list[frozenset[int]] = []
+        next_blocks: list[frozenset[int]] = []
+        for s in blocks:
+            inter = s & image
+            if inter and inter != s:
+                diff = s - inter
+                next_blocks.append(inter)
+                next_blocks.append(diff)
+                fresh.append(inter)
+                fresh.append(diff)
+            else:
+                next_blocks.append(s)
+        if fresh:
+            blocks = next_blocks
+            alive = set(blocks)
+            for blk in fresh:
+                for b in nfa.alphabet:
+                    work.append((blk, b))
+
+    return Partition(n, blocks)
+
+
+def unary_path(n: int) -> Nfa:
+    return Nfa(n, 0, [(i, "a", i + 1) for i in range(n - 1)])
+
+
+def comb(k: int, length: int, pattern: str) -> Nfa:
+    """k chains of ``length`` states off state 0, all spelling ``pattern``;
+    the coarsest forward-stable partition has one block per depth."""
+    edges = []
+    for i in range(k):
+        prev = 0
+        for j in range(length):
+            cur = 1 + i * length + j
+            edges.append((prev, pattern[j % len(pattern)], cur))
+            prev = cur
+    return Nfa(1 + k * length, 0, edges)
+
+
+class TestPaigeTarjan:
+    @given(states=st.integers(1, 8), alphabet=st.integers(1, 3),
+           density=st.floats(0.05, 0.6), seed=st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_exhaustive_search(self, states, alphabet, density, seed):
+        nfa = gen_random(states, alphabet, density, seed)
+        assert coarsest_fs_partition(nfa) == brute_coarsest_fs(nfa)
+
+    def test_agrees_with_worklist_reference_on_random_automata(self):
+        # 300 automata of 5-80 requested states, about a third not discrete
+        rng = random.Random(2024)
+        for _ in range(300):
+            n, k = rng.randint(5, 80), rng.randint(1, 3)
+            args = (n, k, rng.uniform(1.0, 4.0) / (n * k), rng.randrange(10**6))
+            nfa = gen_random(*args)
+            assert coarsest_fs_partition(nfa) == worklist_coarsest_fs_partition(nfa), args
+
+    def test_agrees_with_worklist_reference_on_separation_family(self):
+        for n in range(5, 31):
+            nfa = gen_separation_family(n)
+            assert coarsest_fs_partition(nfa) == worklist_coarsest_fs_partition(nfa), n
+
+    @pytest.mark.parametrize("k,length,pattern", [
+        (1, 5, "a"), (2, 3, "ab"), (3, 7, "aab"), (6, 12, "abbab"), (12, 20, "ba"),
+    ])
+    def test_agrees_with_worklist_reference_on_combs(self, k, length, pattern):
+        nfa = comb(k, length, pattern)
+        p = coarsest_fs_partition(nfa)
+        assert p == worklist_coarsest_fs_partition(nfa)
+        assert p.n_blocks == length + 1
+
+    def test_count_split_is_needed(self):
+        # q0 -a-> q1, q0 -a-> q2, q1 -a-> q1.  The first splitter is B = {q0}
+        # out of S = {q0, q1, q2}: delta(B, a) = {q1, q2} splits nothing, and
+        # the remaining compound block {q1, q2} is one block, never a
+        # splitter.  Only delta(B, a) minus delta(S - B, a) = {q2}, found by
+        # comparing q2's a-predecessor counts in B and in S, separates q2
+        # (no predecessor in {q1, q2}) from q1 (its own predecessor).
+        nfa = Nfa(3, 0, [(0, "a", 1), (0, "a", 2), (1, "a", 1)])
+        assert coarsest_fs_partition(nfa).blocks == ((0,), (1,), (2,))
+
+    def test_unary_path_of_four_thousand_states_is_discrete(self):
+        assert coarsest_fs_partition(unary_path(4000)).n_blocks == 4000
+
+    def test_comb_of_thirty_chains_has_one_block_per_depth(self):
+        nfa = comb(30, 100, "abbaab")
+        p = coarsest_fs_partition(nfa)
+        assert p.n_blocks == 101
+        assert p.blocks[1] == tuple(1 + i * 100 for i in range(30))
+
+
+class TestStabilitySelfCheck:
+    def test_rejects_unstable_partition(self, fig2):
+        with pytest.raises(InternalInvariantViolation, match="not forward stable"):
+            _check_forward_stable(fig2, Partition(7, [range(7)]))
+
+    def test_rejects_partition_split_by_one_label(self, fig2):
+        # u1 and u3 both enter on a from u0, but only u1 also has an
+        # a-predecessor inside their block (itself)
+        with pytest.raises(InternalInvariantViolation):
+            _check_forward_stable(fig2, Partition(7, [[0], [1, 2, 3, 4], [5, 6]]))
+
+    def test_accepts_stable_partitions(self, fig2):
+        _check_forward_stable(fig2, Partition(7, [[0], [1, 2], [3, 4], [5, 6]]))
+        _check_forward_stable(fig2, Partition(7, [[u] for u in range(7)]))
 
 
 class TestQuotient:
