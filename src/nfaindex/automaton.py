@@ -66,7 +66,9 @@ def lambda_leq(x: Iterable[str], y: Iterable[str]) -> bool:
 
 
 def _check_token(tok: str, what: str) -> str:
-    if not tok or not tok.isprintable() or any(c.isspace() for c in tok) or HASH in tok:
+    # U+0020 is the only printable whitespace code point, so once the token
+    # is printable a search for " " finds any whitespace in it.
+    if not tok or not tok.isprintable() or " " in tok or HASH in tok:
         raise ValidationError(f"invalid {what} {tok!r}: expected a printable token "
                               f"without whitespace or '#'")
     return tok

@@ -9,6 +9,7 @@ verdict of invalid.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,7 +42,7 @@ from .relations import (
     check_wheeler_order,
     check_wheeler_preorder,
     relation_from_json_dict,
-    relation_to_json_dict,
+    relation_to_json_text,
     width,
 )
 
@@ -132,7 +133,7 @@ def cmd_cfs(args: argparse.Namespace) -> int:
     if args.format == "dot":
         text = to_dot(nfa, qm.partition)
     else:
-        text = _json(relation_to_json_dict(rel, nfa.names))
+        text = relation_to_json_text(rel, nfa.names) + "\n"
     _emit(args, text)
     return EXIT_OK
 
@@ -140,7 +141,7 @@ def cmd_cfs(args: argparse.Namespace) -> int:
 def cmd_maxrel(args: argparse.Namespace) -> int:
     nfa = _load_automaton(args)
     rel = max_colex_relation(nfa)
-    _emit(args, _json(relation_to_json_dict(rel, nfa.names)))
+    _emit(args, relation_to_json_text(rel, nfa.names) + "\n")
     return EXIT_OK
 
 
@@ -246,7 +247,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged.
     parser = _Parser(
         prog="nfaindex",
         description="Forward-stable partitions, co-lex state orders and "

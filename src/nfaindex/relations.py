@@ -8,16 +8,26 @@ total preorders.  ``width`` computes the Dilworth width of a preorder
 together with a certificate: a maximum antichain and a minimum chain cover
 of matching size, obtained from a maximum bipartite matching and the
 Koenig vertex-cover construction.
+
+The work is done on arrays, never per pair in Python.  The axiom-2 and
+Wheeler checks scan the O(m^2) cells of an edge-pair mask in row chunks
+of bounded size; the first hit in row-major order is the witness a scan
+over edge pairs in listed order would find.  The JSON form of a relation
+is read with one name lookup per entry and a single scatter into the
+matrix, and ``relation_to_json_text`` writes it without the generic JSON
+encoder.  Inputs are re-scanned one item at a time only to word the error
+for an input that is already rejected.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .automaton import HASH, Nfa, label_key
+from .automaton import HASH, Nfa
 from .errors import (
     InternalInvariantViolation,
     NotPreorder,
@@ -35,11 +45,17 @@ class Relation:
     """
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
+        pairs = list(pairs)
+        ids = np.array(pairs)
+        if ids.size and ids.dtype.kind not in "biu":  # numpy would truncate or parse
+            raise TypeError(f"relation pairs must hold integers, got {ids.dtype}")
+        ids = ids.astype(np.intp).reshape(len(pairs), 2)
+        outside = ((ids < 0) | (ids >= n)).any(axis=1)
+        if outside.any():
+            u, v = pairs[int(outside.argmax())]
+            raise SizeMismatch(f"pair ({u},{v}) out of range for n={n}")
         bits = np.zeros((n, n), dtype=bool)
-        for (u, v) in pairs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise SizeMismatch(f"pair ({u},{v}) out of range for n={n}")
-            bits[u, v] = True
+        bits[ids[:, 0], ids[:, 1]] = True
         np.fill_diagonal(bits, True)
         bits.setflags(write=False)
         self.n = n
@@ -65,7 +81,15 @@ class Relation:
 
     def pairs(self) -> list[tuple[int, int]]:
         """Non-diagonal pairs, sorted."""
-        return [(int(u), int(v)) for u, v in np.argwhere(self.bits) if u != v]
+        us, vs = self._off_diagonal()
+        return list(zip(us, vs))
+
+    def _off_diagonal(self) -> tuple[list[int], list[int]]:
+        # Sources and targets of the non-diagonal pairs, in row-major order.
+        off = self.bits.copy()
+        np.fill_diagonal(off, False)
+        us, vs = np.nonzero(off)
+        return us.tolist(), vs.tolist()
 
     def superset_of(self, other: "Relation") -> bool:
         if self.n != other.n:
@@ -122,6 +146,25 @@ def relation_to_json_dict(rel: Relation, names: Sequence[str]) -> dict:
     return {"n": rel.n, "pairs": [[names[u], names[v]] for (u, v) in rel.pairs()]}
 
 
+def relation_to_json_text(rel: Relation, names: Sequence[str]) -> str:
+    """``json.dumps(relation_to_json_dict(rel, names), indent=2)``, byte for byte.
+
+    Each name is encoded once and the fixed two-space layout is joined
+    directly; with ``indent`` the json module falls back to its pure-Python
+    encoder, which costs several times more on large relations.
+    """
+    if len(names) != rel.n:
+        raise SizeMismatch(f"{len(names)} names for a relation over {rel.n}")
+    quoted = [json.dumps(nm) for nm in names]
+    head = [f"    [\n      {q},\n      " for q in quoted]
+    tail = [f"{q}\n    ]" for q in quoted]
+    us, vs = rel._off_diagonal()
+    if not us:
+        return f'{{\n  "n": {rel.n},\n  "pairs": []\n}}'
+    body = ",\n".join([head[u] + tail[v] for u, v in zip(us, vs)])
+    return f'{{\n  "n": {rel.n},\n  "pairs": [\n{body}\n  ]\n}}'
+
+
 def relation_from_json_dict(obj, nfa: Nfa) -> Relation:
     """Parse the JSON form against an automaton's state names."""
     if not isinstance(obj, dict) or "n" not in obj or "pairs" not in obj:
@@ -129,20 +172,35 @@ def relation_from_json_dict(obj, nfa: Nfa) -> Relation:
     if obj["n"] != nfa.n_states:
         raise SizeMismatch(
             f'relation is over {obj["n"]} states, automaton has {nfa.n_states}')
-    if not isinstance(obj["pairs"], (list, tuple)):
+    items = obj["pairs"]
+    if not isinstance(items, (list, tuple)):
         raise ValidationError('relation "pairs" must be a list of name pairs')
-    pairs = []
-    for item in obj["pairs"]:
+    id_of = nfa.id_of
+    try:
+        if not (all(issubclass(t, (list, tuple)) for t in set(map(type, items)))
+                and set(map(len, items)) <= {2}):
+            raise TypeError
+        # A name that is not a string misses id_of (KeyError) or is unhashable.
+        ids = np.array([id_of[nm] for item in items for nm in item], dtype=np.intp)
+    except (KeyError, TypeError):
+        _raise_first_bad_pair(items, id_of)
+    bits = np.zeros((nfa.n_states, nfa.n_states), dtype=bool)
+    bits[ids[0::2], ids[1::2]] = True
+    return Relation.from_matrix(bits)
+
+
+def _raise_first_bad_pair(items, id_of) -> None:
+    # Words the error for the first item, in listed order, of pairs that
+    # relation_from_json_dict rejected in bulk.
+    for item in items:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ValidationError(f"malformed relation pair {item!r}")
-        u_name, v_name = item
-        for nm in (u_name, v_name):
+        for nm in item:
             if not isinstance(nm, str):
                 raise ValidationError(f"state name {nm!r} in relation is not a string")
-            if nm not in nfa.id_of:
+            if nm not in id_of:
                 raise ValidationError(f"unknown state name {nm!r} in relation")
-        pairs.append((nfa.id_of[u_name], nfa.id_of[v_name]))
-    return Relation(nfa.n_states, pairs)
+    raise InternalInvariantViolation("relation pairs rejected in bulk but not one by one")
 
 
 @dataclass(frozen=True)
@@ -163,8 +221,8 @@ def _check_size(nfa: Nfa, rel: Relation) -> None:
             f"relation over {rel.n} elements, automaton has {nfa.n_states} states")
 
 
-# Cells of one label's edge-pair mask examined per numpy batch.
-_AXIOM2_CELLS = 1 << 14
+# Cells of an edge-pair mask examined per numpy batch.
+_EDGE_PAIR_CELLS = 1 << 14
 
 
 def label_bounds(nfa: Nfa) -> tuple[np.ndarray, np.ndarray]:
@@ -194,10 +252,9 @@ def label_edges(nfa: Nfa) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _first_hit(mask: np.ndarray) -> tuple[int, int] | None:
     """Row-major first True cell of a 2-D mask, or None."""
-    flat = int(mask.argmax())
-    if not mask.flat[flat]:
+    if not mask.any():  # also covers an empty mask, where argmax raises
         return None
-    i, j = np.unravel_index(flat, mask.shape)
+    i, j = np.unravel_index(int(mask.argmax()), mask.shape)
     return int(i), int(j)
 
 
@@ -215,25 +272,39 @@ def _axiom1_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | 
         f"{sorted(nfa.lambda_sets[u])} exceed {sorted(nfa.lambda_sets[v])}")
 
 
+def _first_edge_pair(m: int, mask_rows) -> tuple[int, int] | None:
+    """Row-major first True cell of an m×m edge-pair mask, or None.
+
+    ``mask_rows(r0, r1)`` returns rows r0..r1-1 of the mask; the rows are
+    built in chunks of at most about _EDGE_PAIR_CELLS cells.
+    """
+    rows = max(1, _EDGE_PAIR_CELLS // max(1, m))
+    for r in range(0, m, rows):
+        hit = _first_hit(mask_rows(r, min(m, r + rows)))
+        if hit is not None:
+            return hit[0] + r, hit[1]
+    return None
+
+
 def _axiom2_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | None:
     # Cell (i, j) of a label's mask pairs its i-th and j-th edge, in the
     # order the edges are listed, so the first hit is the first witness of
     # a scan over edge pairs.
     bits = rel.bits
     for a, (src, dst) in zip(nfa.alphabet, label_edges(nfa)):
-        rows = max(1, _AXIOM2_CELLS // len(dst))
-        for r in range(0, len(dst), rows):
-            s, d = src[r:r + rows, None], dst[r:r + rows, None]
-            hit = _first_hit(bits[d, dst] & (d != dst) & ~bits[s, src])
-            if hit is None:
-                continue
-            i, j = hit[0] + r, hit[1]
-            up, u, vp, v = int(src[i]), int(dst[i]), int(src[j]), int(dst[j])
-            return Violation(
-                "predecessors-unrelated", (u, v, up, vp, a),
-                f"{nfa.names[u]} {strict_name} {nfa.names[v]} via "
-                f"{a!r}-edges from {nfa.names[up]}, {nfa.names[vp]} "
-                f"but ({nfa.names[up]}, {nfa.names[vp]}) is not related")
+        def mask_rows(r0, r1):
+            s, d = src[r0:r1, None], dst[r0:r1, None]
+            return bits[d, dst] & (d != dst) & ~bits[s, src]
+        hit = _first_edge_pair(len(dst), mask_rows)
+        if hit is None:
+            continue
+        i, j = hit
+        up, u, vp, v = int(src[i]), int(dst[i]), int(src[j]), int(dst[j])
+        return Violation(
+            "predecessors-unrelated", (u, v, up, vp, a),
+            f"{nfa.names[u]} {strict_name} {nfa.names[v]} via "
+            f"{a!r}-edges from {nfa.names[up]}, {nfa.names[vp]} "
+            f"but ({nfa.names[up]}, {nfa.names[vp]}) is not related")
     return None
 
 
@@ -313,21 +384,34 @@ def check_wheeler_order(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | None
         return False, Violation(
             "initial-not-first", (s, v),
             f"initial state {nfa.names[s]} does not precede {nfa.names[v]}")
-    for (up, a, u) in nfa.transitions:
-        for (vp, b, v) in nfa.transitions:
-            if label_key(a) < label_key(b):
-                if u == v or not rel.bits[u, v]:
-                    return False, Violation(
-                        "label-order", (u, v, a, b),
-                        f"{a!r}-target {nfa.names[u]} must strictly precede "
-                        f"{b!r}-target {nfa.names[v]}")
-            elif a == b:
-                if up != vp and rel.bits[up, vp] and not rel.bits[u, v]:
-                    return False, Violation(
-                        "target-order", (up, vp, u, v, a),
-                        f"{nfa.names[up]} < {nfa.names[vp]} on {a!r}-edges "
-                        f"but target {nfa.names[u]} does not precede {nfa.names[v]}")
-    return True, None
+    # Cell (i, j) pairs the i-th and j-th transition in listed order, so the
+    # first hit is the first witness of a scan over transition pairs.
+    rank = {a: i for i, a in enumerate(nfa.alphabet)}
+    src = np.array([u for (u, _, _) in nfa.transitions], dtype=np.intp)
+    lab = np.array([rank[a] for (_, a, _) in nfa.transitions], dtype=np.intp)
+    dst = np.array([v for (_, _, v) in nfa.transitions], dtype=np.intp)
+    bits = rel.bits
+
+    def mask_rows(r0, r1):
+        s, b, d = src[r0:r1, None], lab[r0:r1, None], dst[r0:r1, None]
+        ordered = bits[d, dst]
+        label_order = (b < lab) & ((d == dst) | ~ordered)
+        target_order = (b == lab) & (s != src) & bits[s, src] & ~ordered
+        return label_order | target_order
+
+    hit = _first_edge_pair(len(dst), mask_rows)
+    if hit is None:
+        return True, None
+    (up, a, u), (vp, b, v) = nfa.transitions[hit[0]], nfa.transitions[hit[1]]
+    if a != b:
+        return False, Violation(
+            "label-order", (u, v, a, b),
+            f"{a!r}-target {nfa.names[u]} must strictly precede "
+            f"{b!r}-target {nfa.names[v]}")
+    return False, Violation(
+        "target-order", (up, vp, u, v, a),
+        f"{nfa.names[up]} < {nfa.names[vp]} on {a!r}-edges "
+        f"but target {nfa.names[u]} does not precede {nfa.names[v]}")
 
 
 def check_wheeler_preorder(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | None]:
@@ -501,17 +585,24 @@ def _validate_certificate(rel: Relation, cert: WidthCertificate) -> None:
         raise InternalInvariantViolation(
             f"certificate sizes {len(cert.antichain)}/{len(cert.chains)} "
             f"do not match width {cert.width}")
-    for i, u in enumerate(cert.antichain):
-        for v in cert.antichain[i + 1:]:
-            if rel.bits[u, v] or rel.bits[v, u]:
-                raise InternalInvariantViolation(
-                    f"antichain members {u} and {v} are comparable")
+    # The row-major first hit in a strict upper triangle is the pair (i, j),
+    # i < j, that a loop over i and then over j > i would report first.
+    a = np.array(cert.antichain, dtype=np.intp)
+    comparable = rel.bits[np.ix_(a, a)]
+    hit = _first_hit(np.triu(comparable | comparable.T, k=1))
+    if hit is not None:
+        raise InternalInvariantViolation(
+            f"antichain members {cert.antichain[hit[0]]} and "
+            f"{cert.antichain[hit[1]]} are comparable")
     flat = sorted(x for c in cert.chains for x in c)
     if flat != list(range(rel.n)):
         raise InternalInvariantViolation("chains do not partition the elements")
-    for chain in cert.chains:
-        for i, u in enumerate(chain):
-            for v in chain[i + 1:]:
-                if not rel.bits[u, v]:
-                    raise InternalInvariantViolation(
-                        f"chain elements {u} and {v} are not ordered")
+    # Elements listed chain by chain: a pair of one chain out of order is an
+    # upper-triangle cell inside that chain's diagonal block.
+    order = np.array([x for c in cert.chains for x in c], dtype=np.intp)
+    chain_of = np.repeat(np.arange(len(cert.chains)), [len(c) for c in cert.chains])
+    same_chain = chain_of[:, None] == chain_of[None, :]
+    hit = _first_hit(np.triu(same_chain & ~rel.bits[np.ix_(order, order)], k=1))
+    if hit is not None:
+        raise InternalInvariantViolation(
+            f"chain elements {order[hit[0]]} and {order[hit[1]]} are not ordered")

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,19 @@ class TestValidation:
             Nfa(2, 0, [(0, "#", 1)])
         with pytest.raises(ValidationError):
             Nfa(2, 0, [(0, "a", 1)], names=["s", "t#u"])
+
+    def test_space_is_the_only_printable_whitespace(self):
+        # The token check looks for " " alone once a token is printable.
+        found = [c for c in map(chr, range(sys.maxunicode + 1))
+                 if c.isprintable() and c.isspace()]
+        assert found == [" "]
+
+    @pytest.mark.parametrize("tok", ["a b", "a\tb", "a\u00a0b", "a\u2003b", "a\u3000b"])
+    def test_whitespace_not_allowed_in_tokens(self, tok):
+        with pytest.raises(ValidationError):
+            Nfa(2, 0, [(0, tok, 1)])
+        with pytest.raises(ValidationError):
+            Nfa(2, 0, [(0, "a", 1)], names=["s", tok])
 
     def test_out_of_range_transition(self):
         with pytest.raises(ValidationError, match="range"):

@@ -12,7 +12,7 @@ from nfaindex import (
     parse_nfa,
     relation_to_json_dict,
 )
-from nfaindex.cli import main
+from nfaindex.cli import _build_parser, main
 from nfaindex.colex import MAX_DENSE_STATES
 
 
@@ -98,15 +98,15 @@ class TestRelationsCommands:
         nfa = gen_fixture("wheeler3")
         code, out, _ = run(capsys, "maxrel", "--fixture", "wheeler3")
         assert code == 0
-        assert json.loads(out) == relation_to_json_dict(
-            max_colex_relation(nfa), nfa.names)
+        assert out == json.dumps(relation_to_json_dict(
+            max_colex_relation(nfa), nfa.names), indent=2) + "\n"
 
     def test_cfs_json(self, capsys):
         nfa = gen_fixture("fig2")
         code, out, _ = run(capsys, "cfs", "--fixture", "fig2")
         assert code == 0
         rel, _ = cfs_order(nfa)
-        assert json.loads(out) == relation_to_json_dict(rel, nfa.names)
+        assert out == json.dumps(relation_to_json_dict(rel, nfa.names), indent=2) + "\n"
 
     def test_cfs_dot_colors_blocks(self, capsys):
         code, out, _ = run(capsys, "cfs", "--fixture", "fig2", "--format", "dot")
@@ -247,6 +247,35 @@ class TestCheck:
                              "--relation", str(path), "--kind", "colex-relation")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "UTF-8" in err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process_gives_the_same_results(self, capsys, tmp_path):
+        nfa = gen_fixture("fig2")
+        rel = write_relation(tmp_path, nfa, max_colex_relation(nfa).pairs())
+        calls = [
+            ["maxrel", "--fixture", "fig2"],
+            ["width", "--fixture", "fig2", "--rel", "bogus"],
+            ["check", "--fixture", "fig2", "--relation", rel, "--kind", "colex-order"],
+            ["width", "--fixture", "sep:7"],
+            ["maxrel", "--fixture", "wheeler3"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        reused = [outcome(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 1, 4, 0, 0]
 
 
 class TestGen:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfaindex import (
+    InternalInvariantViolation,
     Nfa,
     NotPreorder,
     PartitionMismatch,
@@ -30,11 +31,20 @@ from nfaindex import (
     max_colex_relation,
     relation_from_json_dict,
     relation_to_json_dict,
+    relation_to_json_text,
     width,
 )
 from nfaindex.automaton import label_key
 from nfaindex.cli import main
-from nfaindex.relations import Violation, _axiom1_violation, _axiom2_violation
+from nfaindex.relations import (
+    Violation,
+    WidthCertificate,
+    _axiom1_violation,
+    _axiom2_violation,
+    _partial_order_violation,
+    _totality_violation,
+    _validate_certificate,
+)
 
 
 def closure(n, pairs):
@@ -139,6 +149,9 @@ class TestWidth:
         assert cert.width == 4
         assert len(cert.antichain) == 4
         assert sorted(cert.chains) == [(0,), (1,), (2,), (3,)]
+
+    def test_empty_relation(self):
+        assert width(Relation(0)) == WidthCertificate(0, (), ())
 
     def test_chain_has_width_one(self):
         cert = width(closure(5, [(i, i + 1) for i in range(4)]))
@@ -420,3 +433,233 @@ class TestArrayCheckersMatchLoops:
                         assert v2 == axiom2_reference(nfa, rel, strict_name)
                         found += (v1 is not None) + (v2 is not None)
         assert found > 0
+
+
+def wheeler_order_reference(nfa, rel):
+    """Loop form of check_wheeler_order: first pair of transitions in listed order."""
+    viol = _partial_order_violation(nfa, rel) or _totality_violation(nfa, rel)
+    if viol is not None:
+        return False, viol
+    s = nfa.initial
+    not_first = np.flatnonzero(~rel.bits[s])
+    if len(not_first):
+        v = int(not_first[0])
+        return False, Violation(
+            "initial-not-first", (s, v),
+            f"initial state {nfa.names[s]} does not precede {nfa.names[v]}")
+    for (up, a, u) in nfa.transitions:
+        for (vp, b, v) in nfa.transitions:
+            if label_key(a) < label_key(b):
+                if u == v or not rel.bits[u, v]:
+                    return False, Violation(
+                        "label-order", (u, v, a, b),
+                        f"{a!r}-target {nfa.names[u]} must strictly precede "
+                        f"{b!r}-target {nfa.names[v]}")
+            elif a == b:
+                if up != vp and rel.bits[up, vp] and not rel.bits[u, v]:
+                    return False, Violation(
+                        "target-order", (up, vp, u, v, a),
+                        f"{nfa.names[up]} < {nfa.names[vp]} on {a!r}-edges "
+                        f"but target {nfa.names[u]} does not precede {nfa.names[v]}")
+    return True, None
+
+
+def linear(sequence):
+    """Total order listing ``sequence`` from least to greatest."""
+    pos = np.empty(len(sequence), dtype=np.intp)
+    pos[list(sequence)] = np.arange(len(sequence))
+    return Relation.from_matrix(pos[:, None] <= pos[None, :])
+
+
+def near_wheeler_orders(nfa, rng, count):
+    """Total orders with the initial state first that mostly respect the
+    incoming labels: sorted by (smallest incoming label, random key), then a
+    few random adjacent swaps after the first position."""
+    rank = {a: i for i, a in enumerate(nfa.alphabet, 1)}
+    low = [min(rank.get(a, 0) for a in s) for s in nfa.lambda_sets]
+    for _ in range(count):
+        key = rng.random(nfa.n_states)
+        seq = sorted(range(nfa.n_states), key=lambda u: (u != nfa.initial, low[u], key[u]))
+        for _ in range(rng.integers(0, 3)):
+            i = int(rng.integers(1, max(2, nfa.n_states - 1)))
+            if i + 1 < nfa.n_states:
+                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+        yield linear(seq)
+
+
+class TestWheelerOrderMatchesLoop:
+    def instances(self):
+        rng = np.random.default_rng(3)
+        yield gen_fixture("fig2")
+        yield gen_fixture("wheeler3")
+        # The last trie has over 150 edges: its scans take more than one row chunk.
+        for words, longest in ((5, 6), (12, 6), (30, 6), (30, 14)):
+            yield trie(["".join(rng.choice(list("abcd"), size=rng.integers(1, longest)))
+                        for _ in range(words)])
+        for seed in range(6):
+            yield gen_random(25, 3, 0.04, seed)
+
+    def test_same_verdict_and_first_violation(self):
+        rng = np.random.default_rng(11)
+        rules = set()
+        for nfa in self.instances():
+            relations = [max_colex_relation(nfa)]
+            relations += [corrupted(relations[0], rng, rate) for rate in (0.01, 0.1)]
+            relations += list(near_wheeler_orders(nfa, rng, 12))
+            if relations[0].is_total():  # a Wheeler order: swap neighbours in it
+                seq = np.argsort(relations[0].bits.sum(axis=0))
+                for k in rng.integers(1, nfa.n_states - 1, size=10):
+                    seq[[k, k + 1]] = seq[[k + 1, k]]
+                    relations.append(linear(seq))
+                    seq[[k, k + 1]] = seq[[k + 1, k]]
+            relations += [corrupted(r, rng, 0.002) for r in relations[-4:]]
+            for rel in relations:
+                got = check_wheeler_order(nfa, rel)
+                assert got == wheeler_order_reference(nfa, rel)
+                rules.add(got[1].rule if got[1] else "valid")
+        assert {"label-order", "target-order", "valid"} <= rules
+
+    def test_through_the_preorder_checker(self):
+        rng = np.random.default_rng(5)
+        rules = set()
+        for nfa in self.instances():
+            classes = coarsest_fs_partition(nfa)
+            qm = build_quotient(nfa, classes)
+            for order in near_wheeler_orders(qm.quotient, rng, 12):
+                block_rank = order.bits.sum(axis=0)  # elements at or below each block
+                beta = np.array(classes.block_of)
+                rel = Relation.from_matrix(block_rank[beta][:, None] <= block_rank[beta][None, :])
+                ok, viol = check_wheeler_preorder(nfa, rel)
+                ref_ok, ref_viol = wheeler_order_reference(qm.quotient, order)
+                assert ok == ref_ok
+                if not ok:
+                    assert viol == Violation("quotient-" + ref_viol.rule,
+                                             ref_viol.witness, ref_viol.detail)
+                rules.add(viol.rule if viol else "valid")
+        assert {"quotient-label-order", "quotient-target-order"} <= rules
+
+
+class TestRelationJsonText:
+    @pytest.mark.parametrize("names", [
+        ["s", "x", "y", "z"],
+        ["s", "é", "☃", "\U0001d11e"],
+        ["s", '"q"', "a\\b", "'"],
+    ])
+    def test_same_bytes_as_the_json_module(self, names):
+        nfa = Nfa(4, 0, [(0, "a", 1), (0, "b", 2), (2, "a", 3)], names=names)
+        rng = np.random.default_rng(2)
+        rels = [Relation(4), max_colex_relation(nfa), Relation.from_matrix(np.ones((4, 4)))]
+        rels += [corrupted(Relation(4), rng, 0.4) for _ in range(5)]
+        for rel in rels:
+            expected = json.dumps(relation_to_json_dict(rel, nfa.names), indent=2)
+            assert relation_to_json_text(rel, nfa.names) == expected
+        assert '"pairs": []' in relation_to_json_text(Relation(4), nfa.names)
+
+    def test_large_relation(self):
+        nfa = gen_random(120, 3, 0.03, 2)
+        rel = corrupted(max_colex_relation(nfa), np.random.default_rng(0), 0.1)
+        assert (relation_to_json_text(rel, nfa.names)
+                == json.dumps(relation_to_json_dict(rel, nfa.names), indent=2))
+
+    def test_names_must_match_size(self):
+        with pytest.raises(SizeMismatch):
+            relation_to_json_text(Relation(3), ["a", "b"])
+
+
+class TestRelationJsonErrors:
+    @pytest.mark.parametrize("pairs, message", [
+        ([["u1", "u2"], "u1u2"], "malformed relation pair 'u1u2'"),
+        ([["u1", "u2"], 7, ["u1"]], "malformed relation pair 7"),
+        ([["u1", "u2", "u3"]], "malformed relation pair ['u1', 'u2', 'u3']"),
+        ([["u1", "u2"], ["u2", 3]], "state name 3 in relation is not a string"),
+        ([[["u1"], "u2"]], "state name ['u1'] in relation is not a string"),
+        ([["u1", None], ["zz", "u2"]], "state name None in relation is not a string"),
+        ([["u1", "zz"], ["u1", "u2", "u3"]], "unknown state name 'zz' in relation"),
+        ([["yy", 5], "bad"], "unknown state name 'yy' in relation"),
+    ])
+    def test_first_bad_item_is_named(self, wheeler3, pairs, message):
+        with pytest.raises(ValidationError) as exc:
+            relation_from_json_dict({"n": 3, "pairs": pairs}, wheeler3)
+        assert str(exc.value) == message
+
+    def test_tuples_and_list_subclasses_are_pairs(self, wheeler3):
+        class Pair(list):
+            pass
+        obj = {"n": 3, "pairs": (("u1", "u2"), Pair(["u2", "u3"]))}
+        assert relation_from_json_dict(obj, wheeler3) == Relation(3, [(0, 1), (1, 2)])
+
+    def test_empty_pairs(self, wheeler3):
+        assert relation_from_json_dict({"n": 3, "pairs": []}, wheeler3) == Relation(3)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1), (5, 0), (0, -1)], "pair (5,0) out of range for n=3"),
+        ([(0, 1), (0, -1), (5, 0)], "pair (0,-1) out of range for n=3"),
+        ([(np.int64(2), 3)], "pair (2,3) out of range for n=3"),
+    ])
+    def test_constructor_names_the_first_out_of_range_pair(self, pairs, message):
+        with pytest.raises(SizeMismatch) as exc:
+            Relation(3, pairs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("pairs", [[(1.5, 2)], [("1", 2)]])
+    def test_constructor_rejects_non_integers(self, pairs):
+        with pytest.raises(TypeError):
+            Relation(3, pairs)
+
+    def test_constructor_accepts_any_iterable(self):
+        rel = Relation(3, ((u, u + 1) for u in range(2)))
+        assert rel.pairs() == [(0, 1), (1, 2)]
+
+
+def validate_reference(rel, cert):
+    """Loop form of the certificate validation; returns the message or None."""
+    if len(cert.antichain) != cert.width or len(cert.chains) != cert.width:
+        return (f"certificate sizes {len(cert.antichain)}/{len(cert.chains)} "
+                f"do not match width {cert.width}")
+    for i, u in enumerate(cert.antichain):
+        for v in cert.antichain[i + 1:]:
+            if rel.bits[u, v] or rel.bits[v, u]:
+                return f"antichain members {u} and {v} are comparable"
+    flat = sorted(x for c in cert.chains for x in c)
+    if flat != list(range(rel.n)):
+        return "chains do not partition the elements"
+    for chain in cert.chains:
+        for i, u in enumerate(chain):
+            for v in chain[i + 1:]:
+                if not rel.bits[u, v]:
+                    return f"chain elements {u} and {v} are not ordered"
+    return None
+
+
+class TestCertificateValidation:
+    def test_corrupted_certificates_match_the_loop(self):
+        rng = np.random.default_rng(4)
+        messages = set()
+        for _ in range(60):
+            n = int(rng.integers(4, 16))
+            pairs = [tuple(rng.integers(0, n, size=2)) for _ in range(int(rng.integers(0, 2 * n)))]
+            rel = closure(n, pairs)
+            cert = width(rel)
+            antichain, chains = list(cert.antichain), [list(c) for c in cert.chains]
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                antichain[rng.integers(len(antichain))] = int(rng.integers(n))
+            elif kind == 1:
+                c = chains[rng.integers(len(chains))]
+                rng.shuffle(c)
+            else:
+                src, dst = rng.integers(len(chains), size=2)
+                if len(chains[src]) > 1:
+                    chains[dst].insert(int(rng.integers(len(chains[dst]) + 1)),
+                                       chains[src].pop(int(rng.integers(len(chains[src])))))
+            bad = WidthCertificate(cert.width, tuple(antichain),
+                                   tuple(tuple(c) for c in chains))
+            expected = validate_reference(rel, bad)
+            if expected is None:
+                _validate_certificate(rel, bad)
+            else:
+                with pytest.raises(InternalInvariantViolation) as exc:
+                    _validate_certificate(rel, bad)
+                assert str(exc.value) == expected
+                messages.add(expected.split()[0])
+        assert {"antichain", "chain"} <= messages
