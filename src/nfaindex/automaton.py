@@ -31,6 +31,8 @@ import random
 from collections import deque
 from typing import Iterable
 
+import numpy as np
+
 from .errors import (
     InvalidParameter,
     NfaSyntaxError,
@@ -99,6 +101,10 @@ class Nfa:
     Validation happens at construction: duplicate transitions, incoming
     edges on the initial state, unreachable states and unused alphabet
     labels all raise ValidationError naming the offending entity.
+
+    ``transitions`` holds the (from, label, to) triples sorted by from-id,
+    label order and to-id; ``src``, ``lab`` and ``dst`` hold them in that
+    order as read-only ``np.intp`` arrays, ``lab`` indexing ``alphabet``.
     """
 
     def __init__(
@@ -122,8 +128,7 @@ class Nfa:
             dup = next(nm for i, nm in enumerate(names) if nm in names[:i])
             raise ValidationError(f"duplicate state name {dup!r}")
 
-        trans: list[tuple[int, str, int]] = []
-        seen: set[tuple[int, str, int]] = set()
+        seen: dict[tuple[int, str, int], None] = {}  # the transitions, in listed order
         for (u, a, v) in transitions:
             if not (0 <= u < n_states and 0 <= v < n_states):
                 raise ValidationError(f"transition ({u}, {a!r}, {v}) out of range")
@@ -132,9 +137,8 @@ class Nfa:
             if t in seen:
                 raise ValidationError(
                     f"duplicate transition {names[t[0]]} {a} {names[t[2]]}")
-            seen.add(t)
-            trans.append(t)
-        trans.sort(key=lambda t: (t[0], label_key(t[1]), t[2]))
+            seen[t] = None
+        trans = list(seen)
 
         used = {a for (_, a, _) in trans}
         if alphabet is None:
@@ -154,15 +158,22 @@ class Nfa:
         self.names = tuple(names)
         self.id_of = {nm: i for i, nm in enumerate(self.names)}
         self.alphabet = tuple(sorted(alpha, key=label_key))
-        self.transitions = tuple(trans)
+        rank = {a: i for i, a in enumerate(self.alphabet)}
+        edges = np.array([(u, rank[a], v) for (u, a, v) in trans], np.intp).reshape(-1, 3)
+        order = np.lexsort(edges.T[::-1])
+        self.transitions = tuple([trans[e] for e in order.tolist()])
+        columns = edges[order].T.copy()
+        columns.setflags(write=False)
+        self.src, self.lab, self.dst = columns
 
         out: dict[tuple[int, str], list[int]] = {}
         inc: dict[tuple[int, str], list[int]] = {}
-        for (u, a, v) in trans:
+        for (u, a, v) in self.transitions:
             out.setdefault((u, a), []).append(v)
             inc.setdefault((v, a), []).append(u)
-        self._out = {k: tuple(sorted(set(vs))) for k, vs in out.items()}
-        self._in = {k: tuple(sorted(set(us))) for k, us in inc.items()}
+        # The sorted, duplicate-free transitions list every run in order.
+        self._out = {k: tuple(vs) for k, vs in out.items()}
+        self._in = {k: tuple(us) for k, us in inc.items()}
 
         for a in self.alphabet:
             if (self.initial, a) in self._in:
@@ -176,13 +187,11 @@ class Nfa:
             missing = dist.index(-1)
             raise ValidationError(f"state {self.names[missing]!r} is unreachable")
 
-        lam: list[frozenset[str]] = []
-        for u in range(n_states):
-            if u == self.initial:
-                lam.append(frozenset((HASH,)))
-            else:
-                lam.append(frozenset(a for a in self.alphabet if (u, a) in self._in))
-        self.lambda_sets = tuple(lam)
+        lam: list[list[str]] = [[] for _ in range(n_states)]
+        for (v, a) in self._in:
+            lam[v].append(a)
+        lam[self.initial].append(HASH)
+        self.lambda_sets = tuple(map(frozenset, lam))
 
     # -- queries ---------------------------------------------------------
 

@@ -12,10 +12,10 @@ graph to a fixpoint.  Propagation is semi-naive and runs on numpy arrays:
 each round expands only the pairs marked in the previous round, (u, v) to
 targets(u, a) x targets(v, a) for every label a, using one out-edge CSR
 per label, and the unmarked distinct candidates form the next frontier.
-Every pair is expanded at most once, so the work is O(sum_a |E_a|^2) for
-the edge sets E_a of the labels, within O(m^2) in the number m of
-transitions; memory stays O(n^2) for n states: the mark matrix, the
-frontier and batches of bounded size.
+Every pair is expanded at most once, but for each label a of the alphabet
+Sigma, and the CSRs hold |Sigma|*(n+1) offsets, so for n states and the
+a-edges E_a the work is O(|Sigma|*n^2 + sum_a |E_a|^2) and the memory
+O(n^2 + |Sigma|*n): the mark matrix, the frontier, the CSRs and bounded batches.
 
 ``cfs_order`` computes the maximum co-lex relation of the quotient by the
 coarsest forward-stable partition, where it is guaranteed antisymmetric,

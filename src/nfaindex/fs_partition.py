@@ -163,12 +163,9 @@ def _refine(nfa: Nfa) -> list[list[int]]:
     # The blocks of the coarsest forward-stable partition, unordered.  Kept
     # apart so that its arrays are freed before the result is built and checked.
     n = nfa.n_states
-    label_id = {a: i for i, a in enumerate(nfa.alphabet)}
-    lab = [label_id[a] for (_, a, _) in nfa.transitions]
-    tgt = [v for (_, _, v) in nfa.transitions]
-    out: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, _, _) in enumerate(nfa.transitions):
-        out[u].append(e)
+    lab, tgt = nfa.lab.tolist(), nfa.dst.tolist()
+    # The out-edges of u are the transitions out_start[u]..out_start[u+1]-1.
+    out_start = nfa.src.searchsorted(range(n + 1)).tolist()
 
     # Fine partition as one array: block b is elems[first[b]:end[b]], and
     # its marked members sit at the front, in elems[first[b]:mid[b]].
@@ -225,7 +222,7 @@ def _refine(nfa: Nfa) -> list[list[int]]:
         cnt[r] += 1
 
     # Make the partition stable with respect to the one compound block.
-    entered: list[list[int]] = [[] for _ in label_id]
+    entered: list[list[int]] = [[] for _ in nfa.alphabet]
     for (v, a) in rec_of:
         entered[a].append(v)
     for targets in entered:
@@ -249,8 +246,8 @@ def _refine(nfa: Nfa) -> list[list[int]]:
 
         # Out-edges of B by label, collected before B itself may split.
         by_label: dict[int, list[int]] = {}
-        for i in range(first[b], end[b]):
-            for e in out[elems[i]]:
+        for x in elems[first[b]:end[b]]:
+            for e in range(out_start[x], out_start[x + 1]):
                 by_label.setdefault(lab[e], []).append(e)
         for edges in by_label.values():
             hits: dict[int, int] = {}
@@ -283,14 +280,13 @@ def _check_forward_stable(nfa: Nfa, partition: Partition) -> None:
     same set of (label, predecessor block) pairs, which takes O(m) to test.
     """
     beta = partition.block_of
-
-    def pairs(x: int) -> set[tuple[str, int]]:
-        return {(a, beta[u]) for a in nfa.lambda_sets[x] for u in nfa.sources(x, a)}
-
+    pairs: list[set[tuple[int, int]]] = [set() for _ in range(nfa.n_states)]
+    for u, a, v in zip(nfa.src.tolist(), nfa.lab.tolist(), nfa.dst.tolist()):
+        pairs[v].add((a, beta[u]))
     for i, block in enumerate(partition.blocks):
-        want = pairs(block[0])
+        want = pairs[block[0]]
         for x in block[1:]:
-            if pairs(x) != want:
+            if pairs[x] != want:
                 raise InternalInvariantViolation(
                     f"coarsest forward-stable partition is not forward stable: "
                     f"block {i} holds {nfa.names[block[0]]} and {nfa.names[x]}, "

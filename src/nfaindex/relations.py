@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .automaton import HASH, Nfa
+from .automaton import Nfa
 from .errors import (
     InternalInvariantViolation,
     NotPreorder,
@@ -231,23 +231,20 @@ def label_bounds(nfa: Nfa) -> tuple[np.ndarray, np.ndarray]:
     HASH ranks 0 and the alphabet 1, 2, ... in label order, so
     ``hi[u] <= lo[v]`` holds exactly when lambda_leq(λ(u), λ(v)).
     """
-    rank = {a: i for i, a in enumerate(nfa.alphabet, 1)}
-    rank[HASH] = 0
-    hi = np.array([max(rank[a] for a in s) for s in nfa.lambda_sets], dtype=np.intp)
-    lo = np.array([min(rank[a] for a in s) for s in nfa.lambda_sets], dtype=np.intp)
+    hi = np.zeros(nfa.n_states, dtype=np.intp)
+    lo = np.full(nfa.n_states, len(nfa.alphabet) + 1, dtype=np.intp)
+    np.maximum.at(hi, nfa.dst, nfa.lab + 1)
+    np.minimum.at(lo, nfa.dst, nfa.lab + 1)
+    lo[nfa.initial] = 0  # the initial state alone is entered by no edge
     return hi, lo
 
 
 def label_edges(nfa: Nfa) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per label in alphabet order, its edges as (sources, targets) arrays
     sorted by source, then target."""
-    by_label: dict[str, tuple[list[int], list[int]]] = {a: ([], []) for a in nfa.alphabet}
-    for (u, a, v) in nfa.transitions:
-        src, dst = by_label[a]
-        src.append(u)
-        dst.append(v)
-    return [(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
-            for src, dst in by_label.values()]
+    order = np.argsort(nfa.lab, kind="stable")
+    ends = np.searchsorted(nfa.lab[order], np.arange(len(nfa.alphabet) + 1)).tolist()
+    return [(nfa.src[order[b:e]], nfa.dst[order[b:e]]) for b, e in zip(ends, ends[1:])]
 
 
 def _first_hit(mask: np.ndarray) -> tuple[int, int] | None:
@@ -386,11 +383,7 @@ def check_wheeler_order(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | None
             f"initial state {nfa.names[s]} does not precede {nfa.names[v]}")
     # Cell (i, j) pairs the i-th and j-th transition in listed order, so the
     # first hit is the first witness of a scan over transition pairs.
-    rank = {a: i for i, a in enumerate(nfa.alphabet)}
-    src = np.array([u for (u, _, _) in nfa.transitions], dtype=np.intp)
-    lab = np.array([rank[a] for (_, a, _) in nfa.transitions], dtype=np.intp)
-    dst = np.array([v for (_, _, v) in nfa.transitions], dtype=np.intp)
-    bits = rel.bits
+    src, lab, dst, bits = nfa.src, nfa.lab, nfa.dst, rel.bits
 
     def mask_rows(r0, r1):
         s, b, d = src[r0:r1, None], lab[r0:r1, None], dst[r0:r1, None]
@@ -444,17 +437,10 @@ def induced_equivalence(rel: Relation) -> Partition:
 
 
 def _classes(rel: Relation) -> Partition:
-    # Classes of a relation already known to be transitive.
-    sym = rel.bits & rel.bits.T
-    assigned = [-1] * rel.n
-    blocks: list[list[int]] = []
-    for u in range(rel.n):
-        if assigned[u] < 0:
-            members = [int(x) for x in np.flatnonzero(sym[u])]
-            for x in members:
-                assigned[x] = len(blocks)
-            blocks.append(members)
-    return Partition(rel.n, blocks)
+    # Classes of a transitive relation; a state's first mutual partner is its class minimum.
+    if rel.n == 0:  # argmax raises on an empty axis
+        return Partition(0, [])
+    return Partition.from_block_of((rel.bits & rel.bits.T).argmax(axis=1).tolist())
 
 
 def induced_order(rel: Relation, partition: Partition) -> Relation:
@@ -495,27 +481,37 @@ class WidthCertificate:
         }
 
 
-def _max_matching(m: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Kuhn's augmenting paths; returns (match_left, match_right), -1 = free.
-
-    Left vertices are tried in ascending order and adjacency lists are
-    ascending, so the matching is deterministic.
-    """
+def _max_matching(strict: np.ndarray) -> tuple[list[int], list[int]]:
+    """Kuhn's augmenting paths over the edges i -> j of the True cells (i, j);
+    returns (match_left, match_right), -1 = free.  Left vertices and the
+    neighbours of each are tried in ascending order, so the matching is
+    deterministic."""
+    m = len(strict)
+    # Row i as an int whose bit j is cell (i, j).
+    rows = [int.from_bytes(r.tobytes(), "little")
+            for r in np.packbits(strict, axis=1, bitorder="little")]
     match_left = [-1] * m
     match_right = [-1] * m
-
-    def try_augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] < 0 or try_augment(match_right[j], seen):
-                    match_left[i] = j
-                    match_right[j] = i
-                    return True
-        return False
-
-    for i in range(m):
-        try_augment(i, [False] * m)
+    for root in range(m):
+        # Depth-first search on an explicit stack, immune to the recursion limit;
+        # each neighbour tried is marked seen, so the lowest unseen one is next.
+        seen = 0
+        stack, path = [root], []
+        while stack:
+            untried = rows[stack[-1]] & ~seen
+            if not untried:
+                stack.pop()
+                del path[-1:]  # the root was entered by no right vertex
+                continue
+            j = (untried & -untried).bit_length() - 1
+            seen |= 1 << j
+            path.append(j)
+            i = match_right[j]
+            if i < 0:
+                for i, j in zip(stack, path):
+                    match_left[i], match_right[j] = j, i
+                break
+            stack.append(i)
     return match_left, match_right
 
 
@@ -538,11 +534,9 @@ def _width(rel: Relation, classes: Partition) -> WidthCertificate:
     m = classes.n_blocks
     strict = order.bits.copy()
     np.fill_diagonal(strict, False)
+    match_left, match_right = _max_matching(strict)
     adj = [[int(j) for j in np.flatnonzero(strict[i])] for i in range(m)]
-
-    match_left, match_right = _max_matching(m, adj)
-    n_matched = sum(1 for j in match_left if j >= 0)
-    w = m - n_matched
+    w = match_left.count(-1)  # m classes less one per matched edge
 
     chains: list[tuple[int, ...]] = []
     for start in range(m):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,23 @@ class TestValidation:
         nfa = Nfa(1, 0, [])
         assert nfa.alphabet == ()
         assert nfa.lambda_set(0) == frozenset((HASH,))
+
+
+class TestTransitionArrays:
+    @pytest.mark.parametrize("text", [
+        FIG2_TEXT,
+        # labels listed against label order, and "B" < "a" bytewise
+        "initial s\ntrans s b y\ntrans s a x\ntrans x B y\ntrans s a y\ntrans y b x\n",
+    ])
+    def test_arrays_reproduce_transitions(self, text):
+        nfa = parse_nfa(text)
+        arrays = (nfa.src, nfa.lab, nfa.dst)
+        for arr in arrays:
+            assert arr.dtype == np.intp and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert [(int(u), nfa.alphabet[a], int(v)) for u, a, v in zip(*arrays)] \
+            == list(nfa.transitions)
 
 
 class TestLabels:

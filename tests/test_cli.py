@@ -249,6 +249,69 @@ class TestCheck:
         assert err.startswith("error: ") and "UTF-8" in err
 
 
+class TestZeroTransitions:
+    """A file holding only its initial state, through every command."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "one.nfa"
+        path.write_text("initial q\n")
+        return str(path)
+
+    REPORT = {"n_states": 1, "classes_R": 1, "classes_FS": 1, "width_R": 1,
+              "width_FS": 1, "superset_holds": True, "quasi_wheeler": True,
+              "max_order_exists": True}
+    DOT = ('digraph nfa {{\n  rankdir=LR;\n  node [shape=circle];\n'
+           '  __start [shape=point];\n  n0 [label="q"{}];\n  __start -> n0;\n}}\n')
+
+    @pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--oracle"]])
+    def test_analyze_json(self, capsys, path, extra):
+        code, out, err = run(capsys, "analyze", path, *extra)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(self.REPORT, indent=2) + "\n"
+
+    def test_analyze_text(self, capsys, path):
+        code, out, _ = run(capsys, "analyze", path, "--format", "text")
+        assert code == 0
+        assert out == "".join(f"{k}: {json.dumps(v)}\n" for k, v in self.REPORT.items())
+
+    @pytest.mark.parametrize("argv", [["cfs"], ["maxrel"]])
+    def test_relations(self, capsys, path, argv):
+        code, out, _ = run(capsys, *argv, path)
+        assert code == 0
+        assert out == '{\n  "n": 1,\n  "pairs": []\n}\n'
+
+    def test_cfs_dot(self, capsys, path):
+        code, out, _ = run(capsys, "cfs", path, "--format", "dot")
+        assert code == 0
+        assert out == self.DOT.format(', style=filled, fillcolor="#a6cee3"')
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("text", "initial q\n"),
+        ("json", json.dumps({"blocks": [["q"]], "quotient": "initial q\n"},
+                            indent=2) + "\n"),
+        ("dot", DOT.format("")),
+    ])
+    def test_quotient(self, capsys, path, fmt, expected):
+        code, out, _ = run(capsys, "quotient", path, "--format", fmt)
+        assert (code, out) == (0, expected)
+
+    @pytest.mark.parametrize("rel", ["cfs", "maxrel"])
+    def test_width(self, capsys, path, rel):
+        code, out, _ = run(capsys, "width", path, "--rel", rel)
+        assert code == 0
+        assert json.loads(out) == {"width": 1, "antichain": ["q"], "chains": [["q"]]}
+
+    @pytest.mark.parametrize("kind", ["colex-relation", "colex-order",
+                                      "wheeler-order", "wheeler-preorder"])
+    def test_check(self, capsys, path, tmp_path, kind):
+        rel = tmp_path / "rel.json"
+        rel.write_text('{"n": 1, "pairs": []}')
+        code, out, _ = run(capsys, "check", path, "--relation", str(rel), "--kind", kind)
+        assert code == 0
+        assert json.loads(out) == {"kind": kind, "valid": True, "violation": None}
+
+
 class TestParserReuse:
     def test_one_parser_per_process_gives_the_same_results(self, capsys, tmp_path):
         nfa = gen_fixture("fig2")

@@ -41,6 +41,7 @@ from nfaindex.relations import (
     WidthCertificate,
     _axiom1_violation,
     _axiom2_violation,
+    _max_matching,
     _partial_order_violation,
     _totality_violation,
     _validate_certificate,
@@ -143,6 +144,27 @@ class TestInduced:
         assert order.is_antisymmetric() and order.is_transitive()
 
 
+def kuhn_reference(strict):
+    """Recursive form of Kuhn's search: left vertices and their neighbours
+    tried in ascending order."""
+    m = len(strict)
+    adj = [np.flatnonzero(row).tolist() for row in strict]
+    match_left, match_right = [-1] * m, [-1] * m
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if not seen[j]:
+                seen[j] = True
+                if match_right[j] < 0 or augment(match_right[j], seen):
+                    match_left[i], match_right[j] = j, i
+                    return True
+        return False
+
+    for i in range(m):
+        augment(i, [False] * m)
+    return match_left, match_right
+
+
 class TestWidth:
     def test_identity_relation(self):
         cert = width(Relation(4))
@@ -176,6 +198,27 @@ class TestWidth:
     def test_rejects_non_transitive(self):
         with pytest.raises(NotPreorder):
             width(Relation(3, [(0, 1), (1, 2)]))
+
+    def test_matching_is_recursive_kuhns(self):
+        # The certificates depend on which maximum matching is found.
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            points = rng.random((n, int(rng.integers(1, 4))))
+            strict = (points[:, None, :] < points[None, :, :]).all(axis=2)
+            assert _max_matching(strict) == kuhn_reference(strict)
+
+    def test_ladder_augmenting_path_longer_than_the_recursion_limit(self):
+        # c_j (id j-1) lies below f_j and f_{j-1} (id 2k-1-j); Kuhn's search
+        # matches c_j to f_j for j < k, so c_k augments along all k rungs.
+        k = 1100
+        c = {j: j - 1 for j in range(1, k + 1)}
+        f = {j: 2 * k - 1 - j for j in range(k)}
+        pairs = [(c[j], f[j]) for j in range(1, k)] + [(c[j], f[j - 1]) for j in c]
+        rel = Relation(2 * k, pairs)
+        cert = width(rel)
+        assert cert.width == k
+        assert validate_reference(rel, cert) is None
 
     @given(n=st.integers(1, 7),
            pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
