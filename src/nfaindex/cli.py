@@ -204,8 +204,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.family is not None and args.random:
         raise InvalidParameter("--family and --random are mutually exclusive")
     if args.family is not None:
-        if args.family != "sep":
-            raise InvalidParameter(f"unknown family {args.family!r}")
         if args.from_n is None or args.to_n is None:
             raise InvalidParameter("--family sep needs --from and --to")
         if args.to_n < args.from_n:

@@ -29,14 +29,14 @@ the partition is discrete the quotient is a renaming of the automaton, so
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .automaton import Nfa, _bfs_distances
-from .errors import EqualPair, InternalInvariantViolation, InvalidParameter, TooLarge
+from .errors import InternalInvariantViolation, TooLarge
 from .fs_partition import QuotientMap, build_quotient, coarsest_fs_partition
+from .oracle import PairGraph, preceding_pairs_oracle  # re-exported
 from .relations import (
     Relation,
     _classes,
@@ -45,62 +45,6 @@ from .relations import (
     label_bounds,
     label_edges,
 )
-
-
-class PairGraph:
-    """Directed graph on ordered pairs of distinct states.
-
-    There is an edge (u', v') -> (u, v) whenever u and v are a-successors
-    of u' and v' for the same label a.  Walking it forward visits the pairs
-    whose path history includes (u', v'); walking it backward from (u, v)
-    enumerates the pairs preceding (u, v), i.e. the pairs through which
-    equally labelled path pairs into u and v travel.
-    """
-
-    def __init__(self, nfa: Nfa):
-        self.nfa = nfa
-
-    def successors(self, u: int, v: int):
-        nfa = self.nfa
-        for a in nfa.alphabet:
-            for x in nfa.targets(u, a):
-                for y in nfa.targets(v, a):
-                    if x != y:
-                        yield (x, y)
-
-    def predecessors(self, u: int, v: int):
-        nfa = self.nfa
-        for a in nfa.alphabet:
-            for x in nfa.sources(u, a):
-                for y in nfa.sources(v, a):
-                    if x != y:
-                        yield (x, y)
-
-
-def preceding_pairs_oracle(nfa: Nfa, u: int, v: int) -> frozenset[tuple[int, int]]:
-    """All pairs of distinct states preceding (u, v), including (u, v) itself.
-
-    A pair (u', v') precedes (u, v) when some pair of equally labelled
-    paths leads from u' to u and from v' to v through pairwise distinct
-    intermediate pairs.  Computed by backward search over the pair graph;
-    exponential-path enumeration is never needed because precedence only
-    depends on pair reachability.
-    """
-    if u == v:
-        raise EqualPair(f"preceding pairs are defined for distinct states, got ({u},{u})")
-    for x in (u, v):
-        if not 0 <= x < nfa.n_states:
-            raise InvalidParameter(f"state {x} out of range")
-    pg = PairGraph(nfa)
-    seen = {(u, v)}
-    queue = deque([(u, v)])
-    while queue:
-        pair = queue.popleft()
-        for pred in pg.predecessors(*pair):
-            if pred not in seen:
-                seen.add(pred)
-                queue.append(pred)
-    return frozenset(seen)
 
 
 # Most states whose maximum co-lex relation is computed.  The relation and
@@ -257,16 +201,7 @@ class CompareReport:
     max_order_exists: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_states": self.n_states,
-            "classes_R": self.classes_R,
-            "classes_FS": self.classes_FS,
-            "width_R": self.width_R,
-            "width_FS": self.width_FS,
-            "superset_holds": self.superset_holds,
-            "quasi_wheeler": self.quasi_wheeler,
-            "max_order_exists": self.max_order_exists,
-        }
+        return asdict(self)
 
 
 def compare_report(nfa: Nfa) -> CompareReport:

@@ -2,7 +2,9 @@
 
 A partition P of the states is forward stable when for every pair of
 blocks S, T and every label a, the a-image of T either covers S or misses
-it entirely.  Forward stability is closed under coarsest-common-coarsening,
+it entirely, that is when the members of each block share one set of
+(predecessor block, label) pairs; ``is_forward_stable`` tests this in
+O(m + n).  Forward stability is closed under coarsest-common-coarsening,
 so every NFA has a unique coarsest forward-stable partition.
 
 It is computed by the partition refinement of Paige and Tarjan (SIAM J.
@@ -16,7 +18,7 @@ delta(B, a) minus delta(S - B, a).  The second set holds the states whose
 number of a-predecessors in B equals their number in S; these counts are
 kept per (state, label, compound block).  A state lies in a block taken as
 B at most log2(n) times, and each time only its out-edges are walked, so
-the refinement runs in O(m log n) for m transitions and n states.
+the refinement runs in O(m log n).
 
 The quotient automaton has one state per block and a block-level edge on a
 whenever some member pair has one.  For a forward-stable partition the
@@ -120,25 +122,35 @@ class FsViolation:
 def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation | None]:
     """Check forward stability; on failure also return the first violation.
 
-    Scan order is deterministic: source blocks ascending, labels in label
-    order, split blocks ascending.
+    The a-image of block T splits block S exactly when the members of S
+    disagree on having an a-predecessor in T.  The violation reported is
+    the first split in the order source block T ascending, labels in label
+    order, split block S ascending.
     """
     if partition.n != nfa.n_states:
         raise SizeMismatch(
             f"partition over {partition.n} elements, automaton has {nfa.n_states} states")
-    members = [frozenset(b) for b in partition.blocks]
-    for t_idx, t_blk in enumerate(partition.blocks):
-        for a in nfa.alphabet:
-            image = nfa.delta_set(t_blk, a)
-            if not image:
-                continue
-            for s_idx, s_set in enumerate(members):
-                inter = s_set & image
-                if inter and inter != s_set:
-                    return False, FsViolation(
-                        s_block=s_idx, t_block=t_idx, label=a,
-                        covered=min(inter), uncovered=min(s_set - image))
-    return True, None
+    beta = partition.block_of
+    pairs: list[set[tuple[int, int]]] = [set() for _ in range(nfa.n_states)]
+    for u, a, v in zip(nfa.src.tolist(), nfa.lab.tolist(), nfa.dst.tolist()):
+        pairs[v].add((beta[u], a))
+    splits = []
+    for s, block in enumerate(partition.blocks):
+        want = pairs[block[0]]
+        for x in block[1:]:
+            if pairs[x] != want:
+                # The pairs some but not all members hold split block s.
+                held = [pairs[y] for y in block]
+                splits.append((min(set.union(*held) - set.intersection(*held)), s))
+                break
+    if not splits:
+        return True, None
+    (t, a), s = min(splits)
+    block = partition.blocks[s]
+    return False, FsViolation(
+        s_block=s, t_block=t, label=nfa.alphabet[a],
+        covered=next(x for x in block if (t, a) in pairs[x]),
+        uncovered=next(x for x in block if (t, a) not in pairs[x]))
 
 
 def coarsest_fs_partition(nfa: Nfa) -> Partition:
@@ -151,11 +163,15 @@ def coarsest_fs_partition(nfa: Nfa) -> Partition:
     block is split by delta(B, a) and then by delta(B, a) minus
     delta(S - B, a), the states none of whose a-predecessors lie in S - B.
     Only the out-edges of B are walked, so the whole refinement is
-    O(m log n).  Forward stability of the result is re-verified in O(m)
-    before returning.
+    O(m log n).  Forward stability of the result is re-verified by
+    is_forward_stable before returning.
     """
     partition = Partition(nfa.n_states, _refine(nfa))
-    _check_forward_stable(nfa, partition)
+    ok, viol = is_forward_stable(nfa, partition)
+    if not ok:
+        raise InternalInvariantViolation(
+            f"coarsest forward-stable partition is not forward stable: "
+            f"{viol.describe(nfa)}")
     return partition
 
 
@@ -271,26 +287,6 @@ def _refine(nfa: Nfa) -> list[list[int]]:
                 rec[e] = new[tgt[e]]
 
     return [elems[first[b]:end[b]] for b in range(len(first))]
-
-
-def _check_forward_stable(nfa: Nfa, partition: Partition) -> None:
-    """Raise InternalInvariantViolation unless the partition is forward stable.
-
-    Forward stability holds exactly when all members of each block have the
-    same set of (label, predecessor block) pairs, which takes O(m) to test.
-    """
-    beta = partition.block_of
-    pairs: list[set[tuple[int, int]]] = [set() for _ in range(nfa.n_states)]
-    for u, a, v in zip(nfa.src.tolist(), nfa.lab.tolist(), nfa.dst.tolist()):
-        pairs[v].add((a, beta[u]))
-    for i, block in enumerate(partition.blocks):
-        want = pairs[block[0]]
-        for x in block[1:]:
-            if pairs[x] != want:
-                raise InternalInvariantViolation(
-                    f"coarsest forward-stable partition is not forward stable: "
-                    f"block {i} holds {nfa.names[block[0]]} and {nfa.names[x]}, "
-                    f"whose (label, predecessor block) pairs differ")
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,21 @@
 """Exhaustive reference implementations for cross-checking the fast paths.
 
 Everything here trades time for obviousness and shares no algorithmic
-ideas with the production code: partitions are enumerated outright,
-the maximum co-lex relation is found by greatest-fixpoint deletion, width
-by scanning all subsets, and reach sets by walking every string up to a
+ideas with the production code but one: partitions are enumerated outright
+and filtered by the production ``is_forward_stable``, which the tests check
+against an image-by-image scan.  The maximum co-lex relation is found by
+greatest-fixpoint deletion over the pair graph defined here, width by
+scanning all subsets, and reach sets by walking every string up to a
 length bound.  Guards raise TooLarge beyond the exhaustive-search bounds.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterator
 
 from .automaton import Nfa, lambda_leq
-from .errors import InternalInvariantViolation, InvalidParameter, TooLarge
+from .errors import EqualPair, InternalInvariantViolation, InvalidParameter, TooLarge
 from .fs_partition import Partition, is_forward_stable
 from .relations import Relation, induced_equivalence
 
@@ -63,6 +66,62 @@ def brute_coarsest_fs(nfa: Nfa) -> Partition:
     return coarsest[0]
 
 
+class PairGraph:
+    """Directed graph on ordered pairs of distinct states.
+
+    There is an edge (u', v') -> (u, v) whenever u and v are a-successors
+    of u' and v' for the same label a.  Walking it forward visits the pairs
+    whose path history includes (u', v'); walking it backward from (u, v)
+    enumerates the pairs preceding (u, v), i.e. the pairs through which
+    equally labelled path pairs into u and v travel.
+    """
+
+    def __init__(self, nfa: Nfa):
+        self.nfa = nfa
+
+    def successors(self, u: int, v: int):
+        nfa = self.nfa
+        for a in nfa.alphabet:
+            for x in nfa.targets(u, a):
+                for y in nfa.targets(v, a):
+                    if x != y:
+                        yield (x, y)
+
+    def predecessors(self, u: int, v: int):
+        nfa = self.nfa
+        for a in nfa.alphabet:
+            for x in nfa.sources(u, a):
+                for y in nfa.sources(v, a):
+                    if x != y:
+                        yield (x, y)
+
+
+def preceding_pairs_oracle(nfa: Nfa, u: int, v: int) -> frozenset[tuple[int, int]]:
+    """All pairs of distinct states preceding (u, v), including (u, v) itself.
+
+    A pair (u', v') precedes (u, v) when some pair of equally labelled
+    paths leads from u' to u and from v' to v through pairwise distinct
+    intermediate pairs.  Computed by backward search over the pair graph;
+    exponential-path enumeration is never needed because precedence only
+    depends on pair reachability.
+    """
+    if u == v:
+        raise EqualPair(f"preceding pairs are defined for distinct states, got ({u},{u})")
+    for x in (u, v):
+        if not 0 <= x < nfa.n_states:
+            raise InvalidParameter(f"state {x} out of range")
+    pg = PairGraph(nfa)
+    seen = {(u, v)}
+    queue = deque([(u, v)])
+    while queue:
+        pair = queue.popleft()
+        for pred in pg.predecessors(*pair):
+            if pred not in seen:
+                seen.add(pred)
+                queue.append(pred)
+    return frozenset(seen)
+
+
 def brute_max_colex_relation(nfa: Nfa) -> Relation:
     """Greatest fixpoint: start from the label-compatible pairs and delete
     every pair with an unrelated distinct predecessor pair until stable."""
@@ -76,17 +135,12 @@ def brute_max_colex_relation(nfa: Nfa) -> Relation:
         for v in range(n)
         if u != v and lambda_leq(nfa.lambda_sets[u], nfa.lambda_sets[v])
     }
+    pg = PairGraph(nfa)
     changed = True
     while changed:
         changed = False
         for (u, v) in sorted(live):
-            ok = True
-            for a in nfa.alphabet:
-                for up in nfa.sources(u, a):
-                    for vp in nfa.sources(v, a):
-                        if up != vp and (up, vp) not in live:
-                            ok = False
-            if not ok:
+            if any(p not in live for p in pg.predecessors(u, v)):
                 live.discard((u, v))
                 changed = True
     return Relation(n, live)

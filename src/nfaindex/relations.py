@@ -481,15 +481,12 @@ class WidthCertificate:
         }
 
 
-def _max_matching(strict: np.ndarray) -> tuple[list[int], list[int]]:
-    """Kuhn's augmenting paths over the edges i -> j of the True cells (i, j);
-    returns (match_left, match_right), -1 = free.  Left vertices and the
-    neighbours of each are tried in ascending order, so the matching is
-    deterministic."""
-    m = len(strict)
-    # Row i as an int whose bit j is cell (i, j).
-    rows = [int.from_bytes(r.tobytes(), "little")
-            for r in np.packbits(strict, axis=1, bitorder="little")]
+def _max_matching(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Kuhn's augmenting paths over the edges i -> j of the set bits j of
+    rows[i]; returns (match_left, match_right), -1 = free.  Left vertices
+    and the neighbours of each are tried in ascending order, so the
+    matching is deterministic."""
+    m = len(rows)
     match_left = [-1] * m
     match_right = [-1] * m
     for root in range(m):
@@ -530,12 +527,14 @@ def width(rel: Relation) -> WidthCertificate:
 
 def _width(rel: Relation, classes: Partition) -> WidthCertificate:
     # Width of a preorder whose class partition the caller already holds.
-    order = _class_order(rel, classes)
-    m = classes.n_blocks
-    strict = order.bits.copy()
+    # Row i of the strict class order, as an int whose bit j is class i < class j.
+    reps = [b[0] for b in classes.blocks]
+    strict = rel.bits[np.ix_(reps, reps)]
     np.fill_diagonal(strict, False)
-    match_left, match_right = _max_matching(strict)
-    adj = [[int(j) for j in np.flatnonzero(strict[i])] for i in range(m)]
+    rows = [int.from_bytes(r.tobytes(), "little")
+            for r in np.packbits(strict, axis=1, bitorder="little")]
+    m = len(rows)
+    match_left, match_right = _max_matching(rows)
     w = match_left.count(-1)  # m classes less one per matched edge
 
     chains: list[tuple[int, ...]] = []
@@ -554,20 +553,23 @@ def _width(rel: Relation, classes: Partition) -> WidthCertificate:
 
     # Koenig: alternate from unmatched left vertices; uncovered classes
     # (left side reached, right side not) form a maximum antichain.
-    in_left = [match_left[i] < 0 for i in range(m)]
-    in_right = [False] * m
+    # A reached left vertex is free or entered through its matched edge, so
+    # every right vertex newly reached from it is on an unmatched edge.
+    in_left = [j < 0 for j in match_left]
+    in_right = 0
     queue = [i for i in range(m) if in_left[i]]
     while queue:
-        i = queue.pop()
-        for j in adj[i]:
-            if j != match_left[i] and not in_right[j]:
-                in_right[j] = True
-                i2 = match_right[j]
-                if i2 >= 0 and not in_left[i2]:
-                    in_left[i2] = True
-                    queue.append(i2)
-    antichain = tuple(classes.blocks[i][0] for i in range(m)
-                      if in_left[i] and not in_right[i])
+        new = rows[queue.pop()] & ~in_right
+        in_right |= new
+        while new:
+            j = (new & -new).bit_length() - 1
+            new &= new - 1
+            i = match_right[j]
+            if i >= 0 and not in_left[i]:
+                in_left[i] = True
+                queue.append(i)
+    antichain = tuple(reps[i] for i in range(m)
+                      if in_left[i] and not in_right >> i & 1)
 
     cert = WidthCertificate(width=w, antichain=antichain, chains=tuple(chains))
     _validate_certificate(rel, cert)

@@ -418,6 +418,12 @@ class TestSweep:
                          "--from", "5", "--to", "6")
         assert code == 1
 
+    def test_unknown_family_is_rejected_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--family", "xyz", "--from", "5", "--to", "6"])
+        assert err.value.code == 1
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_bad_choice_exits_1(self, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfaindex import (
+    FsViolation,
     InternalInvariantViolation,
     Nfa,
     Partition,
@@ -21,7 +22,29 @@ from nfaindex import (
     gen_separation_family,
     is_forward_stable,
 )
-from nfaindex.fs_partition import _check_forward_stable
+from nfaindex import fs_partition
+from nfaindex.oracle import _growth_strings
+
+
+def image_scan_forward_stable(nfa, partition):
+    """Forward stability by intersecting every block with every block image:
+    source blocks ascending, labels in label order, split blocks ascending."""
+    if partition.n != nfa.n_states:
+        raise SizeMismatch(
+            f"partition over {partition.n} elements, automaton has {nfa.n_states} states")
+    members = [frozenset(b) for b in partition.blocks]
+    for t_idx, t_blk in enumerate(partition.blocks):
+        for a in nfa.alphabet:
+            image = nfa.delta_set(t_blk, a)
+            if not image:
+                continue
+            for s_idx, s_set in enumerate(members):
+                inter = s_set & image
+                if inter and inter != s_set:
+                    return False, FsViolation(
+                        s_block=s_idx, t_block=t_idx, label=a,
+                        covered=min(inter), uncovered=min(s_set - image))
+    return True, None
 
 
 class TestPartition:
@@ -238,20 +261,72 @@ class TestPaigeTarjan:
         assert p.blocks[1] == tuple(1 + i * 100 for i in range(30))
 
 
+class TestImageScanReference:
+    """is_forward_stable against the image scan: the same verdict and the
+    same first violation."""
+
+    @staticmethod
+    def assert_agree_on_all_partitions(nfa):
+        for rgs in _growth_strings(nfa.n_states):
+            p = Partition.from_block_of(rgs)
+            assert is_forward_stable(nfa, p) == image_scan_forward_stable(nfa, p)
+
+    def test_every_partition_of_the_fixtures(self, fig2, wheeler3):
+        for nfa in (fig2, wheeler3, gen_separation_family(7)):
+            self.assert_agree_on_all_partitions(nfa)
+
+    def test_every_partition_of_random_automata(self):
+        for seed in range(160):
+            n = 2 + seed % 6 if seed % 20 else 8
+            self.assert_agree_on_all_partitions(
+                gen_random(n, 1 + seed % 3, 0.2 + 0.1 * (seed % 4), seed))
+
+    def test_random_partitions_of_thirty_states(self):
+        rng = random.Random(11)
+        for seed in range(20):
+            nfa = gen_random(30, 1 + seed % 3, 0.08, seed)
+            coarse = coarsest_fs_partition(nfa).block_of
+            for _ in range(40):
+                k = rng.randint(1, nfa.n_states)
+                candidates = [
+                    [rng.randrange(k) for _ in range(nfa.n_states)],
+                    # Near-stable: the coarsest blocks from k on merged into one.
+                    [min(b, k) for b in coarse],
+                ]
+                for block_of in candidates:
+                    p = Partition.from_block_of(block_of)
+                    assert is_forward_stable(nfa, p) == image_scan_forward_stable(nfa, p)
+
+    def test_unary_path_of_four_thousand_states(self):
+        nfa = unary_path(4000)
+        p = coarsest_fs_partition(nfa)
+        assert is_forward_stable(nfa, p) == (True, None)
+        merged = Partition(4000, [[0], [1, 2], *([u] for u in range(3, 4000))])
+        assert is_forward_stable(nfa, merged) == (False, FsViolation(
+            s_block=1, t_block=0, label="a", covered=1, uncovered=2))
+
+
 class TestStabilitySelfCheck:
     def test_rejects_unstable_partition(self, fig2):
-        with pytest.raises(InternalInvariantViolation, match="not forward stable"):
-            _check_forward_stable(fig2, Partition(7, [range(7)]))
+        ok, violation = is_forward_stable(fig2, Partition(7, [range(7)]))
+        assert not ok and violation is not None
 
     def test_rejects_partition_split_by_one_label(self, fig2):
         # u1 and u3 both enter on a from u0, but only u1 also has an
         # a-predecessor inside their block (itself)
-        with pytest.raises(InternalInvariantViolation):
-            _check_forward_stable(fig2, Partition(7, [[0], [1, 2, 3, 4], [5, 6]]))
+        ok, violation = is_forward_stable(fig2, Partition(7, [[0], [1, 2, 3, 4], [5, 6]]))
+        assert not ok
+        assert violation == FsViolation(
+            s_block=1, t_block=1, label="a", covered=1, uncovered=3)
 
     def test_accepts_stable_partitions(self, fig2):
-        _check_forward_stable(fig2, Partition(7, [[0], [1, 2], [3, 4], [5, 6]]))
-        _check_forward_stable(fig2, Partition(7, [[u] for u in range(7)]))
+        assert is_forward_stable(fig2, Partition(7, [[0], [1, 2], [3, 4], [5, 6]])) == (True, None)
+        assert is_forward_stable(fig2, Partition(7, [[u] for u in range(7)])) == (True, None)
+
+    def test_coarsest_partition_is_checked(self, fig2, monkeypatch):
+        monkeypatch.setattr(fs_partition, "_refine", lambda nfa: [list(range(nfa.n_states))])
+        with pytest.raises(InternalInvariantViolation, match="not forward stable"):
+            coarsest_fs_partition(fig2)
 
 
 class TestQuotient:

@@ -18,6 +18,7 @@ from nfaindex import (
     ValidationError,
     brute_width,
     build_quotient,
+    cfs_order,
     check_colex_order,
     check_colex_relation,
     check_wheeler_order,
@@ -41,6 +42,7 @@ from nfaindex.relations import (
     WidthCertificate,
     _axiom1_violation,
     _axiom2_violation,
+    _class_order,
     _max_matching,
     _partial_order_violation,
     _totality_violation,
@@ -144,6 +146,11 @@ class TestInduced:
         assert order.is_antisymmetric() and order.is_transitive()
 
 
+def bitset_rows(strict):
+    """Row i of a boolean matrix as an int whose bit j is cell (i, j)."""
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in strict]
+
+
 def kuhn_reference(strict):
     """Recursive form of Kuhn's search: left vertices and their neighbours
     tried in ascending order."""
@@ -163,6 +170,47 @@ def kuhn_reference(strict):
     for i in range(m):
         augment(i, [False] * m)
     return match_left, match_right
+
+
+def width_reference(rel, classes):
+    """Width certificate with the Koenig step walking per-row neighbour lists."""
+    order = _class_order(rel, classes)
+    m = classes.n_blocks
+    strict = order.bits.copy()
+    np.fill_diagonal(strict, False)
+    match_left, match_right = kuhn_reference(strict)
+    adj = [[int(j) for j in np.flatnonzero(strict[i])] for i in range(m)]
+    w = match_left.count(-1)
+
+    chains = []
+    for start in range(m):
+        if match_right[start] >= 0:
+            continue
+        states = []
+        c = start
+        while True:
+            states.extend(classes.blocks[c])
+            if match_left[c] < 0:
+                break
+            c = match_left[c]
+        chains.append(tuple(states))
+    chains.sort(key=lambda c: c[0])
+
+    in_left = [match_left[i] < 0 for i in range(m)]
+    in_right = [False] * m
+    queue = [i for i in range(m) if in_left[i]]
+    while queue:
+        i = queue.pop()
+        for j in adj[i]:
+            if j != match_left[i] and not in_right[j]:
+                in_right[j] = True
+                i2 = match_right[j]
+                if i2 >= 0 and not in_left[i2]:
+                    in_left[i2] = True
+                    queue.append(i2)
+    antichain = tuple(classes.blocks[i][0] for i in range(m)
+                      if in_left[i] and not in_right[i])
+    return WidthCertificate(width=w, antichain=antichain, chains=tuple(chains))
 
 
 class TestWidth:
@@ -206,7 +254,23 @@ class TestWidth:
             n = int(rng.integers(1, 40))
             points = rng.random((n, int(rng.integers(1, 4))))
             strict = (points[:, None, :] < points[None, :, :]).all(axis=2)
-            assert _max_matching(strict) == kuhn_reference(strict)
+            assert _max_matching(bitset_rows(strict)) == kuhn_reference(strict)
+
+    def test_certificates_match_the_neighbour_list_reference(self):
+        # Points in the plane under the product order; integer coordinates
+        # on a small grid give equal points, hence preorders with classes.
+        rng = np.random.default_rng(7)
+        rels = [Relation(0)]
+        for t in range(300):
+            n = int(rng.integers(1, 60))
+            points = rng.random((n, 2)) if t % 2 else rng.integers(0, 6, (n, 2))
+            rels.append(Relation.from_matrix(
+                (points[:, None, :] <= points[None, :, :]).all(axis=2)))
+        for seed in range(100):
+            nfa = gen_random(4 + seed % 30, 1 + seed % 3, 0.15, seed)
+            rels += [max_colex_relation(nfa), cfs_order(nfa)[0]]
+        for rel in rels:
+            assert width(rel) == width_reference(rel, induced_equivalence(rel))
 
     def test_ladder_augmenting_path_longer_than_the_recursion_limit(self):
         # c_j (id j-1) lies below f_j and f_{j-1} (id 2k-1-j); Kuhn's search
