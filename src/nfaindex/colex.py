@@ -8,14 +8,34 @@ pair of equally labelled paths into u and v passes through a pair of
 states whose incoming-label sets are out of order.  That characterization
 is implemented by seeding the label-violating pairs from per-state
 incoming-label ranks and propagating "badness" forward through the pair
-graph to a fixpoint.  Propagation is semi-naive and runs on numpy arrays:
-each round expands only the pairs marked in the previous round, (u, v) to
+graph to a fixpoint.  Propagation runs on numpy arrays and picks a
+direction per round, as direction-optimising breadth-first search does
+(Beamer, Asanovic and Patterson, SC 2012).
+
+A push round expands only the pairs marked in the round before, (u, v) to
 targets(u, a) x targets(v, a) for every label a, using one out-edge CSR
 per label, and the unmarked distinct candidates form the next frontier.
-Every pair is expanded at most once, but for each label a of the alphabet
+Every pair is pushed at most once, but for each label a of the alphabet
 Sigma, and the CSRs hold |Sigma|*(n+1) offsets, so for n states and the
-a-edges E_a the work is O(|Sigma|*n^2 + sum_a |E_a|^2) and the memory
-O(n^2 + |Sigma|*n): the mark matrix, the frontier, the CSRs and bounded batches.
+a-edges E_a pushing costs O(|Sigma|*n^2 + sum_a |E_a|^2).
+
+A pull round works on a list of cells, the pairs of same-label edges whose
+target pair is distinct and unmarked: it marks the target pair of every
+cell whose source pair is marked, then drops the cells whose target pair
+is now marked.  The seed leaves a pair (x, y) of a-successors unmarked only
+when a is both the highest label into x and the lowest into y, so the list
+is built from those edges alone, in time proportional to its length.
+Before anything is built, exact counts of these cells and of the candidates
+a push of the seed would expand, O(m log m) each for m edges, choose the
+first round: a pull only when the cells are fewer.  Pulling goes on while
+the list is shorter than the push candidates of the pairs the last round
+marked; once a round pushes, the list is dropped and every later round
+pushes.  A dense seed, where most pairs are out of order, is thus settled
+by looking at the few unmarked pairs' incoming edges instead of the many
+marked pairs' outgoing ones, while sparse seeds (unary paths, tries,
+combs) never build the list.  The fixpoint is unique, so the direction
+never changes the result.  Memory is the n*n mark matrix, the push's n*n
+index array, the CSRs, 8 bytes per cell and bounded batches.
 
 ``cfs_order`` computes the maximum co-lex relation of the quotient by the
 coarsest forward-stable partition, where it is guaranteed antisymmetric,
@@ -24,7 +44,8 @@ maximum co-lex relation, has at most its width, and never has more
 classes; ``compare_report`` evaluates both and cross-checks those
 guarantees, raising InternalInvariantViolation on any discrepancy.  When
 the partition is discrete the quotient is a renaming of the automaton, so
-``compare_report`` reuses the maximum co-lex relation as the lifted order.
+``compare_report`` reuses the maximum co-lex relation as the lifted order;
+whenever the two relations are equal it reuses the width.
 """
 
 from __future__ import annotations
@@ -38,6 +59,7 @@ from .errors import InternalInvariantViolation, TooLarge
 from .fs_partition import QuotientMap, build_quotient, coarsest_fs_partition
 from .oracle import PairGraph, preceding_pairs_oracle  # re-exported
 from .relations import (
+    _EDGE_PAIR_CELLS,
     Relation,
     _classes,
     _width,
@@ -48,15 +70,135 @@ from .relations import (
 
 
 # Most states whose maximum co-lex relation is computed.  The relation and
-# its propagation are stored densely, about 20 bytes per state pair at peak
-# (the mark matrix, an n*n index array and the self-checks' matrices):
-# some 350 MB at this limit.
+# its propagation are stored densely.  The propagation arrays are freed
+# before the self-checks, whose n*n float32 product puts the peak at about
+# 10 bytes per state pair: 168 MB at this limit for a random automaton and
+# for a unary path.  A push round that marks most pairs at once holds them
+# all as 8-byte indices and goes higher (955 MB for sep:4096).
 MAX_DENSE_STATES = 4096
 
-# Frontier pairs taken per numpy batch during propagation, and the most
-# candidate pairs one batch expands to for one label; a single frontier pair
-# with a larger product is expanded in a batch of its own.
+# Frontier pairs taken per numpy batch during a push, and the running count
+# of candidate pairs at which a label's batch is cut; a frontier pair with a
+# larger product makes its batch that large.
 _CHUNK = 1 << 12
+
+
+def _round0_costs(nfa: Nfa, hi: np.ndarray, lo: np.ndarray) -> tuple[int, int]:
+    """Pair-graph edges a pull and a push would examine in the first round.
+
+    The first count is the number of cells: pairs (i, j) of same-label edges
+    whose target pair is distinct and not marked by the seed.  The seed
+    leaves (x, y) unmarked when hi[x] <= lo[y], so for a-edges, with a of
+    rank r, exactly when hi[x] = r = lo[y]; pairs of edges into one such x
+    are subtracted.  The second is the number of candidates a push of the
+    seed expands: pairs of a-edges whose source pair (u, v) has hi[u] >
+    lo[v], less those leaving one state u.  Both take O(m log m).
+    """
+    lab, src, dst = nfa.lab, nfa.src, nfa.dst
+    sigma = len(nfa.alphabet)
+    rank = lab + 1
+    into = np.bincount(dst, minlength=nfa.n_states)
+    cells = (np.bincount(lab[hi[dst] == rank], minlength=sigma)
+             @ np.bincount(lab[lo[dst] == rank], minlength=sigma))
+    cells -= int(np.square(into[hi == lo]).sum())
+    # Per label, the sources' lows sorted; each edge counts the lows below
+    # its source's high.
+    key = lab * (sigma + 2)
+    lows = np.sort(key + lo[src])
+    pushed = int((lows.searchsorted(key + hi[src]) - lows.searchsorted(key)).sum())
+    # The transitions are sorted by source, then label: one run per (u, a).
+    run = np.flatnonzero(np.diff(src * sigma + lab, prepend=-1, append=-1))
+    u = src[run[:-1]]
+    pushed -= int(np.square(np.diff(run))[hi[u] > lo[u]].sum())
+    return int(cells), pushed
+
+
+def _pull_cells(nfa: Nfa, hi: np.ndarray, lo: np.ndarray,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``size`` cells counted by _round0_costs, as int32 flat indices
+    of their source pairs and of their target pairs."""
+    n = nfa.n_states
+    pre = np.empty(size, dtype=np.int32)
+    post = np.empty(size, dtype=np.int32)
+    filled = 0
+    for rank, (src, dst) in enumerate(label_edges(nfa), 1):
+        rows, cols = hi[dst] == rank, lo[dst] == rank
+        rs, rd, cs, cd = src[rows] * n, dst[rows], src[cols], dst[cols]
+        step = max(1, _EDGE_PAIR_CELLS // max(1, len(cd)))
+        for r in range(0, len(rd), step):
+            d = rd[r:r + step, None]
+            keep = d != cd
+            k = filled + int(keep.sum())
+            pre[filled:k] = (rs[r:r + step, None] + cs)[keep]
+            post[filled:k] = (d * n + cd)[keep]
+            filled = k
+    return pre, post
+
+
+def _pull(nfa: Nfa, flat: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+          size: int) -> np.ndarray:
+    """Pull rounds over the cell list; returns the frontier left to push.
+
+    Each round marks the target pair of every cell whose source pair is
+    marked, then drops the cells whose target pair is now marked.  Pulling
+    goes on while the list is shorter than the push candidates of the
+    pairs the round marked; otherwise those pairs are returned.
+    """
+    n = nfa.n_states
+    pre, post = _pull_cells(nfa, hi, lo, size)
+    deg = np.bincount(nfa.lab * n + nfa.src,
+                      minlength=len(nfa.alphabet) * n).reshape(-1, n)
+    while True:
+        flat[post[flat[pre]]] = True
+        # The cells' target pairs were all unmarked, so the dropped cells
+        # lead to exactly the pairs this round marked.
+        drop = flat[post]
+        new = np.sort(post[drop])
+        frontier = new[np.diff(new, prepend=-1) != 0]
+        keep = ~drop
+        pre, post = pre[keep], post[keep]
+        if not len(frontier) or not len(pre):
+            return frontier[:0]
+        u, v = np.divmod(frontier, n)
+        pushed = 0
+        for d in deg:
+            pushed += int(np.dot(d[u], d[v]))
+            if pushed > len(pre):
+                break
+        else:
+            return frontier
+
+
+def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray) -> None:
+    """Push rounds from ``frontier`` to the fixpoint: each round expands
+    the pairs marked in the round before and marks the unmarked distinct
+    candidates."""
+    if not len(frontier):
+        return
+    n = nfa.n_states
+    csr = []
+    for src, dst in label_edges(nfa):
+        ptr = np.searchsorted(src, np.arange(n + 1))
+        csr.append((ptr, dst, np.diff(ptr)))
+    # slot[c] == position of c in its batch marks a first occurrence.
+    slot = np.empty(n * n, dtype=np.intp)
+    while len(frontier):
+        found = []
+        for f in range(0, len(frontier), _CHUNK):
+            u, v = np.divmod(frontier[f:f + _CHUNK], n)
+            for ptr, tgt, deg in csr:
+                cnt = deg[u] * deg[v]
+                cuts = np.flatnonzero(np.diff(np.cumsum(cnt) // _CHUNK)) + 1
+                for s, e in zip([0, *cuts], [*cuts, len(cnt)]):
+                    x, y = _successor_pairs(ptr, tgt, deg, u[s:e], v[s:e], cnt[s:e])
+                    cand = x * n + y
+                    cand = cand[(x != y) & ~flat[cand]]
+                    pos = np.arange(len(cand))
+                    slot[cand] = pos
+                    cand = cand[slot[cand] == pos]
+                    flat[cand] = True
+                    found.append(cand)
+        frontier = np.concatenate(found)
 
 
 def _successor_pairs(ptr: np.ndarray, tgt: np.ndarray, deg: np.ndarray,
@@ -77,11 +219,12 @@ def max_colex_relation(nfa: Nfa) -> Relation:
     """Union of all co-lex relations of the automaton; always a preorder.
 
     Seeds the distinct pairs whose incoming-label sets are out of order and
-    spreads that mark forward through the pair graph, one frontier of newly
-    marked pairs per round; the surviving pairs, plus the diagonal, form the
-    result.  Transitivity and both co-lex axioms are re-verified before
-    returning.  Raises TooLarge, before allocating anything, for automata
-    of more than MAX_DENSE_STATES states.
+    spreads that mark forward through the pair graph to a fixpoint, by
+    pull rounds while the unmarked pairs' incoming edges are fewer than the
+    frontier's outgoing ones, then by push rounds; the surviving pairs,
+    plus the diagonal, form the result.  Transitivity and both co-lex
+    axioms are re-verified before returning.  Raises TooLarge, before
+    allocating anything, for automata of more than MAX_DENSE_STATES states.
     """
     n = nfa.n_states
     if n > MAX_DENSE_STATES:
@@ -92,32 +235,14 @@ def max_colex_relation(nfa: Nfa) -> Relation:
     bad = hi[:, None] > lo[None, :]
     np.fill_diagonal(bad, False)
     flat = bad.reshape(-1)
-    csr = []
-    for src, dst in label_edges(nfa):
-        ptr = np.searchsorted(src, np.arange(n + 1))
-        csr.append((ptr, dst, np.diff(ptr)))
-    # slot[c] == position of c in its batch marks a first occurrence.
-    slot = np.empty(n * n, dtype=np.intp)
-    frontier = np.flatnonzero(flat)
-    while len(frontier):
-        found = []
-        for f in range(0, len(frontier), _CHUNK):
-            u, v = np.divmod(frontier[f:f + _CHUNK], n)
-            for ptr, tgt, deg in csr:
-                cnt = deg[u] * deg[v]
-                cuts = np.flatnonzero(np.diff(np.cumsum(cnt) // _CHUNK)) + 1
-                for s, e in zip([0, *cuts], [*cuts, len(cnt)]):
-                    x, y = _successor_pairs(ptr, tgt, deg, u[s:e], v[s:e], cnt[s:e])
-                    cand = x * n + y
-                    cand = cand[(x != y) & ~flat[cand]]
-                    pos = np.arange(len(cand))
-                    slot[cand] = pos
-                    cand = cand[slot[cand] == pos]
-                    flat[cand] = True
-                    found.append(cand)
-        frontier = np.concatenate(found)
+    cells, pushed = _round0_costs(nfa, hi, lo)
+    if cells < pushed:
+        _push(nfa, flat, _pull(nfa, flat, hi, lo, cells))
+    else:
+        _push(nfa, flat, np.flatnonzero(flat))
 
     rel = Relation.from_matrix(~bad)
+    del bad, flat
     witness = rel.transitivity_witness()
     if witness is not None:
         raise InternalInvariantViolation(
@@ -225,7 +350,8 @@ def compare_report(nfa: Nfa) -> CompareReport:
     # blocks because the quotient's relation is antisymmetric.
     classes_r = _classes(rel_r)
     width_r = _width(rel_r, classes_r).width
-    width_fs = width_r if rel_fs is rel_r else _width(rel_fs, partition).width
+    same = rel_r == rel_fs
+    width_fs = width_r if same else _width(rel_fs, partition).width
     superset = rel_fs.superset_of(rel_r)
     report = CompareReport(
         n_states=nfa.n_states,
@@ -248,7 +374,7 @@ def compare_report(nfa: Nfa) -> CompareReport:
         raise InternalInvariantViolation(
             f"forward-stable construction has larger width "
             f"({report.width_FS} > {report.width_R})")
-    if (rel_r == rel_fs) != (classes_r == partition):
+    if same != (classes_r == partition):
         raise InternalInvariantViolation(
             "relation equality and class-partition equality disagree")
     if report.max_order_exists != (report.classes_R == nfa.n_states):

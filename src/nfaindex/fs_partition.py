@@ -119,6 +119,16 @@ class FsViolation:
                 f"but not {nfa.names[self.uncovered]}")
 
 
+def _signatures(nfa: Nfa, block_of: Sequence[int]) -> list[set[tuple[int, int]]]:
+    """Each state's set of (predecessor block, label index) pairs; a
+    partition is forward stable exactly when every block's members share
+    one set."""
+    pairs: list[set[tuple[int, int]]] = [set() for _ in range(nfa.n_states)]
+    for u, a, v in zip(nfa.src.tolist(), nfa.lab.tolist(), nfa.dst.tolist()):
+        pairs[v].add((block_of[u], a))
+    return pairs
+
+
 def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation | None]:
     """Check forward stability; on failure also return the first violation.
 
@@ -130,10 +140,7 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
     if partition.n != nfa.n_states:
         raise SizeMismatch(
             f"partition over {partition.n} elements, automaton has {nfa.n_states} states")
-    beta = partition.block_of
-    pairs: list[set[tuple[int, int]]] = [set() for _ in range(nfa.n_states)]
-    for u, a, v in zip(nfa.src.tolist(), nfa.lab.tolist(), nfa.dst.tolist()):
-        pairs[v].add((beta[u], a))
+    pairs = _signatures(nfa, partition.block_of)
     splits = []
     for s, block in enumerate(partition.blocks):
         want = pairs[block[0]]

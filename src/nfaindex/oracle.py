@@ -2,11 +2,13 @@
 
 Everything here trades time for obviousness and shares no algorithmic
 ideas with the production code but one: partitions are enumerated outright
-and filtered by the production ``is_forward_stable``, which the tests check
-against an image-by-image scan.  The maximum co-lex relation is found by
-greatest-fixpoint deletion over the pair graph defined here, width by
-scanning all subsets, and reach sets by walking every string up to a
-length bound.  Guards raise TooLarge beyond the exhaustive-search bounds.
+and kept when the members of each block share one set of (predecessor
+block, label) pairs, built by the helper behind ``is_forward_stable``,
+which the tests check against an image-by-image scan.  The maximum co-lex
+relation is found by greatest-fixpoint deletion over the pair graph defined
+here, width by scanning all subsets, and reach sets by walking every string
+up to a length bound.  Guards raise TooLarge beyond the exhaustive-search
+bounds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterator
 
 from .automaton import Nfa, lambda_leq
 from .errors import EqualPair, InternalInvariantViolation, InvalidParameter, TooLarge
-from .fs_partition import Partition, is_forward_stable
+from .fs_partition import Partition, _signatures
 from .relations import Relation, induced_equivalence
 
 MAX_BRUTE_STATES = 8
@@ -48,10 +50,10 @@ def enumerate_fs_partitions(nfa: Nfa) -> list[Partition]:
             f"got {nfa.n_states}")
     found = []
     for rgs in _growth_strings(nfa.n_states):
-        p = Partition.from_block_of(rgs)
-        ok, _ = is_forward_stable(nfa, p)
-        if ok:
-            found.append(p)
+        pairs = _signatures(nfa, rgs)
+        head: dict[int, int] = {}  # the first member of each block
+        if all(pairs[x] == pairs[head.setdefault(b, x)] for x, b in enumerate(rgs)):
+            found.append(Partition.from_block_of(rgs))
     return found
 
 

@@ -15,6 +15,7 @@ from nfaindex import (
     PairGraph,
     Relation,
     TooLarge,
+    brute_max_colex_relation,
     cfs_order,
     check_colex_order,
     check_colex_relation,
@@ -162,6 +163,183 @@ class TestMaxColexRelationAtScale:
         monkeypatch.setattr(colex.np, "empty", no_allocation)
         with pytest.raises(TooLarge, match=f"limited to {limit} states, got {limit + 1}"):
             max_colex_relation(path)
+
+
+def random_automaton(n, sigma, degree, seed):
+    """Random NFA on n states over sigma labels: a random spanning tree out
+    of state 0 whose first edges use every label, then random extra edges
+    until each state has ``degree`` out-edges; no edge enters state 0."""
+    rng = random.Random(seed)
+    labels = [f"l{i:02d}" for i in range(sigma)]
+    order = list(range(1, n))
+    rng.shuffle(order)
+    placed, edges, out = [0], set(), [0] * n
+    for i, v in enumerate(order):
+        u = rng.choice(placed)
+        edges.add((u, labels[i] if i < sigma else rng.choice(labels), v))
+        out[u] += 1
+        placed.append(v)
+    for u in range(n):
+        while out[u] < degree:
+            e = (u, rng.choice(labels), rng.randrange(1, n))
+            if e not in edges:
+                edges.add(e)
+                out[u] += 1
+    return Nfa(n, 0, sorted(edges))
+
+
+def unary_path(n):
+    return Nfa(n, 0, [(i, "a", i + 1) for i in range(n - 1)])
+
+
+def word_trie(nodes, seed):
+    """Trie of random words over a, b, c grown to at least ``nodes`` nodes."""
+    rng = random.Random(seed)
+    node_of, edges = {"": 0}, []
+    while len(node_of) < nodes:
+        word = "".join(rng.choice("abc") for _ in range(rng.randint(1, 8)))
+        for end in range(1, len(word) + 1):
+            prefix = word[:end]
+            if prefix not in node_of:
+                node_of[prefix] = len(node_of)
+                edges.append((node_of[prefix[:-1]], prefix[-1], node_of[prefix]))
+    return Nfa(len(node_of), 0, edges)
+
+
+def push_only_reference(nfa):
+    """Boolean matrix of the maximum co-lex relation by push rounds alone:
+    every round expands each pair marked in the round before to
+    targets(u, a) x targets(v, a) through per-label out-edge CSRs."""
+    n = nfa.n_states
+    hi, lo = label_bounds(nfa)
+    bad = hi[:, None] > lo[None, :]
+    np.fill_diagonal(bad, False)
+    flat = bad.reshape(-1)
+    csr = []
+    for a in range(len(nfa.alphabet)):
+        src, dst = nfa.src[nfa.lab == a], nfa.dst[nfa.lab == a]
+        ptr = np.searchsorted(src, np.arange(n + 1))
+        csr.append((ptr, dst, np.diff(ptr)))
+    frontier = np.flatnonzero(flat)
+    while len(frontier):
+        found = []
+        for f in range(0, len(frontier), 4096):
+            u, v = np.divmod(frontier[f:f + 4096], n)
+            for ptr, tgt, deg in csr:
+                cnt = deg[u] * deg[v]
+                pair = np.repeat(np.arange(len(u)), cnt)
+                k = np.arange(len(pair)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+                dv = deg[v][pair]
+                x = tgt[ptr[u][pair] + k // dv]
+                y = tgt[ptr[v][pair] + k % dv]
+                cand = np.unique(x * n + y)
+                cand = cand[(cand // n != cand % n) & ~flat[cand]]
+                flat[cand] = True
+                found.append(cand)
+        frontier = np.concatenate(found)
+    out = ~bad
+    np.fill_diagonal(out, True)
+    return out
+
+
+def edge_pair_counts(nfa):
+    """The two round-0 costs by scanning every pair of same-label edges."""
+    hi, lo = label_bounds(nfa)
+    cells = pushed = 0
+    cell_list = []
+    for a in nfa.alphabet:
+        edges = [(u, v) for (u, b, v) in nfa.transitions if b == a]
+        for (u, x) in edges:
+            for (w, y) in edges:
+                if x != y and hi[x] <= lo[y]:
+                    cells += 1
+                    cell_list.append((u * nfa.n_states + w, x * nfa.n_states + y))
+                pushed += u != w and hi[u] > lo[w]
+    return cells, pushed, sorted(cell_list)
+
+
+@pytest.fixture
+def branches(monkeypatch):
+    """Records whether the pull's cell list was built, and the size of each
+    frontier handed to the push rounds."""
+    seen = {"cells": 0, "pushed": []}
+    real_cells, real_push = colex._pull_cells, colex._push
+
+    def cells(*args):
+        seen["cells"] += 1
+        return real_cells(*args)
+
+    def push(nfa, flat, frontier):
+        seen["pushed"].append(len(frontier))
+        return real_push(nfa, flat, frontier)
+
+    monkeypatch.setattr(colex, "_pull_cells", cells)
+    monkeypatch.setattr(colex, "_push", push)
+    return seen
+
+
+class TestPushPull:
+    @pytest.mark.parametrize("make,pulls,pushes", [
+        # dense seed: the pull rounds reach the fixpoint
+        (lambda: random_automaton(120, 4, 6, 0), True, False),
+        # a pull round first, then push rounds from the pairs it marked
+        (lambda: random_automaton(100, 2, 2, 1), True, True),
+        # sparse seeds never build the cell list
+        (lambda: unary_path(1000), False, True),
+        (lambda: word_trie(270, 2), False, True),
+        (lambda: gen_separation_family(600), False, True),
+    ], ids=["pull-throughout", "pull-then-push", "path1000", "trie270", "sep600"])
+    def test_each_branch_matches_push_only_propagation(
+            self, branches, make, pulls, pushes):
+        nfa = make()
+        rel = max_colex_relation(nfa)
+        assert branches["cells"] == pulls
+        assert [k > 0 for k in branches["pushed"]] == [pushes]
+        assert np.array_equal(rel.bits, push_only_reference(nfa))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_fifty_labels(self, seed):
+        nfa = random_automaton(300, 50, 4, seed)
+        assert len(nfa.alphabet) == 50
+        assert np.array_equal(max_colex_relation(nfa).bits, push_only_reference(nfa))
+
+    def test_small_automata_match_exhaustive_search(self, branches):
+        pulled = 0
+        for seed in range(60):
+            n = 4 + seed % 5
+            nfa = random_automaton(n, 1 + seed % 3, min(1 + seed % 4, n - 1), seed)
+            before = branches["cells"]
+            assert max_colex_relation(nfa) == brute_max_colex_relation(nfa), seed
+            pulled += branches["cells"] > before
+        assert 10 < pulled < 50  # both branches are exercised
+
+    @pytest.mark.parametrize("make", [
+        lambda: Nfa(1, 0, []),
+        lambda: gen_fixture("fig2"),
+        lambda: gen_fixture("wheeler3"),
+        lambda: gen_separation_family(7),
+        lambda: unary_path(30),
+        lambda: word_trie(40, 0),
+        lambda: random_automaton(40, 1, 2, 0),
+        lambda: random_automaton(40, 2, 3, 1),
+        lambda: random_automaton(30, 4, 6, 2),
+        lambda: random_automaton(60, 50, 3, 3),
+        lambda: gen_random(30, 3, 0.05, 4),
+    ])
+    def test_round0_costs_and_cells_match_edge_pair_scan(self, make):
+        nfa = make()
+        hi, lo = label_bounds(nfa)
+        cells, pushed, cell_list = edge_pair_counts(nfa)
+        assert colex._round0_costs(nfa, hi, lo) == (cells, pushed)
+        pre, post = colex._pull_cells(nfa, hi, lo, cells)
+        assert pre.dtype == post.dtype == np.int32
+        assert sorted(zip(pre.tolist(), post.tolist())) == cell_list
+
+    def test_cell_list_is_built_for_dense_seeds_only(self, branches):
+        max_colex_relation(random_automaton(141, 4, 6, 5))
+        assert branches["cells"] == 1
+        max_colex_relation(unary_path(200))
+        assert branches["cells"] == 1
 
 
 class TestMaxColexOrder:
@@ -358,6 +536,30 @@ class TestCompareReport:
         calls.clear()
         compare_report(gen_fixture("fig2"))
         assert calls == [7, 4]  # the automaton's and the quotient's relation
+
+    def test_equal_relations_share_one_width(self, monkeypatch):
+        calls = []
+        real = colex._width
+
+        def counted(rel, classes):
+            calls.append(rel.n)
+            return real(rel, classes)
+
+        monkeypatch.setattr(colex, "_width", counted)
+        # wheeler3 merges u2 and u3, and both orders relate them alike
+        rep = compare_report(gen_fixture("wheeler3"))
+        assert (rep.classes_R, rep.classes_FS) == (2, 2)
+        assert calls == [3]
+        calls.clear()
+        nfa = random_automaton(100, 2, 2, 1)
+        rel_fs, qm = cfs_order(nfa)
+        assert qm.partition.n_blocks < nfa.n_states
+        assert rel_fs == max_colex_relation(nfa)
+        compare_report(nfa)
+        assert calls == [100]
+        calls.clear()
+        compare_report(gen_fixture("fig2"))  # 6 classes against 4 blocks
+        assert calls == [7, 7]
 
     @given(seed=st.integers(0, 400))
     @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from nfaindex import (
     Nfa,
+    Partition,
     Relation,
     TooLarge,
     brute_coarsest_fs,
@@ -16,10 +17,12 @@ from nfaindex import (
     enumerate_fs_partitions,
     gen_random,
     gen_separation_family,
+    is_forward_stable,
     max_colex_relation,
     reach_sets,
     width,
 )
+from nfaindex.oracle import _growth_strings
 
 
 class TestEnumeration:
@@ -33,6 +36,24 @@ class TestEnumeration:
     def test_discrete_always_included(self, sep6):
         found = enumerate_fs_partitions(sep6)
         assert any(p.n_blocks == sep6.n_states for p in found)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_separation_family(6),
+        lambda: Nfa(6, 0, [(i, "a", i + 1) for i in range(5)]),
+        lambda: Nfa(6, 0, [(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 4),
+                           (3, "a", 5), (4, "a", 5), (5, "b", 3)]),
+        lambda: gen_random(6, 2, 0.35, 3),
+        lambda: gen_random(6, 3, 0.3, 8),
+        lambda: gen_random(6, 1, 0.5, 11),
+    ])
+    def test_keeps_exactly_the_forward_stable_partitions(self, make):
+        nfa = make()
+        assert nfa.n_states == 6
+        every = [Partition.from_block_of(rgs) for rgs in _growth_strings(6)]
+        assert len(every) == 203
+        expected = [p for p in every if is_forward_stable(nfa, p)[0]]
+        assert enumerate_fs_partitions(nfa) == expected
+        assert 1 <= len(expected) < 203
 
     def test_guard(self):
         nfa = gen_separation_family(9)
