@@ -105,6 +105,9 @@ class Nfa:
     ``transitions`` holds the (from, label, to) triples sorted by from-id,
     label order and to-id; ``src``, ``lab`` and ``dst`` hold them in that
     order as read-only ``np.intp`` arrays, ``lab`` indexing ``alphabet``.
+    These are the only edge storage.  ``targets`` binary-searches ``src``,
+    ``sources`` scans all of ``dst`` and ``delta_set`` calls ``targets`` per
+    state; code that asks per state in a loop builds its own index.
     """
 
     def __init__(
@@ -166,49 +169,40 @@ class Nfa:
         columns.setflags(write=False)
         self.src, self.lab, self.dst = columns
 
-        out: dict[tuple[int, str], list[int]] = {}
-        inc: dict[tuple[int, str], list[int]] = {}
-        for (u, a, v) in self.transitions:
-            out.setdefault((u, a), []).append(v)
-            inc.setdefault((v, a), []).append(u)
-        # The sorted, duplicate-free transitions list every run in order.
-        self._out = {k: tuple(vs) for k, vs in out.items()}
-        self._in = {k: tuple(us) for k, us in inc.items()}
-
-        for a in self.alphabet:
-            if (self.initial, a) in self._in:
-                src = self._in[(self.initial, a)][0]
-                raise ValidationError(
-                    f"initial state has incoming transition "
-                    f"{self.names[src]} {a} {self.names[self.initial]}")
+        into = np.flatnonzero(self.dst == self.initial)
+        if len(into):
+            # In source order, the first edge with the lowest label.
+            u, a, _ = self.transitions[into[self.lab[into].argmin()]]
+            raise ValidationError(
+                f"initial state has incoming transition "
+                f"{self.names[u]} {a} {self.names[self.initial]}")
 
         dist = _bfs_distances(n_states, self.initial, trans)
         if -1 in dist:
             missing = dist.index(-1)
             raise ValidationError(f"state {self.names[missing]!r} is unreachable")
 
-        lam: list[list[str]] = [[] for _ in range(n_states)]
-        for (v, a) in self._in:
-            lam[v].append(a)
-        lam[self.initial].append(HASH)
+        lam: list[set[str]] = [set() for _ in range(n_states)]
+        for (v, a) in zip(self.dst.tolist(), self.lab.tolist()):
+            lam[v].add(self.alphabet[a])
+        lam[self.initial].add(HASH)
         self.lambda_sets = tuple(map(frozenset, lam))
 
     # -- queries ---------------------------------------------------------
 
     def targets(self, u: int, a: str) -> tuple[int, ...]:
         """States reachable from u in one step on label a."""
-        return self._out.get((u, a), ())
+        lo, hi = self.src.searchsorted([u, u + 1]).tolist()
+        return tuple([v for (_, b, v) in self.transitions[lo:hi] if b == a])
 
     def sources(self, u: int, a: str) -> tuple[int, ...]:
         """States with an a-transition into u."""
-        return self._in.get((u, a), ())
+        edges = [self.transitions[e] for e in np.flatnonzero(self.dst == u).tolist()]
+        return tuple([x for (x, b, _) in edges if b == a])
 
     def delta_set(self, states: Iterable[int], a: str) -> frozenset[int]:
         """Image of a state set under one step on label a."""
-        out: set[int] = set()
-        for u in states:
-            out.update(self._out.get((u, a), ()))
-        return frozenset(out)
+        return frozenset(v for u in states for v in self.targets(u, a))
 
     def lambda_set(self, u: int) -> frozenset[str]:
         """Incoming-label set of u; {HASH} for the initial state."""

@@ -176,6 +176,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"relation file is not valid JSON: {exc}")
+        except RecursionError:
+            raise ValidationError("relation file is nested too deeply to read")
     rel = relation_from_json_dict(data, nfa)
     ok, violation = _CHECKERS[args.kind](nfa, rel)
     out = {

@@ -55,27 +55,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .automaton import Nfa, _bfs_distances
-from .errors import InternalInvariantViolation, TooLarge
+from .errors import InternalInvariantViolation
 from .fs_partition import QuotientMap, build_quotient, coarsest_fs_partition
 from .oracle import PairGraph, preceding_pairs_oracle  # re-exported
 from .relations import (
     _EDGE_PAIR_CELLS,
+    MAX_DENSE_STATES,  # re-exported
     Relation,
     _classes,
+    _require_dense,
     _width,
     check_colex_relation,
     label_bounds,
     label_edges,
 )
 
-
-# Most states whose maximum co-lex relation is computed.  The relation and
-# its propagation are stored densely.  The propagation arrays are freed
-# before the self-checks, whose n*n float32 product puts the peak at about
-# 10 bytes per state pair: 168 MB at this limit for a random automaton and
-# for a unary path.  A push round that marks most pairs at once holds them
-# all as 8-byte indices and goes higher (955 MB for sep:4096).
-MAX_DENSE_STATES = 4096
 
 # Frontier pairs taken per numpy batch during a push, and the running count
 # of candidate pairs at which a label's batch is cut; a frontier pair with a
@@ -227,10 +221,7 @@ def max_colex_relation(nfa: Nfa) -> Relation:
     allocating anything, for automata of more than MAX_DENSE_STATES states.
     """
     n = nfa.n_states
-    if n > MAX_DENSE_STATES:
-        raise TooLarge(
-            f"the maximum co-lex relation is stored densely and is limited to "
-            f"{MAX_DENSE_STATES} states, got {n}")
+    _require_dense(n, "the maximum co-lex relation")
     hi, lo = label_bounds(nfa)
     bad = hi[:, None] > lo[None, :]
     np.fill_diagonal(bad, False)
@@ -272,8 +263,11 @@ def cfs_order(nfa: Nfa) -> tuple[Relation, QuotientMap]:
     on the original states whose classes are exactly the partition blocks.
     Returns the lifted preorder and the quotient map.  Antisymmetry of the
     quotient relation is guaranteed; its failure means a bug and raises
-    InternalInvariantViolation.
+    InternalInvariantViolation.  The lifted preorder is stored densely, so
+    automata of more than MAX_DENSE_STATES states raise TooLarge before
+    the partition is refined.
     """
+    _require_dense(nfa.n_states, "the forward-stable preorder")
     qm = build_quotient(nfa, coarsest_fs_partition(nfa))
     return _lifted_quotient_order(qm), qm
 

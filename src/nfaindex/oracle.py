@@ -7,8 +7,9 @@ block, label) pairs, built by the helper behind ``is_forward_stable``,
 which the tests check against an image-by-image scan.  The maximum co-lex
 relation is found by greatest-fixpoint deletion over the pair graph defined
 here, width by scanning all subsets, and reach sets by walking every string
-up to a length bound.  Guards raise TooLarge beyond the exhaustive-search
-bounds.
+up to a length bound.  The pair graph and the string walk read edges from
+the list of transitions alone, through no index of the production code.
+Guards raise TooLarge beyond the exhaustive-search bounds.
 """
 
 from __future__ import annotations
@@ -75,25 +76,27 @@ class PairGraph:
     of u' and v' for the same label a.  Walking it forward visits the pairs
     whose path history includes (u', v'); walking it backward from (u, v)
     enumerates the pairs preceding (u, v), i.e. the pairs through which
-    equally labelled path pairs into u and v travel.
+    equally labelled path pairs into u and v travel.  It indexes the edges itself.
     """
 
     def __init__(self, nfa: Nfa):
         self.nfa = nfa
+        self._out: dict[tuple[int, str], list[int]] = {}
+        self._in: dict[tuple[int, str], list[int]] = {}
+        for (u, a, v) in nfa.transitions:
+            self._out.setdefault((u, a), []).append(v)
+            self._in.setdefault((v, a), []).append(u)
 
     def successors(self, u: int, v: int):
-        nfa = self.nfa
-        for a in nfa.alphabet:
-            for x in nfa.targets(u, a):
-                for y in nfa.targets(v, a):
-                    if x != y:
-                        yield (x, y)
+        return self._pairs(self._out, u, v)
 
     def predecessors(self, u: int, v: int):
-        nfa = self.nfa
-        for a in nfa.alphabet:
-            for x in nfa.sources(u, a):
-                for y in nfa.sources(v, a):
+        return self._pairs(self._in, u, v)
+
+    def _pairs(self, adj: dict[tuple[int, str], list[int]], u: int, v: int):
+        for a in self.nfa.alphabet:
+            for x in adj.get((u, a), ()):
+                for y in adj.get((v, a), ()):
                     if x != y:
                         yield (x, y)
 
@@ -195,7 +198,8 @@ def reach_sets(nfa: Nfa, max_len: int) -> tuple[frozenset[tuple[str, ...]], ...]
         nxt: dict[tuple[str, ...], frozenset[int]] = {}
         for word, states in frontier.items():
             for a in nfa.alphabet:
-                image = nfa.delta_set(states, a)
+                image = frozenset(v for (u, b, v) in nfa.transitions
+                                  if b == a and u in states)
                 if image:
                     longer = word + (a,)
                     nxt[longer] = image

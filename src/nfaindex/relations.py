@@ -33,9 +33,26 @@ from .errors import (
     NotPreorder,
     PartitionMismatch,
     SizeMismatch,
+    TooLarge,
     ValidationError,
 )
 from .fs_partition import Partition, build_quotient, coarsest_fs_partition
+
+# Most states of an automaton for which an n*n relation is built.  The
+# relation and its checks are stored densely.  For the maximum co-lex
+# relation the propagation arrays are freed before the self-checks, whose
+# n*n float32 product puts the peak at about 10 bytes per state pair: 168 MB
+# at this limit for a random automaton and for a unary path.  A push round
+# that marks most pairs at once holds them all as 8-byte indices and goes
+# higher (955 MB for sep:4096).
+MAX_DENSE_STATES = 4096
+
+
+def _require_dense(n: int, what: str) -> None:
+    """Raise TooLarge when ``what``, an n*n relation, is over the limit."""
+    if n > MAX_DENSE_STATES:
+        raise TooLarge(f"{what} is stored densely and is limited to "
+                       f"{MAX_DENSE_STATES} states, got {n}")
 
 
 class Relation:
@@ -166,7 +183,9 @@ def relation_to_json_text(rel: Relation, names: Sequence[str]) -> str:
 
 
 def relation_from_json_dict(obj, nfa: Nfa) -> Relation:
-    """Parse the JSON form against an automaton's state names."""
+    """Parse the JSON form against an automaton's state names; automata of
+    more than MAX_DENSE_STATES states raise TooLarge before ``obj`` is read."""
+    _require_dense(nfa.n_states, "the relation")
     if not isinstance(obj, dict) or "n" not in obj or "pairs" not in obj:
         raise ValidationError('relation JSON must have keys "n" and "pairs"')
     if obj["n"] != nfa.n_states:

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from nfaindex import gen_fixture, gen_separation_family
+from nfaindex import colex, gen_fixture, gen_separation_family
 
 
 @pytest.fixture
@@ -16,3 +17,17 @@ def wheeler3():
 @pytest.fixture
 def sep6():
     return gen_separation_family(6)
+
+
+@pytest.fixture
+def no_dense_allocation(monkeypatch):
+    """Fail on any call that starts building dense storage: numpy's empty
+    and zeros, the label bounds that seed the maximum co-lex relation, and
+    the refinement that precedes the forward-stable order."""
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("dense storage allocated above the limit")
+
+    monkeypatch.setattr(colex, "label_bounds", no_allocation)
+    monkeypatch.setattr(colex, "coarsest_fs_partition", no_allocation)
+    monkeypatch.setattr(np, "empty", no_allocation)
+    monkeypatch.setattr(np, "zeros", no_allocation)

@@ -145,6 +145,87 @@ class TestValidation:
         assert nfa.lambda_set(0) == frozenset((HASH,))
 
 
+class TestValidationMessages:
+    """The exact text of the first error, for inputs that break several
+    rules or break one rule several times."""
+
+    @pytest.mark.parametrize("text, message", [
+        # Edges into s listed against label order and source order: the
+        # lowest label wins, then the lowest source id (w=1, x=2, y=3).
+        ("initial s\ntrans s a w\ntrans s a x\ntrans s b y\n"
+         "trans y b s\ntrans w b s\ntrans y a s\ntrans x a s\n",
+         "initial state has incoming transition x a s"),
+        # "B" sorts below "a" bytewise.
+        ("initial s\ntrans s a t\ntrans t a s\ntrans t B s\n",
+         "initial state has incoming transition t B s"),
+        # Edges into the initial state are reported before unreachable states.
+        ("initial s\ntrans s a t\ntrans x a t\ntrans t a s\n",
+         "initial state has incoming transition t a s"),
+        ("initial s\ntrans s a t\ntrans s a u\ntrans s a t\n",
+         "duplicate transition s a t"),
+        ("initial s\ntrans s a t\ntrans y b x\ntrans x a t\n",
+         "state 'y' is unreachable"),
+    ])
+    def test_parsed(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            parse_nfa(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("transitions, alphabet, message", [
+        ([(0, "a", 1), (1, "a", 5), (0, "a", 1)], None,
+         "transition (1, 'a', 5) out of range"),
+        # The checks run edge by edge, so a duplicate listed first wins.
+        ([(0, "a", 1), (0, "a", 1), (1, "a", 5)], None,
+         "duplicate transition q0 a q1"),
+        ([(0, "a", 1), (0, "a b", 7)], None,
+         "transition (0, 'a b', 7) out of range"),
+        ([(0, "a", 1), (0, "a b", 1)], None,
+         "invalid label 'a b': expected a printable token without whitespace or '#'"),
+        ([(0, "c", 1), (1, "b", 1), (0, "a", 1)], ["c"],
+         "label 'a' used but not in the alphabet"),
+        ([(0, "b", 1)], ["c", "b", "a"], "label 'a' declared but unused"),
+        ([(0, "a", 1), (1, "a", 0)], ["a", "b"], "label 'b' declared but unused"),
+    ])
+    def test_constructed(self, transitions, alphabet, message):
+        with pytest.raises(ValidationError) as err:
+            Nfa(2, 0, transitions, alphabet=alphabet)
+        assert str(err.value) == message
+
+
+def dict_reference(nfa):
+    """Per-(state, label) targets and sources, and the incoming-label sets,
+    from dicts built over the sorted transitions."""
+    out, inc = {}, {}
+    for (u, a, v) in nfa.transitions:
+        out.setdefault((u, a), []).append(v)
+        inc.setdefault((v, a), []).append(u)
+    lam = [set() for _ in range(nfa.n_states)]
+    for (v, a) in inc:
+        lam[v].add(a)
+    lam[nfa.initial].add(HASH)
+    return out, inc, tuple(map(frozenset, lam))
+
+
+class TestQueries:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_match_dict_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        nfa = gen_random(int(rng.integers(1, 13)), int(rng.integers(1, 4)),
+                         float(rng.uniform(0.05, 0.5)), seed)
+        out, inc, lam = dict_reference(nfa)
+        assert nfa.lambda_sets == lam
+        states = range(nfa.n_states)
+        for a in (*nfa.alphabet, "z", HASH):  # "z" and HASH label no edge
+            for u in states:
+                assert nfa.targets(u, a) == tuple(out.get((u, a), ()))
+                assert nfa.sources(u, a) == tuple(inc.get((u, a), ()))
+            for k in (0, 1, 3):
+                block = [int(x) for x in rng.choice(nfa.n_states, min(k, nfa.n_states),
+                                                    replace=False)]
+                assert nfa.delta_set(block, a) == frozenset(
+                    v for u in block for v in out.get((u, a), ()))
+
+
 class TestTransitionArrays:
     @pytest.mark.parametrize("text", [
         FIG2_TEXT,

@@ -166,6 +166,45 @@ class TestQuotient:
         assert len(json.loads(out)["blocks"]) == n
 
 
+def comb_text(k, length):
+    """k chains of ``length`` states off s0 with one label pattern; the
+    coarsest forward-stable partition has length + 1 blocks."""
+    lines = ["initial s0"]
+    for i in range(k):
+        prev = "s0"
+        for j in range(length):
+            lines.append(f"trans {prev} {'ab'[j % 2]} c{i}_{j}")
+            prev = f"c{i}_{j}"
+    return "\n".join(lines) + "\n"
+
+
+class TestDenseLimit:
+    """Every n*n relation built from input is refused above the limit,
+    before anything dense is allocated."""
+
+    @pytest.fixture(scope="class")
+    def comb_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("comb") / "comb.nfa"
+        path.write_text(comb_text(30, 3000))
+        return str(path)
+
+    def test_forward_stable_order(self, capsys, comb_path, no_dense_allocation):
+        # width --rel cfs goes through the same cfs_order call.
+        code, out, err = run(capsys, "cfs", comb_path)
+        assert code == 1 and out == ""
+        assert err == (f"error: the forward-stable preorder is stored densely "
+                       f"and is limited to {MAX_DENSE_STATES} states, got 90001\n")
+
+    def test_relation_file(self, capsys, tmp_path, comb_path, no_dense_allocation):
+        rel = tmp_path / "rel.json"
+        rel.write_text('{"n": 90001, "pairs": []}')
+        code, out, err = run(capsys, "check", comb_path, "--relation", str(rel),
+                             "--kind", "colex-relation")
+        assert code == 1 and out == ""
+        assert err == (f"error: the relation is stored densely "
+                       f"and is limited to {MAX_DENSE_STATES} states, got 90001\n")
+
+
 class TestCheck:
     def test_valid_wheeler_order(self, capsys, tmp_path):
         nfa = gen_fixture("wheeler3")
@@ -247,6 +286,15 @@ class TestCheck:
                              "--relation", str(path), "--kind", "colex-relation")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "UTF-8" in err
+
+    def test_deeply_nested_relation_is_input_error(self, capsys, tmp_path):
+        # The JSON decoder recurses once per level and gives up near 1000.
+        path = tmp_path / "rel.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "check", "--fixture", "wheeler3",
+                             "--relation", str(path), "--kind", "colex-relation")
+        assert code == 1 and out == ""
+        assert err == "error: relation file is nested too deeply to read\n"
 
 
 class TestZeroTransitions:

@@ -152,15 +152,9 @@ class TestMaxColexRelationAtScale:
             assert rel.contains(u, v) == expected, (u, v)
 
 
-    def test_state_limit_is_checked_before_any_allocation(self, monkeypatch):
+    def test_state_limit_is_checked_before_any_allocation(self, no_dense_allocation):
         limit = colex.MAX_DENSE_STATES
         path = Nfa(limit + 1, 0, [(i, "a", i + 1) for i in range(limit)])
-
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("dense storage allocated above the limit")
-
-        monkeypatch.setattr(colex, "label_bounds", no_allocation)
-        monkeypatch.setattr(colex.np, "empty", no_allocation)
         with pytest.raises(TooLarge, match=f"limited to {limit} states, got {limit + 1}"):
             max_colex_relation(path)
 
