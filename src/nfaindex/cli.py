@@ -37,6 +37,8 @@ from .oracle import (
     brute_width,
 )
 from .relations import (
+    _classes,
+    _width,
     check_colex_order,
     check_colex_relation,
     check_wheeler_order,
@@ -129,12 +131,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_cfs(args: argparse.Namespace) -> int:
     nfa = _load_automaton(args)
-    rel, qm = cfs_order(nfa)
-    if args.format == "dot":
-        text = to_dot(nfa, qm.partition)
+    if args.format == "dot":  # the automaton coloured by partition block
+        _emit(args, to_dot(nfa, coarsest_fs_partition(nfa)))
     else:
-        text = relation_to_json_text(rel, nfa.names) + "\n"
-    _emit(args, text)
+        _emit(args, relation_to_json_text(cfs_order(nfa)[0], nfa.names) + "\n")
     return EXIT_OK
 
 
@@ -163,8 +163,13 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 def cmd_width(args: argparse.Namespace) -> int:
     nfa = _load_automaton(args)
-    rel = max_colex_relation(nfa) if args.rel == "maxrel" else cfs_order(nfa)[0]
-    cert = width(rel)
+    # Both constructions check transitivity, and the classes are known.
+    if args.rel == "maxrel":
+        rel = max_colex_relation(nfa)
+        cert = _width(rel, _classes(rel))
+    else:
+        rel, qm = cfs_order(nfa)
+        cert = _width(rel, qm.partition)
     _emit(args, _json(cert.to_json_dict(nfa.names)))
     return EXIT_OK
 

@@ -12,12 +12,13 @@ graph to a fixpoint.  Propagation runs on numpy arrays and picks a
 direction per round, as direction-optimising breadth-first search does
 (Beamer, Asanovic and Patterson, SC 2012).
 
-A push round expands only the pairs marked in the round before, (u, v) to
-targets(u, a) x targets(v, a) for every label a, using one out-edge CSR
-per label, and the unmarked distinct candidates form the next frontier.
-Every pair is pushed at most once, but for each label a of the alphabet
-Sigma, and the CSRs hold |Sigma|*(n+1) offsets, so for n states and the
-a-edges E_a pushing costs O(|Sigma|*n^2 + sum_a |E_a|^2).
+A push round expands only the pairs marked in the round before: each
+out-edge u -a-> x of a pair (u, v) looks up the count and first offset of
+v's a-edges in one (state, label) table, each such edge v -a-> y gives the
+candidate (x, y), and the unmarked distinct candidates form the next
+frontier.  Every pair is pushed at most once, with one lookup per out-edge
+of u, so for n states, m edges and the a-edges E_a pushing costs
+O(n*m + sum_a |E_a|^2) whatever the alphabet.
 
 A pull round works on a list of cells, the pairs of same-label edges whose
 target pair is distinct and unmarked: it marks the target pair of every
@@ -35,7 +36,7 @@ by looking at the few unmarked pairs' incoming edges instead of the many
 marked pairs' outgoing ones, while sparse seeds (unary paths, tries,
 combs) never build the list.  The fixpoint is unique, so the direction
 never changes the result.  Memory is the n*n mark matrix, the push's n*n
-index array, the CSRs, 8 bytes per cell and bounded batches.
+index array, the table, 8 bytes per cell and bounded batches.
 
 ``cfs_order`` computes the maximum co-lex relation of the quotient by the
 coarsest forward-stable partition, where it is guaranteed antisymmetric,
@@ -72,12 +73,27 @@ from .relations import (
 
 
 # Frontier pairs taken per numpy batch during a push, and the running count
-# of candidate pairs at which a label's batch is cut; a frontier pair with a
-# larger product makes its batch that large.
+# of candidate pairs at which a batch is cut; an out-edge of a frontier pair
+# with more candidates makes its batch that large.
 _CHUNK = 1 << 12
 
 
-def _round0_costs(nfa: Nfa, hi: np.ndarray, lo: np.ndarray) -> tuple[int, int]:
+def _edge_table(nfa: Nfa) -> tuple[np.ndarray, np.ndarray]:
+    """For s labels, ``deg[v*s + a]`` a-edges leave v, the first at
+    ``ptr[v*s + a]`` in transition order (by source, then label)."""
+    sigma = len(nfa.alphabet)
+    deg = np.bincount(nfa.src * sigma + nfa.lab, minlength=nfa.n_states * sigma)
+    return deg, np.cumsum(deg) - deg
+
+
+def _spread(first: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """Indices first[i] .. first[i] + cnt[i] - 1, for every i in turn."""
+    idx = (first - cnt.cumsum() + cnt).repeat(cnt)
+    return idx + np.arange(len(idx))
+
+
+def _round0_costs(nfa: Nfa, hi: np.ndarray, lo: np.ndarray,
+                  deg: np.ndarray) -> tuple[int, int]:
     """Pair-graph edges a pull and a push would examine in the first round.
 
     The first count is the number of cells: pairs (i, j) of same-label edges
@@ -100,10 +116,7 @@ def _round0_costs(nfa: Nfa, hi: np.ndarray, lo: np.ndarray) -> tuple[int, int]:
     key = lab * (sigma + 2)
     lows = np.sort(key + lo[src])
     pushed = int((lows.searchsorted(key + hi[src]) - lows.searchsorted(key)).sum())
-    # The transitions are sorted by source, then label: one run per (u, a).
-    run = np.flatnonzero(np.diff(src * sigma + lab, prepend=-1, append=-1))
-    u = src[run[:-1]]
-    pushed -= int(np.square(np.diff(run))[hi[u] > lo[u]].sum())
+    pushed -= int(np.square(deg.reshape(nfa.n_states, sigma))[hi > lo].sum())
     return int(cells), pushed
 
 
@@ -130,7 +143,7 @@ def _pull_cells(nfa: Nfa, hi: np.ndarray, lo: np.ndarray,
 
 
 def _pull(nfa: Nfa, flat: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-          size: int) -> np.ndarray:
+          size: int, deg: np.ndarray) -> np.ndarray:
     """Pull rounds over the cell list; returns the frontier left to push.
 
     Each round marks the target pair of every cell whose source pair is
@@ -140,8 +153,6 @@ def _pull(nfa: Nfa, flat: np.ndarray, hi: np.ndarray, lo: np.ndarray,
     """
     n = nfa.n_states
     pre, post = _pull_cells(nfa, hi, lo, size)
-    deg = np.bincount(nfa.lab * n + nfa.src,
-                      minlength=len(nfa.alphabet) * n).reshape(-1, n)
     while True:
         flat[post[flat[pre]]] = True
         # The cells' target pairs were all unmarked, so the dropped cells
@@ -155,7 +166,7 @@ def _pull(nfa: Nfa, flat: np.ndarray, hi: np.ndarray, lo: np.ndarray,
             return frontier[:0]
         u, v = np.divmod(frontier, n)
         pushed = 0
-        for d in deg:
+        for d in deg.reshape(n, -1).T:
             pushed += int(np.dot(d[u], d[v]))
             if pushed > len(pre):
                 break
@@ -163,50 +174,39 @@ def _pull(nfa: Nfa, flat: np.ndarray, hi: np.ndarray, lo: np.ndarray,
             return frontier
 
 
-def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray) -> None:
+def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray,
+          deg: np.ndarray, ptr: np.ndarray) -> None:
     """Push rounds from ``frontier`` to the fixpoint: each round expands
     the pairs marked in the round before and marks the unmarked distinct
-    candidates."""
+    candidates.  ``deg`` and ``ptr`` are from _edge_table."""
     if not len(frontier):
         return
-    n = nfa.n_states
-    csr = []
-    for src, dst in label_edges(nfa):
-        ptr = np.searchsorted(src, np.arange(n + 1))
-        csr.append((ptr, dst, np.diff(ptr)))
+    n, sigma = nfa.n_states, len(nfa.alphabet)
+    first, outdeg = ptr[::sigma], deg.reshape(n, sigma).sum(axis=1)
     # slot[c] == position of c in its batch marks a first occurrence.
     slot = np.empty(n * n, dtype=np.intp)
     while len(frontier):
         found = []
         for f in range(0, len(frontier), _CHUNK):
             u, v = np.divmod(frontier[f:f + _CHUNK], n)
-            for ptr, tgt, deg in csr:
-                cnt = deg[u] * deg[v]
-                cuts = np.flatnonzero(np.diff(np.cumsum(cnt) // _CHUNK)) + 1
-                for s, e in zip([0, *cuts], [*cuts, len(cnt)]):
-                    x, y = _successor_pairs(ptr, tgt, deg, u[s:e], v[s:e], cnt[s:e])
-                    cand = x * n + y
-                    cand = cand[(x != y) & ~flat[cand]]
-                    pos = np.arange(len(cand))
-                    slot[cand] = pos
-                    cand = cand[slot[cand] == pos]
-                    flat[cand] = True
-                    found.append(cand)
+            # Each out-edge u -a-> x of a pair (u, v) looks up v's a-edges.
+            od = outdeg[u]
+            e = _spread(first[u], od)
+            key = (v * sigma).repeat(od) + nfa.lab[e]
+            hit = deg[key] > 0
+            x, key, cnt = nfa.dst[e[hit]], key[hit], deg[key[hit]]
+            cuts = np.flatnonzero(np.diff(np.cumsum(cnt) // _CHUNK)) + 1
+            for s, t in zip([0, *cuts], [*cuts, len(cnt)]):
+                xs = x[s:t].repeat(cnt[s:t])
+                y = nfa.dst[_spread(ptr[key[s:t]], cnt[s:t])]
+                cand = xs * n + y
+                cand = cand[(xs != y) & ~flat[cand]]
+                pos = np.arange(len(cand))
+                slot[cand] = pos
+                cand = cand[slot[cand] == pos]
+                flat[cand] = True
+                found.append(cand)
         frontier = np.concatenate(found)
-
-
-def _successor_pairs(ptr: np.ndarray, tgt: np.ndarray, deg: np.ndarray,
-                     u: np.ndarray, v: np.ndarray,
-                     cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (x, y) in targets(u[i]) x targets(v[i]), over all i, for one label.
-
-    ``ptr``/``tgt`` are the label's out-edge CSR, ``deg`` its out-degrees
-    and ``cnt[i] = deg[u[i]] * deg[v[i]]``.
-    """
-    pair = np.repeat(np.arange(len(u)), cnt)
-    k = np.arange(len(pair)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    dv = deg[v][pair]
-    return tgt[ptr[u][pair] + k // dv], tgt[ptr[v][pair] + k % dv]
 
 
 def max_colex_relation(nfa: Nfa) -> Relation:
@@ -226,14 +226,15 @@ def max_colex_relation(nfa: Nfa) -> Relation:
     bad = hi[:, None] > lo[None, :]
     np.fill_diagonal(bad, False)
     flat = bad.reshape(-1)
-    cells, pushed = _round0_costs(nfa, hi, lo)
+    deg, ptr = _edge_table(nfa)
+    cells, pushed = _round0_costs(nfa, hi, lo, deg)
     if cells < pushed:
-        _push(nfa, flat, _pull(nfa, flat, hi, lo, cells))
+        _push(nfa, flat, _pull(nfa, flat, hi, lo, cells, deg), deg, ptr)
     else:
-        _push(nfa, flat, np.flatnonzero(flat))
+        _push(nfa, flat, np.flatnonzero(flat), deg, ptr)
 
     rel = Relation.from_matrix(~bad)
-    del bad, flat
+    del bad, flat, deg, ptr
     witness = rel.transitivity_witness()
     if witness is not None:
         raise InternalInvariantViolation(

@@ -38,13 +38,12 @@ from .errors import (
 )
 from .fs_partition import Partition, build_quotient, coarsest_fs_partition
 
-# Most states of an automaton for which an n*n relation is built.  The
-# relation and its checks are stored densely.  For the maximum co-lex
-# relation the propagation arrays are freed before the self-checks, whose
-# n*n float32 product puts the peak at about 10 bytes per state pair: 168 MB
-# at this limit for a random automaton and for a unary path.  A push round
-# that marks most pairs at once holds them all as 8-byte indices and goes
-# higher (955 MB for sep:4096).
+# Most states of an automaton for which an n*n relation is built; the
+# relation and its checks are stored densely.  The maximum co-lex relation's
+# self-checks run after the propagation arrays are freed, and their float32
+# product puts the peak at about 10 bytes per state pair: 168 MB at this
+# limit for a random automaton or a unary path.  A push round that marks
+# most pairs at once holds them as 8-byte indices: sep:4096 peaks at 570 MB.
 MAX_DENSE_STATES = 4096
 
 
@@ -332,9 +331,7 @@ def check_colex_relation(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | Non
     predecessors must be related too.
     """
     _check_size(nfa, rel)
-    v = _axiom1_violation(nfa, rel, "~")
-    if v is None:
-        v = _axiom2_violation(nfa, rel, "~")
+    v = _axiom1_violation(nfa, rel, "~") or _axiom2_violation(nfa, rel, "~")
     return (v is None), v
 
 
@@ -373,12 +370,8 @@ def _partial_order_violation(nfa: Nfa, rel: Relation) -> Violation | None:
 def check_colex_order(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | None]:
     """Co-lex axioms plus partial-order structure (antisymmetry, transitivity)."""
     _check_size(nfa, rel)
-    viol = _partial_order_violation(nfa, rel)
-    if viol is not None:
-        return False, viol
-    viol = _axiom1_violation(nfa, rel, "<")
-    if viol is None:
-        viol = _axiom2_violation(nfa, rel, "<")
+    viol = (_partial_order_violation(nfa, rel) or _axiom1_violation(nfa, rel, "<")
+            or _axiom2_violation(nfa, rel, "<"))
     return (viol is None), viol
 
 

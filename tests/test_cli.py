@@ -6,11 +6,15 @@ import pytest
 
 from nfaindex import (
     Nfa,
+    Relation,
     cfs_order,
+    coarsest_fs_partition,
     gen_fixture,
     max_colex_relation,
     parse_nfa,
     relation_to_json_dict,
+    to_dot,
+    width,
 )
 from nfaindex.cli import _build_parser, main
 from nfaindex.colex import MAX_DENSE_STATES
@@ -129,6 +133,24 @@ class TestRelationsCommands:
         code, out, _ = run(capsys, "width", "--fixture", "sep:8")
         assert json.loads(out)["width"] == 1
 
+    @pytest.mark.parametrize("rel", ["maxrel", "cfs"])
+    def test_width_checks_transitivity_once(self, capsys, monkeypatch, rel):
+        calls = []
+        real = Relation.transitivity_witness
+
+        def counted(r):
+            calls.append(r.n)
+            return real(r)
+
+        monkeypatch.setattr(Relation, "transitivity_witness", counted)
+        code, out, _ = run(capsys, "width", "--fixture", "fig2", "--rel", rel)
+        assert code == 0
+        # max_colex_relation's own check, on fig2 or on its 4-state quotient
+        assert calls == [7 if rel == "maxrel" else 4]
+        fig2 = gen_fixture("fig2")
+        measured = max_colex_relation(fig2) if rel == "maxrel" else cfs_order(fig2)[0]
+        assert json.loads(out) == width(measured).to_json_dict(fig2.names)
+
 
 class TestQuotient:
     def test_text_round_trip(self, capsys):
@@ -194,6 +216,16 @@ class TestDenseLimit:
         assert code == 1 and out == ""
         assert err == (f"error: the forward-stable preorder is stored densely "
                        f"and is limited to {MAX_DENSE_STATES} states, got 90001\n")
+
+    def test_partition_dot_needs_no_dense_storage(self, capsys, tmp_path):
+        # Two chains of 3000 states: 6001 states, a 3001-state quotient.
+        path = tmp_path / "comb.nfa"
+        path.write_text(comb_text(2, 3000))
+        code, out, err = run(capsys, "cfs", str(path), "--format", "dot")
+        assert code == 0 and err == ""
+        nfa = parse_nfa(path.read_text())
+        assert nfa.n_states > MAX_DENSE_STATES
+        assert out == to_dot(nfa, coarsest_fs_partition(nfa))
 
     def test_relation_file(self, capsys, tmp_path, comb_path, no_dense_allocation):
         rel = tmp_path / "rel.json"

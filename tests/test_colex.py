@@ -186,12 +186,12 @@ def unary_path(n):
     return Nfa(n, 0, [(i, "a", i + 1) for i in range(n - 1)])
 
 
-def word_trie(nodes, seed):
-    """Trie of random words over a, b, c grown to at least ``nodes`` nodes."""
+def word_trie(nodes, seed, letters="abc"):
+    """Trie of random words over ``letters`` grown to at least ``nodes`` nodes."""
     rng = random.Random(seed)
-    node_of, edges = {"": 0}, []
+    node_of, edges = {(): 0}, []
     while len(node_of) < nodes:
-        word = "".join(rng.choice("abc") for _ in range(rng.randint(1, 8)))
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 8)))
         for end in range(1, len(word) + 1):
             prefix = word[:end]
             if prefix not in node_of:
@@ -263,9 +263,9 @@ def branches(monkeypatch):
         seen["cells"] += 1
         return real_cells(*args)
 
-    def push(nfa, flat, frontier):
+    def push(nfa, flat, frontier, *table):
         seen["pushed"].append(len(frontier))
-        return real_push(nfa, flat, frontier)
+        return real_push(nfa, flat, frontier, *table)
 
     monkeypatch.setattr(colex, "_pull_cells", cells)
     monkeypatch.setattr(colex, "_push", push)
@@ -282,7 +282,9 @@ class TestPushPull:
         (lambda: unary_path(1000), False, True),
         (lambda: word_trie(270, 2), False, True),
         (lambda: gen_separation_family(600), False, True),
-    ], ids=["pull-throughout", "pull-then-push", "path1000", "trie270", "sep600"])
+        (lambda: word_trie(1000, 3, [f"l{i:03d}" for i in range(200)]), False, True),
+    ], ids=["pull-throughout", "pull-then-push", "path1000", "trie270", "sep600",
+            "trie1000-200-letters"])
     def test_each_branch_matches_push_only_propagation(
             self, branches, make, pulls, pushes):
         nfa = make()
@@ -324,7 +326,8 @@ class TestPushPull:
         nfa = make()
         hi, lo = label_bounds(nfa)
         cells, pushed, cell_list = edge_pair_counts(nfa)
-        assert colex._round0_costs(nfa, hi, lo) == (cells, pushed)
+        deg, _ = colex._edge_table(nfa)
+        assert colex._round0_costs(nfa, hi, lo, deg) == (cells, pushed)
         pre, post = colex._pull_cells(nfa, hi, lo, cells)
         assert pre.dtype == post.dtype == np.int32
         assert sorted(zip(pre.tolist(), post.tolist())) == cell_list
