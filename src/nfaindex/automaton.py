@@ -128,8 +128,12 @@ class Nfa:
         if len(names) != n_states:
             raise ValidationError(f"got {len(names)} names for {n_states} states")
         if len(set(names)) != n_states:
-            dup = next(nm for i, nm in enumerate(names) if nm in names[:i])
-            raise ValidationError(f"duplicate state name {dup!r}")
+            # The first name that repeats an earlier one, in one pass.
+            earlier: set[str] = set()
+            for nm in names:
+                if nm in earlier:
+                    raise ValidationError(f"duplicate state name {nm!r}")
+                earlier.add(nm)
 
         seen: dict[tuple[int, str, int], None] = {}  # the transitions, in listed order
         for (u, a, v) in transitions:
@@ -241,6 +245,8 @@ def delta_string(nfa: Nfa, source: int | str, word: Iterable[str]) -> frozenset[
         if source not in nfa.id_of:
             raise ValidationError(f"unknown state name {source!r}")
         source = nfa.id_of[source]
+    elif not 0 <= source < nfa.n_states:
+        raise ValidationError(f"state {source} out of range for {nfa.n_states} states")
     current = frozenset((source,))
     for a in word:
         if a not in nfa.alphabet:

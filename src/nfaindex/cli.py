@@ -37,8 +37,6 @@ from .oracle import (
     brute_width,
 )
 from .relations import (
-    _classes,
-    _width,
     check_colex_order,
     check_colex_relation,
     check_wheeler_order,
@@ -163,13 +161,8 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 def cmd_width(args: argparse.Namespace) -> int:
     nfa = _load_automaton(args)
-    # Both constructions check transitivity, and the classes are known.
-    if args.rel == "maxrel":
-        rel = max_colex_relation(nfa)
-        cert = _width(rel, _classes(rel))
-    else:
-        rel, qm = cfs_order(nfa)
-        cert = _width(rel, qm.partition)
+    rel = max_colex_relation(nfa) if args.rel == "maxrel" else cfs_order(nfa)[0]
+    cert = width(rel)
     _emit(args, _json(cert.to_json_dict(nfa.names)))
     return EXIT_OK
 

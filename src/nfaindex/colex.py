@@ -58,17 +58,19 @@ import numpy as np
 from .automaton import Nfa, _bfs_distances
 from .errors import InternalInvariantViolation
 from .fs_partition import QuotientMap, build_quotient, coarsest_fs_partition
-from .oracle import PairGraph, preceding_pairs_oracle  # re-exported
+# Re-exported.  perfbench/layertrace.py counts calls by wrapping
+# colex.PairGraph.successors, so its --trace 1 pass needs the name here.
+from .oracle import PairGraph, preceding_pairs_oracle
 from .relations import (
     _EDGE_PAIR_CELLS,
     MAX_DENSE_STATES,  # re-exported
     Relation,
-    _classes,
     _require_dense,
-    _width,
     check_colex_relation,
+    induced_equivalence,
     label_bounds,
     label_edges,
+    width,
 )
 
 
@@ -340,13 +342,10 @@ def compare_report(nfa: Nfa) -> CompareReport:
         rel_fs = _require_antisymmetric(rel_r)
     else:
         rel_fs = _lifted_quotient_order(build_quotient(nfa, partition))
-    # Both relations are preorders by construction (max_colex_relation has
-    # checked transitivity), and the classes of rel_fs are the partition's
-    # blocks because the quotient's relation is antisymmetric.
-    classes_r = _classes(rel_r)
-    width_r = _width(rel_r, classes_r).width
+    classes_r = induced_equivalence(rel_r)
+    width_r = width(rel_r).width
     same = rel_r == rel_fs
-    width_fs = width_r if same else _width(rel_fs, partition).width
+    width_fs = width_r if same else width(rel_fs).width
     superset = rel_fs.superset_of(rel_r)
     report = CompareReport(
         n_states=nfa.n_states,

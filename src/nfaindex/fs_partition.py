@@ -312,9 +312,12 @@ class QuotientMap:
 def build_quotient(nfa: Nfa, partition: Partition) -> QuotientMap:
     """Quotient automaton under a partition.
 
-    Block names join their member names with '+'.  Raises QuotientInvalid
-    when the result breaks an automaton invariant, which can only happen
-    for partitions that are not forward stable.
+    Block names join their member names with '+'.  When two blocks would
+    get one name, as {x, y} and {x+y} both would, every name is prefixed
+    with its block index and ':' instead (0:s, 1:x+y, 2:x+y), which no two
+    blocks share.  Raises QuotientInvalid when the result breaks an
+    automaton invariant, which can only happen for partitions that are not
+    forward stable.
     """
     if partition.n != nfa.n_states:
         raise SizeMismatch(
@@ -322,6 +325,8 @@ def build_quotient(nfa: Nfa, partition: Partition) -> QuotientMap:
     beta = partition.block_of
     qtrans = sorted({(beta[u], a, beta[v]) for (u, a, v) in nfa.transitions})
     qnames = ["+".join(nfa.names[x] for x in b) for b in partition.blocks]
+    if len(set(qnames)) < len(qnames):
+        qnames = [f"{i}:{nm}" for i, nm in enumerate(qnames)]
     try:
         quotient = Nfa(partition.n_blocks, beta[nfa.initial], qtrans, names=qnames)
     except ValidationError as exc:

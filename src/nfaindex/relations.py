@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,7 +59,11 @@ class Relation:
     """Reflexive relation on 0..n-1 as a dense bool matrix.
 
     The matrix is frozen after construction; the diagonal is forced on.
+    So the transitivity witness and the class partition are each computed
+    at most once per relation.
     """
+
+    _partition: Partition | None = None  # set by induced_equivalence
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         pairs = list(pairs)
@@ -129,6 +134,10 @@ class Relation:
 
     def transitivity_witness(self) -> tuple[int, int, int] | None:
         """First (u, v, w) with (u,v),(v,w) in R but (u,w) not, or None."""
+        return self._witness
+
+    @cached_property
+    def _witness(self) -> tuple[int, int, int] | None:
         gaps = self._compose() & ~self.bits
         hits = np.argwhere(gaps)
         if len(hits) == 0:
@@ -426,7 +435,7 @@ def check_wheeler_preorder(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | N
     viol = _transitivity_violation(nfa, rel) or _totality_violation(nfa, rel)
     if viol is not None:
         return False, viol
-    classes = _classes(rel)
+    classes = induced_equivalence(rel)
     coarsest = coarsest_fs_partition(nfa)
     if classes != coarsest:
         return False, Violation(
@@ -442,17 +451,16 @@ def check_wheeler_preorder(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | N
 
 def induced_equivalence(rel: Relation) -> Partition:
     """Classes of mutually related states.  Requires a preorder."""
-    w = rel.transitivity_witness()
-    if w is not None:
-        raise NotPreorder(w)
-    return _classes(rel)
-
-
-def _classes(rel: Relation) -> Partition:
-    # Classes of a transitive relation; a state's first mutual partner is its class minimum.
-    if rel.n == 0:  # argmax raises on an empty axis
-        return Partition(0, [])
-    return Partition.from_block_of((rel.bits & rel.bits.T).argmax(axis=1).tolist())
+    if rel._partition is None:
+        w = rel.transitivity_witness()
+        if w is not None:
+            raise NotPreorder(w)
+        # In a preorder a state's first mutual partner is its class minimum;
+        # argmax raises on the empty axis of a relation over no elements.
+        mutual = rel.bits & rel.bits.T
+        rel._partition = Partition.from_block_of(
+            mutual.argmax(axis=1).tolist() if rel.n else [])
+    return rel._partition
 
 
 def induced_order(rel: Relation, partition: Partition) -> Relation:
@@ -534,11 +542,7 @@ def width(rel: Relation) -> WidthCertificate:
     chain.  The certificate is re-validated before returning; a failure
     there is a bug, reported as InternalInvariantViolation.
     """
-    return _width(rel, induced_equivalence(rel))  # raises NotPreorder on bad input
-
-
-def _width(rel: Relation, classes: Partition) -> WidthCertificate:
-    # Width of a preorder whose class partition the caller already holds.
+    classes = induced_equivalence(rel)  # raises NotPreorder on bad input
     # Row i of the strict class order, as an int whose bit j is class i < class j.
     reps = [b[0] for b in classes.blocks]
     strict = rel.bits[np.ix_(reps, reps)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nfaindex import colex, gen_fixture, gen_separation_family
+from nfaindex import Relation, colex, gen_fixture, gen_separation_family
 
 
 @pytest.fixture
@@ -31,3 +31,18 @@ def no_dense_allocation(monkeypatch):
     monkeypatch.setattr(colex, "coarsest_fs_partition", no_allocation)
     monkeypatch.setattr(np, "empty", no_allocation)
     monkeypatch.setattr(np, "zeros", no_allocation)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The sizes of the n*n matrix products behind transitivity checks,
+    in the order they run."""
+    sizes = []
+    real = Relation._compose
+
+    def counted(rel):
+        sizes.append(rel.n)
+        return real(rel)
+
+    monkeypatch.setattr(Relation, "_compose", counted)
+    return sizes

@@ -116,6 +116,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="duplicate"):
             Nfa(2, 0, [(0, "a", 1)], names=["s", "s"])
 
+    def test_first_repeated_name_among_many(self):
+        # One pass names the first name that repeats an earlier one.
+        names = [f"s{i}" for i in range(60001)]
+        names[59999], names[60000] = "s9", "s5"
+        with pytest.raises(ValidationError) as exc:
+            Nfa(len(names), 0, [], names=names)
+        assert str(exc.value) == "duplicate state name 's9'"
+
     def test_hash_not_allowed_in_tokens(self):
         with pytest.raises(ValidationError):
             Nfa(2, 0, [(0, "#", 1)])
@@ -288,6 +296,12 @@ class TestDeltaString:
     def test_unknown_state_name(self, fig2):
         with pytest.raises(ValidationError):
             delta_string(fig2, "nope", "a")
+
+    @pytest.mark.parametrize("source,word", [(99, ""), (-1, "a")])
+    def test_state_id_out_of_range(self, fig2, source, word):
+        with pytest.raises(ValidationError) as exc:
+            delta_string(fig2, source, word)
+        assert str(exc.value) == f"state {source} out of range for 7 states"
 
     def test_multi_character_labels_via_list(self):
         nfa = Nfa(3, 0, [(0, "aa", 1), (1, "b", 2)])

@@ -6,7 +6,6 @@ import pytest
 
 from nfaindex import (
     Nfa,
-    Relation,
     cfs_order,
     coarsest_fs_partition,
     gen_fixture,
@@ -134,19 +133,12 @@ class TestRelationsCommands:
         assert json.loads(out)["width"] == 1
 
     @pytest.mark.parametrize("rel", ["maxrel", "cfs"])
-    def test_width_checks_transitivity_once(self, capsys, monkeypatch, rel):
-        calls = []
-        real = Relation.transitivity_witness
-
-        def counted(r):
-            calls.append(r.n)
-            return real(r)
-
-        monkeypatch.setattr(Relation, "transitivity_witness", counted)
+    def test_width_checks_transitivity_once(self, capsys, products, rel):
         code, out, _ = run(capsys, "width", "--fixture", "fig2", "--rel", rel)
         assert code == 0
-        # max_colex_relation's own check, on fig2 or on its 4-state quotient
-        assert calls == [7 if rel == "maxrel" else 4]
+        # max_colex_relation's own check, on fig2 or on its 4-state quotient;
+        # the lifted order's check on fig2 when its width is taken
+        assert products == ([7] if rel == "maxrel" else [4, 7])
         fig2 = gen_fixture("fig2")
         measured = max_colex_relation(fig2) if rel == "maxrel" else cfs_order(fig2)[0]
         assert json.loads(out) == width(measured).to_json_dict(fig2.names)
@@ -390,6 +382,30 @@ class TestZeroTransitions:
         code, out, _ = run(capsys, "check", path, "--relation", str(rel), "--kind", kind)
         assert code == 0
         assert json.loads(out) == {"kind": kind, "valid": True, "violation": None}
+
+
+class TestJoinedNameCollision:
+    """Blocks {x, y} and {x+y} would both be named x+y in the quotient."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "xy.nfa"
+        path.write_text("initial s\ntrans s a x\ntrans s a y\ntrans s b x+y\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["quotient", "analyze", "cfs", "width"])
+    def test_commands_succeed(self, capsys, path, command):
+        code, _, err = run(capsys, command, path)
+        assert (code, err) == (0, "")
+
+    def test_check_wheeler_preorder(self, capsys, path, tmp_path):
+        nfa = parse_nfa((tmp_path / "xy.nfa").read_text())
+        rel = write_relation(tmp_path, nfa, cfs_order(nfa)[0].pairs())
+        code, out, err = run(capsys, "check", path, "--relation", rel,
+                             "--kind", "wheeler-preorder")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"kind": "wheeler-preorder", "valid": True,
+                                   "violation": None}
 
 
 class TestParserReuse:

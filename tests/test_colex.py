@@ -13,7 +13,6 @@ from nfaindex import (
     InvalidParameter,
     Nfa,
     PairGraph,
-    Relation,
     TooLarge,
     brute_max_colex_relation,
     cfs_order,
@@ -203,7 +202,8 @@ def word_trie(nodes, seed, letters="abc"):
 def push_only_reference(nfa):
     """Boolean matrix of the maximum co-lex relation by push rounds alone:
     every round expands each pair marked in the round before to
-    targets(u, a) x targets(v, a) through per-label out-edge CSRs."""
+    targets(u, a) x targets(v, a) through per-label out-edge CSRs, skipping
+    in each batch the labels that leave both states of no pair."""
     n = nfa.n_states
     hi, lo = label_bounds(nfa)
     bad = hi[:, None] > lo[None, :]
@@ -214,12 +214,14 @@ def push_only_reference(nfa):
         src, dst = nfa.src[nfa.lab == a], nfa.dst[nfa.lab == a]
         ptr = np.searchsorted(src, np.arange(n + 1))
         csr.append((ptr, dst, np.diff(ptr)))
+    leaves = np.array([deg > 0 for _, _, deg in csr]).reshape(-1, n)
     frontier = np.flatnonzero(flat)
     while len(frontier):
         found = []
         for f in range(0, len(frontier), 4096):
             u, v = np.divmod(frontier[f:f + 4096], n)
-            for ptr, tgt, deg in csr:
+            live = np.flatnonzero((leaves[:, u] & leaves[:, v]).any(axis=1))
+            for ptr, tgt, deg in (csr[a] for a in live):
                 cnt = deg[u] * deg[v]
                 pair = np.repeat(np.arange(len(u)), cnt)
                 k = np.arange(len(pair)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
@@ -230,7 +232,7 @@ def push_only_reference(nfa):
                 cand = cand[(cand // n != cand % n) & ~flat[cand]]
                 flat[cand] = True
                 found.append(cand)
-        frontier = np.concatenate(found)
+        frontier = np.concatenate(found) if found else frontier[:0]
     out = ~bad
     np.fill_diagonal(out, True)
     return out
@@ -517,46 +519,34 @@ class TestCompareReport:
         compare_report(gen_fixture("fig2"))
         assert calls == [7, 4]  # fig2 merges into a 4-state quotient
 
-    def test_transitivity_is_checked_once_per_max_relation(self, monkeypatch):
-        calls = []
-        real = Relation.transitivity_witness
-
-        def counted(rel):
-            calls.append(rel.n)
-            return real(rel)
-
-        monkeypatch.setattr(Relation, "transitivity_witness", counted)
+    def test_transitivity_is_checked_once_per_max_relation(self, products):
         nfa = gen_random(60, 3, 0.02, 4)
         rep = compare_report(nfa)
         assert rep.classes_FS == nfa.n_states  # discrete: one max_colex_relation
-        assert calls == [nfa.n_states]
-        calls.clear()
+        assert products == [nfa.n_states]
+        products.clear()
         compare_report(gen_fixture("fig2"))
-        assert calls == [7, 4]  # the automaton's and the quotient's relation
+        # the automaton's and the quotient's relation, then the lifted order's
+        # check when its width is taken
+        assert products == [7, 4, 7]
 
-    def test_equal_relations_share_one_width(self, monkeypatch):
-        calls = []
-        real = colex._width
-
-        def counted(rel, classes):
-            calls.append(rel.n)
-            return real(rel, classes)
-
-        monkeypatch.setattr(colex, "_width", counted)
+    def test_equal_relations_share_one_width(self, products):
+        # A width taken of the lifted order would check its transitivity:
+        # one more product over all the states.
         # wheeler3 merges u2 and u3, and both orders relate them alike
         rep = compare_report(gen_fixture("wheeler3"))
         assert (rep.classes_R, rep.classes_FS) == (2, 2)
-        assert calls == [3]
-        calls.clear()
+        assert products == [3, 2]
         nfa = random_automaton(100, 2, 2, 1)
         rel_fs, qm = cfs_order(nfa)
         assert qm.partition.n_blocks < nfa.n_states
         assert rel_fs == max_colex_relation(nfa)
+        products.clear()
         compare_report(nfa)
-        assert calls == [100]
-        calls.clear()
+        assert products == [100, qm.partition.n_blocks]
+        products.clear()
         compare_report(gen_fixture("fig2"))  # 6 classes against 4 blocks
-        assert calls == [7, 7]
+        assert products == [7, 4, 7]
 
     @given(seed=st.integers(0, 400))
     @settings(max_examples=60, deadline=None)

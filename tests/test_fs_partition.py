@@ -21,6 +21,7 @@ from nfaindex import (
     gen_random,
     gen_separation_family,
     is_forward_stable,
+    parse_nfa,
 )
 from nfaindex import fs_partition
 from nfaindex.oracle import _growth_strings
@@ -342,6 +343,12 @@ class TestQuotient:
             ("u1+u2", "a", "u1+u2"), ("u1+u2", "b", "u5+u6"),
             ("u3+u4", "b", "u5+u6"), ("u5+u6", "b", "u5+u6"),
         }
+
+    def test_colliding_joined_names_get_block_indices(self):
+        nfa = parse_nfa("initial s\ntrans s a x\ntrans s a y\ntrans s b x+y\n")
+        qm = build_quotient(nfa, coarsest_fs_partition(nfa))
+        assert qm.partition.blocks_by_name(nfa.names) == [["s"], ["x", "y"], ["x+y"]]
+        assert qm.quotient.names == ("0:s", "1:x+y", "2:x+y")
 
     def test_invalid_for_partition_merging_into_initial(self, fig2):
         p = Partition(7, [[0, 1], [2], [3], [4], [5], [6]])
