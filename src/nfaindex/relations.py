@@ -6,7 +6,8 @@ must not decrease along the relation; relatedness of distinct successors
 propagates to predecessors) and the Wheeler axioms for total orders and
 total preorders.  ``width`` computes the Dilworth width of a preorder
 together with a certificate: a maximum antichain and a minimum chain cover
-of matching size, obtained from a maximum bipartite matching and the
+of matching size, obtained from a maximum bipartite matching, found by
+Kuhn's augmenting paths in a linear extension of the class order, and the
 Koenig vertex-cover construction.
 
 The work is done on arrays, never per pair in Python.  The axiom-2 and
@@ -196,6 +197,8 @@ def relation_from_json_dict(obj, nfa: Nfa) -> Relation:
     _require_dense(nfa.n_states, "the relation")
     if not isinstance(obj, dict) or "n" not in obj or "pairs" not in obj:
         raise ValidationError('relation JSON must have keys "n" and "pairs"')
+    if not isinstance(obj["n"], int) or isinstance(obj["n"], bool):  # True == 1
+        raise ValidationError(f'relation "n" must be an integer, got {obj["n"]!r}')
     if obj["n"] != nfa.n_states:
         raise SizeMismatch(
             f'relation is over {obj["n"]} states, automaton has {nfa.n_states}')
@@ -538,15 +541,26 @@ def width(rel: Relation) -> WidthCertificate:
     The width is computed on the induced order of the classes: a minimum
     chain cover comes from a maximum bipartite matching (each matched edge
     fuses two chains), a maximum antichain from the Koenig vertex cover of
-    the same matching.  Equivalent states are spliced into their class's
-    chain.  The certificate is re-validated before returning; a failure
-    there is a bug, reported as InternalInvariantViolation.
+    the same matching.  Kuhn's search takes the classes in a linear
+    extension of their order, by down-set size, so on a total order each
+    class is matched to the next at the first try; class-index order, which
+    is not a linear extension, makes its augmenting paths run deep.  The
+    antichain, listed by state id, is the same for every maximum matching
+    (Dulmage-Mendelsohn); the chains depend on the matching found.
+    Equivalent states are spliced into their class's chain.  The
+    certificate is re-validated before returning; a failure there is a
+    bug, reported as InternalInvariantViolation.
     """
     classes = induced_equivalence(rel)  # raises NotPreorder on bad input
-    # Row i of the strict class order, as an int whose bit j is class i < class j.
     reps = [b[0] for b in classes.blocks]
     strict = rel.bits[np.ix_(reps, reps)]
     np.fill_diagonal(strict, False)
+    # Vertex i is class lin[i]: classes sorted by down-set size (the column
+    # sums), a linear extension, so every edge i -> j has i < j.
+    lin = np.argsort(strict.sum(axis=0), kind="stable")
+    strict = strict[np.ix_(lin, lin)]
+    blocks = [classes.blocks[c] for c in lin.tolist()]
+    # Row i of the strict order, as an int whose bit j is vertex i < vertex j.
     rows = [int.from_bytes(r.tobytes(), "little")
             for r in np.packbits(strict, axis=1, bitorder="little")]
     m = len(rows)
@@ -560,7 +574,7 @@ def width(rel: Relation) -> WidthCertificate:
         states: list[int] = []
         c = start
         while True:
-            states.extend(classes.blocks[c])
+            states.extend(blocks[c])
             if match_left[c] < 0:
                 break
             c = match_left[c]
@@ -584,8 +598,8 @@ def width(rel: Relation) -> WidthCertificate:
             if i >= 0 and not in_left[i]:
                 in_left[i] = True
                 queue.append(i)
-    antichain = tuple(reps[i] for i in range(m)
-                      if in_left[i] and not in_right >> i & 1)
+    antichain = tuple(sorted(blocks[i][0] for i in range(m)
+                             if in_left[i] and not in_right >> i & 1))
 
     cert = WidthCertificate(width=w, antichain=antichain, chains=tuple(chains))
     _validate_certificate(rel, cert)

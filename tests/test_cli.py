@@ -289,16 +289,28 @@ class TestCheck:
                          "--relation", str(path), "--kind", "colex-relation")
         assert code == 1
 
-    @pytest.mark.parametrize("text", [
-        '{"n": 3, "pairs": 5}',
-        '{"n": 3, "pairs": "u1u2"}',
-        '{"n": 3, "pairs": [[["u1"], "u2"]]}',
-        '{"n": 3, "pairs": [["u1", 2]]}',
-    ])
-    def test_mistyped_pairs_are_input_errors(self, capsys, tmp_path, text):
+    # (automaton, relation text): a fixture name, or the text of a file.
+    # An "n" that equals the state count but is not an integer is rejected:
+    # true == 1 for the one state of "initial q", 7.0 == 7 for fig2.
+    BAD_RELATIONS = [
+        ("wheeler3", '{"n": 3, "pairs": 5}'),
+        ("wheeler3", '{"n": 3, "pairs": "u1u2"}'),
+        ("wheeler3", '{"n": 3, "pairs": [[["u1"], "u2"]]}'),
+        ("wheeler3", '{"n": 3, "pairs": [["u1", 2]]}'),
+        ("initial q\n", '{"n": true, "pairs": []}'),
+        ("fig2", '{"n": 7.0, "pairs": []}'),
+    ]
+
+    @pytest.mark.parametrize("automaton, text", BAD_RELATIONS,
+                             ids=[text for _, text in BAD_RELATIONS])
+    def test_mistyped_pairs_are_input_errors(self, capsys, tmp_path, automaton, text):
+        source = ["--fixture", automaton]
+        if "\n" in automaton:
+            source = [str(tmp_path / "a.nfa")]
+            (tmp_path / "a.nfa").write_text(automaton)
         path = tmp_path / "rel.json"
         path.write_text(text)
-        code, out, err = run(capsys, "check", "--fixture", "wheeler3",
+        code, out, err = run(capsys, "check", *source,
                              "--relation", str(path), "--kind", "colex-relation")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err

@@ -1,5 +1,6 @@
 """Relations: JSON forms, order checkers, width and its certificates."""
 
+import functools
 import json
 
 import numpy as np
@@ -118,6 +119,8 @@ class TestRelationJson:
         {"n": 3},
         {"n": 3, "pairs": [["u1"]]},
         {"n": 3, "pairs": [["u1", "zz"]]},
+        {"n": 3.0, "pairs": []},
+        {"n": True, "pairs": []},
     ])
     def test_malformed(self, obj, wheeler3):
         with pytest.raises(ValidationError):
@@ -172,12 +175,20 @@ def kuhn_reference(strict):
     return match_left, match_right
 
 
-def width_reference(rel, classes):
-    """Width certificate with the Koenig step walking per-row neighbour lists."""
+def width_reference(rel, classes, linear=True):
+    """Width certificate with the Koenig step walking per-row neighbour lists.
+
+    Kuhn's search takes the classes by down-set size (stable, so ties keep
+    class-index order) when ``linear`` is set, else in class-index order.
+    """
     order = _class_order(rel, classes)
     m = classes.n_blocks
     strict = order.bits.copy()
     np.fill_diagonal(strict, False)
+    below = [int(strict[:, j].sum()) for j in range(m)]
+    lin = sorted(range(m), key=below.__getitem__) if linear else list(range(m))
+    strict = np.array([[strict[a, b] for b in lin] for a in lin], dtype=bool).reshape(m, m)
+    blocks = [classes.blocks[c] for c in lin]
     match_left, match_right = kuhn_reference(strict)
     adj = [[int(j) for j in np.flatnonzero(strict[i])] for i in range(m)]
     w = match_left.count(-1)
@@ -189,7 +200,7 @@ def width_reference(rel, classes):
         states = []
         c = start
         while True:
-            states.extend(classes.blocks[c])
+            states.extend(blocks[c])
             if match_left[c] < 0:
                 break
             c = match_left[c]
@@ -208,9 +219,29 @@ def width_reference(rel, classes):
                 if i2 >= 0 and not in_left[i2]:
                     in_left[i2] = True
                     queue.append(i2)
-    antichain = tuple(classes.blocks[i][0] for i in range(m)
-                      if in_left[i] and not in_right[i])
+    antichain = tuple(sorted(blocks[i][0] for i in range(m)
+                             if in_left[i] and not in_right[i]))
     return WidthCertificate(width=w, antichain=antichain, chains=tuple(chains))
+
+
+@functools.lru_cache(maxsize=1)
+def width_table():
+    """Preorders for the width references: points in the plane under the
+    product order (integer coordinates on a small grid give equal points,
+    hence classes), ``≤_R`` and ``≤_FS`` of random automata, and ``≤_R``
+    of ``sep:6`` to ``sep:39``, of width up to 35."""
+    rng = np.random.default_rng(7)
+    rels = [Relation(0)]
+    for t in range(300):
+        n = int(rng.integers(1, 60))
+        points = rng.random((n, 2)) if t % 2 else rng.integers(0, 6, (n, 2))
+        rels.append(Relation.from_matrix(
+            (points[:, None, :] <= points[None, :, :]).all(axis=2)))
+    for seed in range(100):
+        nfa = gen_random(4 + seed % 30, 1 + seed % 3, 0.15, seed)
+        rels += [max_colex_relation(nfa), cfs_order(nfa)[0]]
+    rels += [max_colex_relation(gen_separation_family(n)) for n in range(6, 40)]
+    return tuple(rels)
 
 
 class TestWidth:
@@ -257,24 +288,27 @@ class TestWidth:
             assert _max_matching(bitset_rows(strict)) == kuhn_reference(strict)
 
     def test_certificates_match_the_neighbour_list_reference(self):
-        # Points in the plane under the product order; integer coordinates
-        # on a small grid give equal points, hence preorders with classes.
-        rng = np.random.default_rng(7)
-        rels = [Relation(0)]
-        for t in range(300):
-            n = int(rng.integers(1, 60))
-            points = rng.random((n, 2)) if t % 2 else rng.integers(0, 6, (n, 2))
-            rels.append(Relation.from_matrix(
-                (points[:, None, :] <= points[None, :, :]).all(axis=2)))
-        for seed in range(100):
-            nfa = gen_random(4 + seed % 30, 1 + seed % 3, 0.15, seed)
-            rels += [max_colex_relation(nfa), cfs_order(nfa)[0]]
-        for rel in rels:
+        for rel in width_table():
             assert width(rel) == width_reference(rel, induced_equivalence(rel))
 
+    def test_search_order_changes_neither_width_nor_antichain(self):
+        # Dulmage-Mendelsohn: the vertices that alternating paths reach from
+        # the free left vertices are the same for every maximum matching, so
+        # Koenig's antichain is too; only the chains depend on the order.
+        chains_differ = 0
+        for rel in width_table():
+            cert = width(rel)
+            ref = width_reference(rel, induced_equivalence(rel), linear=False)
+            assert (cert.width, cert.antichain) == (ref.width, ref.antichain)
+            chains_differ += cert.chains != ref.chains
+        assert chains_differ  # the two orders do find different matchings
+
     def test_ladder_augmenting_path_longer_than_the_recursion_limit(self):
-        # c_j (id j-1) lies below f_j and f_{j-1} (id 2k-1-j); Kuhn's search
-        # matches c_j to f_j for j < k, so c_k augments along all k rungs.
+        # c_j (id j-1) lies below f_j and f_{j-1} (id 2k-1-j).  By down-set
+        # size the search order is c_1 .. c_k, f_0, then f_{k-1} .. f_1, so
+        # Kuhn's search matches c_1 to f_0 and c_j to f_j for 1 < j < k, and
+        # c_k augments along the k-1 rungs from f_{k-1} down to the free f_1:
+        # 1099 steps, beyond the default recursion limit of 1000.
         k = 1100
         c = {j: j - 1 for j in range(1, k + 1)}
         f = {j: 2 * k - 1 - j for j in range(k)}
@@ -283,6 +317,15 @@ class TestWidth:
         cert = width(rel)
         assert cert.width == k
         assert validate_reference(rel, cert) is None
+
+    def test_shuffled_total_order(self):
+        # Each element is matched to its successor at the first try; in
+        # class-index order, not a linear extension, this size takes about 2 s.
+        order = np.random.default_rng(11).permutation(2000)
+        rank = np.argsort(order)
+        rel = Relation.from_matrix(rank[:, None] <= rank[None, :])
+        assert width(rel) == WidthCertificate(
+            1, (int(order[-1]),), (tuple(order.tolist()),))
 
     @given(n=st.integers(1, 7),
            pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
