@@ -21,7 +21,7 @@ from .automaton import (
     parse_nfa,
     to_dot,
 )
-from .colex import cfs_order, compare_report, max_colex_relation
+from .colex import cfs_order, cfs_width, compare_report, max_colex_relation
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
@@ -109,8 +109,7 @@ def _oracle_check(nfa: Nfa) -> None:
             "maximum co-lex relation disagrees with exhaustive search")
     if brute_width(rel) != width(rel).width:
         raise InternalInvariantViolation("relation width disagrees with exhaustive search")
-    rel_fs, _ = cfs_order(nfa)
-    if brute_width(rel_fs) != width(rel_fs).width:
+    if brute_width(cfs_order(nfa)[0]) != cfs_width(nfa).width:
         raise InternalInvariantViolation("order width disagrees with exhaustive search")
 
 
@@ -161,8 +160,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 def cmd_width(args: argparse.Namespace) -> int:
     nfa = _load_automaton(args)
-    rel = max_colex_relation(nfa) if args.rel == "maxrel" else cfs_order(nfa)[0]
-    cert = width(rel)
+    cert = width(max_colex_relation(nfa)) if args.rel == "maxrel" else cfs_width(nfa)
     _emit(args, _json(cert.to_json_dict(nfa.names)))
     return EXIT_OK
 

@@ -38,15 +38,17 @@ combs) never build the list.  The fixpoint is unique, so the direction
 never changes the result.  Memory is the n*n mark matrix, the push's n*n
 index array, the table, 8 bytes per cell and bounded batches.
 
-``cfs_order`` computes the maximum co-lex relation of the quotient by the
-coarsest forward-stable partition, where it is guaranteed antisymmetric,
-and lifts it back to the states.  The lifted preorder always contains the
-maximum co-lex relation, has at most its width, and never has more
-classes; ``compare_report`` evaluates both and cross-checks those
+``cfs_order`` is the maximum co-lex order of the quotient by the coarsest
+forward-stable partition, lifted to the states: a preorder whose classes
+are the blocks.  Inside the package it stays the pair (order on the
+blocks, partition); ``cfs_width`` splices the blocks into the quotient
+order's certificate, and only ``cfs_order`` builds the n*n lift.  The
+preorder always contains the maximum co-lex relation, has at most its
+width, and never has more classes; ``compare_report`` cross-checks those
 guarantees, raising InternalInvariantViolation on any discrepancy.  When
 the partition is discrete the quotient is a renaming of the automaton, so
-``compare_report`` reuses the maximum co-lex relation as the lifted order;
-whenever the two relations are equal it reuses the width.
+``compare_report`` reuses the maximum co-lex relation as the order on the
+blocks; whenever the two relations are equal it reuses the width.
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ import numpy as np
 
 from .automaton import Nfa, _bfs_distances
 from .errors import InternalInvariantViolation
-from .fs_partition import QuotientMap, build_quotient, coarsest_fs_partition
+from .fs_partition import Partition, QuotientMap, build_quotient, coarsest_fs_partition
 # Re-exported.  perfbench/layertrace.py counts calls by wrapping
 # colex.PairGraph.successors, so its --trace 1 pass needs the name here.
-from .oracle import PairGraph, preceding_pairs_oracle
+from .oracle import PairGraph
 from .relations import (
     _EDGE_PAIR_CELLS,
-    MAX_DENSE_STATES,  # re-exported
     Relation,
+    WidthCertificate,
     _require_dense,
     check_colex_relation,
     induced_equivalence,
@@ -272,7 +274,21 @@ def cfs_order(nfa: Nfa) -> tuple[Relation, QuotientMap]:
     """
     _require_dense(nfa.n_states, "the forward-stable preorder")
     qm = build_quotient(nfa, coarsest_fs_partition(nfa))
-    return _lifted_quotient_order(qm), qm
+    return Relation.from_matrix(_lifted(_quotient_order(qm), qm.partition)), qm
+
+
+def cfs_width(nfa: Nfa) -> WidthCertificate:
+    """``width(cfs_order(nfa)[0])``, taken on the forward-stable quotient.
+
+    The preorder's classes are the blocks, so its certificate is the
+    quotient order's, spliced into the blocks.  Only the quotient's order
+    is stored densely, so the automaton may have any size; a quotient of
+    more than MAX_DENSE_STATES states raises TooLarge before its order is
+    allocated.
+    """
+    qm = build_quotient(nfa, coarsest_fs_partition(nfa))
+    _require_dense(qm.quotient.n_states, "the co-lex order of the forward-stable quotient")
+    return width(_quotient_order(qm)).spliced(qm.partition)
 
 
 def _require_antisymmetric(rel: Relation) -> Relation:
@@ -282,14 +298,20 @@ def _require_antisymmetric(rel: Relation) -> Relation:
     return rel
 
 
-def _lifted_quotient_order(qm: QuotientMap) -> Relation:
-    qrel = _require_antisymmetric(max_colex_relation(qm.quotient))
-    beta = np.array(qm.partition.block_of)
-    return Relation.from_matrix(qrel.bits[beta[:, None], beta[None, :]])
+def _quotient_order(qm: QuotientMap) -> Relation:
+    # The forward-stable preorder on the blocks, checked antisymmetric.
+    return _require_antisymmetric(max_colex_relation(qm.quotient))
+
+
+def _lifted(order: Relation, partition: Partition) -> np.ndarray:
+    # The order on the blocks, lifted to an n*n matrix over their states.
+    beta = np.array(partition.block_of)
+    return order.bits[beta[:, None], beta[None, :]]
 
 
 def _quasi_wheeler(nfa: Nfa, rel_fs: Relation) -> bool:
-    # rel_fs is the lifted order from cfs_order.
+    # rel_fs is the forward-stable preorder, on the states or on the blocks:
+    # one is total exactly when the other is.
     return rel_fs.is_total() and all(len(s) == 1 for s in nfa.lambda_sets)
 
 
@@ -338,15 +360,18 @@ def compare_report(nfa: Nfa) -> CompareReport:
     partition = coarsest_fs_partition(nfa)
     if partition.n_blocks == nfa.n_states:
         # A discrete partition makes the quotient a renaming of the
-        # automaton, so its lifted maximum co-lex order is rel_r itself.
-        rel_fs = _require_antisymmetric(rel_r)
+        # automaton, so its maximum co-lex order is rel_r itself.
+        order = _require_antisymmetric(rel_r)
+        lifted = rel_r.bits
     else:
-        rel_fs = _lifted_quotient_order(build_quotient(nfa, partition))
+        order = _quotient_order(build_quotient(nfa, partition))
+        lifted = _lifted(order, partition)
     classes_r = induced_equivalence(rel_r)
     width_r = width(rel_r).width
-    same = rel_r == rel_fs
-    width_fs = width_r if same else width(rel_fs).width
-    superset = rel_fs.superset_of(rel_r)
+    same = bool(np.array_equal(rel_r.bits, lifted))
+    # The preorder's classes are the blocks: its width is width(order).
+    width_fs = width_r if same else width(order).width
+    superset = not (rel_r.bits & ~lifted).any()
     report = CompareReport(
         n_states=nfa.n_states,
         classes_R=classes_r.n_blocks,
@@ -354,7 +379,7 @@ def compare_report(nfa: Nfa) -> CompareReport:
         width_R=width_r,
         width_FS=width_fs,
         superset_holds=superset,
-        quasi_wheeler=_quasi_wheeler(nfa, rel_fs),
+        quasi_wheeler=_quasi_wheeler(nfa, order),
         max_order_exists=rel_r.is_antisymmetric(),
     )
     if not superset:

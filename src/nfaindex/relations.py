@@ -478,7 +478,10 @@ def induced_order(rel: Relation, partition: Partition) -> Relation:
 
 
 def _class_order(rel: Relation, classes: Partition) -> Relation:
-    # Order on class indices, read off one representative per class.
+    # Order on class indices, read off one representative per class; with
+    # singleton classes, listed by least state, that is the relation itself.
+    if classes.n_blocks == rel.n:
+        return rel
     reps = [b[0] for b in classes.blocks]
     return Relation.from_matrix(rel.bits[np.ix_(reps, reps)])
 
@@ -495,6 +498,18 @@ class WidthCertificate:
     width: int
     antichain: tuple[int, ...]
     chains: tuple[tuple[int, ...], ...]
+
+    def spliced(self, partition: Partition) -> "WidthCertificate":
+        """This certificate over block indices, over the blocks' states: the
+        antichain takes each block's first state, and a chain its blocks'
+        states in chain order.  Blocks are listed by least state, so the
+        antichain stays sorted and the chains ordered by first element."""
+        blocks = partition.blocks
+        return WidthCertificate(
+            width=self.width,
+            antichain=tuple(blocks[c][0] for c in self.antichain),
+            chains=tuple(tuple(x for c in chain for x in blocks[c])
+                         for chain in self.chains))
 
     def to_json_dict(self, names: Sequence[str]) -> dict:
         return {
@@ -547,19 +562,18 @@ def width(rel: Relation) -> WidthCertificate:
     is not a linear extension, makes its augmenting paths run deep.  The
     antichain, listed by state id, is the same for every maximum matching
     (Dulmage-Mendelsohn); the chains depend on the matching found.
-    Equivalent states are spliced into their class's chain.  The
-    certificate is re-validated before returning; a failure there is a
-    bug, reported as InternalInvariantViolation.
+    The certificate is found and re-validated on the class order, then
+    spliced into the states; a failed validation is a bug, reported as
+    InternalInvariantViolation.
     """
     classes = induced_equivalence(rel)  # raises NotPreorder on bad input
-    reps = [b[0] for b in classes.blocks]
-    strict = rel.bits[np.ix_(reps, reps)]
-    np.fill_diagonal(strict, False)
+    order = _class_order(rel, classes)
     # Vertex i is class lin[i]: classes sorted by down-set size (the column
     # sums), a linear extension, so every edge i -> j has i < j.
-    lin = np.argsort(strict.sum(axis=0), kind="stable")
-    strict = strict[np.ix_(lin, lin)]
-    blocks = [classes.blocks[c] for c in lin.tolist()]
+    lin = np.argsort(order.bits.sum(axis=0), kind="stable")
+    strict = order.bits[np.ix_(lin, lin)]
+    np.fill_diagonal(strict, False)
+    lin = lin.tolist()
     # Row i of the strict order, as an int whose bit j is vertex i < vertex j.
     rows = [int.from_bytes(r.tobytes(), "little")
             for r in np.packbits(strict, axis=1, bitorder="little")]
@@ -571,15 +585,13 @@ def width(rel: Relation) -> WidthCertificate:
     for start in range(m):
         if match_right[start] >= 0:
             continue
-        states: list[int] = []
+        chain = [lin[start]]
         c = start
-        while True:
-            states.extend(blocks[c])
-            if match_left[c] < 0:
-                break
+        while match_left[c] >= 0:
             c = match_left[c]
-        chains.append(tuple(states))
-    chains.sort(key=lambda c: c[0])
+            chain.append(lin[c])
+        chains.append(tuple(chain))
+    chains.sort()  # by first class: chains share no class
 
     # Koenig: alternate from unmatched left vertices; uncovered classes
     # (left side reached, right side not) form a maximum antichain.
@@ -598,12 +610,12 @@ def width(rel: Relation) -> WidthCertificate:
             if i >= 0 and not in_left[i]:
                 in_left[i] = True
                 queue.append(i)
-    antichain = tuple(sorted(blocks[i][0] for i in range(m)
+    antichain = tuple(sorted(lin[i] for i in range(m)
                              if in_left[i] and not in_right >> i & 1))
 
     cert = WidthCertificate(width=w, antichain=antichain, chains=tuple(chains))
-    _validate_certificate(rel, cert)
-    return cert
+    _validate_certificate(order, cert)
+    return cert.spliced(classes)
 
 
 def _validate_certificate(rel: Relation, cert: WidthCertificate) -> None:
@@ -623,12 +635,12 @@ def _validate_certificate(rel: Relation, cert: WidthCertificate) -> None:
     flat = sorted(x for c in cert.chains for x in c)
     if flat != list(range(rel.n)):
         raise InternalInvariantViolation("chains do not partition the elements")
-    # Elements listed chain by chain: a pair of one chain out of order is an
-    # upper-triangle cell inside that chain's diagonal block.
+    # The relation is transitive, so a chain is ordered when each element
+    # precedes the next; the first such pair out of order is reported.
     order = np.array([x for c in cert.chains for x in c], dtype=np.intp)
     chain_of = np.repeat(np.arange(len(cert.chains)), [len(c) for c in cert.chains])
-    same_chain = chain_of[:, None] == chain_of[None, :]
-    hit = _first_hit(np.triu(same_chain & ~rel.bits[np.ix_(order, order)], k=1))
-    if hit is not None:
+    bad = np.flatnonzero((chain_of[:-1] == chain_of[1:]) & ~rel.bits[order[:-1], order[1:]])
+    if len(bad):
+        i = int(bad[0])
         raise InternalInvariantViolation(
-            f"chain elements {order[hit[0]]} and {order[hit[1]]} are not ordered")
+            f"chain elements {order[i]} and {order[i + 1]} are not ordered")

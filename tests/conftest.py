@@ -20,17 +20,23 @@ def sep6():
 
 
 @pytest.fixture
-def no_dense_allocation(monkeypatch):
+def no_dense_relation(monkeypatch):
     """Fail on any call that starts building dense storage: numpy's empty
-    and zeros, the label bounds that seed the maximum co-lex relation, and
-    the refinement that precedes the forward-stable order."""
+    and zeros, and the label bounds that seed the maximum co-lex relation."""
     def no_allocation(*args, **kwargs):
         raise AssertionError("dense storage allocated above the limit")
 
     monkeypatch.setattr(colex, "label_bounds", no_allocation)
-    monkeypatch.setattr(colex, "coarsest_fs_partition", no_allocation)
     monkeypatch.setattr(np, "empty", no_allocation)
     monkeypatch.setattr(np, "zeros", no_allocation)
+    return no_allocation
+
+
+@pytest.fixture
+def no_dense_allocation(monkeypatch, no_dense_relation):
+    """no_dense_relation, and no refinement that precedes the lifted
+    forward-stable preorder either."""
+    monkeypatch.setattr(colex, "coarsest_fs_partition", no_dense_relation)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from nfaindex import (
     width,
 )
 from nfaindex.cli import _build_parser, main
-from nfaindex.colex import MAX_DENSE_STATES
+from nfaindex.relations import MAX_DENSE_STATES
 
 
 def run(capsys, *argv):
@@ -136,9 +136,9 @@ class TestRelationsCommands:
     def test_width_checks_transitivity_once(self, capsys, products, rel):
         code, out, _ = run(capsys, "width", "--fixture", "fig2", "--rel", rel)
         assert code == 0
-        # max_colex_relation's own check, on fig2 or on its 4-state quotient;
-        # the lifted order's check on fig2 when its width is taken
-        assert products == ([7] if rel == "maxrel" else [4, 7])
+        # max_colex_relation's own check, on fig2 or on its 4-state quotient,
+        # whose width is taken before it is spliced into the blocks
+        assert products == ([7] if rel == "maxrel" else [4])
         fig2 = gen_fixture("fig2")
         measured = max_colex_relation(fig2) if rel == "maxrel" else cfs_order(fig2)[0]
         assert json.loads(out) == width(measured).to_json_dict(fig2.names)
@@ -203,11 +203,39 @@ class TestDenseLimit:
         return str(path)
 
     def test_forward_stable_order(self, capsys, comb_path, no_dense_allocation):
-        # width --rel cfs goes through the same cfs_order call.
+        # cfs prints the lifted preorder's n*n pairs; width --rel cfs does
+        # not go through cfs_order and is limited by the quotient's size.
         code, out, err = run(capsys, "cfs", comb_path)
         assert code == 1 and out == ""
         assert err == (f"error: the forward-stable preorder is stored densely "
                        f"and is limited to {MAX_DENSE_STATES} states, got 90001\n")
+
+    def test_width_of_forward_stable_order_is_taken_on_the_quotient(
+            self, capsys, tmp_path):
+        # 50 chains of 100 states: 5001 states, a 101-state quotient whose
+        # order lists the depths entered by a, then those entered by b.
+        path = tmp_path / "comb.nfa"
+        path.write_text(comb_text(50, 100))
+        code, out, err = run(capsys, "width", str(path), "--rel", "cfs")
+        assert code == 0 and err == ""
+        depths = [*range(0, 100, 2), *range(1, 100, 2)]
+        assert json.loads(out) == {
+            "width": 1,
+            "antichain": ["c0_99"],
+            "chains": [["s0"] + [f"c{i}_{j}" for j in depths for i in range(50)]],
+        }
+
+    def test_width_of_forward_stable_order_above_the_limit(
+            self, capsys, tmp_path, no_dense_relation):
+        # A unary path has a discrete partition: its quotient is as large.
+        n = MAX_DENSE_STATES + 1
+        path = tmp_path / "path.nfa"
+        path.write_text(Nfa(n, 0, [(i, "a", i + 1) for i in range(n - 1)]).serialize())
+        code, out, err = run(capsys, "width", str(path), "--rel", "cfs")
+        assert code == 1 and out == ""
+        assert err == (f"error: the co-lex order of the forward-stable quotient is "
+                       f"stored densely and is limited to {MAX_DENSE_STATES} states, "
+                       f"got {n}\n")
 
     def test_partition_dot_needs_no_dense_storage(self, capsys, tmp_path):
         # Two chains of 3000 states: 6001 states, a 3001-state quotient.

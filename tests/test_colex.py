@@ -16,6 +16,7 @@ from nfaindex import (
     TooLarge,
     brute_max_colex_relation,
     cfs_order,
+    cfs_width,
     check_colex_order,
     check_colex_relation,
     check_wheeler_preorder,
@@ -33,7 +34,7 @@ from nfaindex import (
     width,
 )
 from nfaindex import colex
-from nfaindex.relations import label_bounds
+from nfaindex.relations import MAX_DENSE_STATES, label_bounds
 
 # names u1..u6 map to ids 0..5
 SEP6_EXPECTED = {
@@ -152,7 +153,7 @@ class TestMaxColexRelationAtScale:
 
 
     def test_state_limit_is_checked_before_any_allocation(self, no_dense_allocation):
-        limit = colex.MAX_DENSE_STATES
+        limit = MAX_DENSE_STATES
         path = Nfa(limit + 1, 0, [(i, "a", i + 1) for i in range(limit)])
         with pytest.raises(TooLarge, match=f"limited to {limit} states, got {limit + 1}"):
             max_colex_relation(path)
@@ -414,6 +415,40 @@ class TestCfsOrder:
         assert induced_equivalence(rel_fs) == qm.partition
 
 
+def comb(k, length):
+    """k chains of ``length`` states off state 0, labels a, b, a, ..."""
+    edges = []
+    for i in range(k):
+        prev = 0
+        for j in range(length):
+            edges.append((prev, "ab"[j % 2], 1 + i * length + j))
+            prev = 1 + i * length + j
+    return Nfa(1 + k * length, 0, edges)
+
+
+def cfs_width_table():
+    """201 automata: seeded gen_random over sizes, alphabets and densities,
+    sep:5 .. sep:39, random automata of 50-200 states and two combs."""
+    table = [gen_random(n, sigma, density, seed)
+             for n in (6, 10, 20, 40) for sigma in (1, 2, 3)
+             for density in (0.1, 0.3) for seed in range(6)]
+    table += [gen_separation_family(n) for n in range(5, 40)]
+    rng = random.Random(7)
+    table += [random_automaton(rng.randint(50, 200), rng.randint(2, 4),
+                               rng.randint(2, 6), seed) for seed in range(20)]
+    return table + [comb(3, 10), comb(5, 40)]
+
+
+class TestCfsWidth:
+    def test_matches_the_width_of_the_lifted_order(self):
+        wide = 0
+        for nfa in cfs_width_table():
+            cert = cfs_width(nfa)
+            assert cert == width(cfs_order(nfa)[0])
+            wide += cert.width >= 2
+        assert wide >= 100
+
+
 class TestQuasiWheeler:
     def test_fixtures_are_quasi_wheeler(self, fig2, wheeler3):
         for nfa in (fig2, wheeler3):
@@ -526,12 +561,12 @@ class TestCompareReport:
         assert products == [nfa.n_states]
         products.clear()
         compare_report(gen_fixture("fig2"))
-        # the automaton's and the quotient's relation, then the lifted order's
-        # check when its width is taken
-        assert products == [7, 4, 7]
+        # the automaton's and the quotient's relation; the width of the
+        # forward-stable preorder is taken on the quotient's order
+        assert products == [7, 4]
 
     def test_equal_relations_share_one_width(self, products):
-        # A width taken of the lifted order would check its transitivity:
+        # A width taken of a lifted order would check its transitivity:
         # one more product over all the states.
         # wheeler3 merges u2 and u3, and both orders relate them alike
         rep = compare_report(gen_fixture("wheeler3"))
@@ -546,7 +581,7 @@ class TestCompareReport:
         assert products == [100, qm.partition.n_blocks]
         products.clear()
         compare_report(gen_fixture("fig2"))  # 6 classes against 4 blocks
-        assert products == [7, 4, 7]
+        assert products == [7, 4]
 
     @given(seed=st.integers(0, 400))
     @settings(max_examples=60, deadline=None)

@@ -254,6 +254,12 @@ class TestWidth:
     def test_empty_relation(self):
         assert width(Relation(0)) == WidthCertificate(0, (), ())
 
+    def test_splice_lists_each_block_in_place_of_its_index(self):
+        blocks = Partition(6, [[0, 3], [1], [2, 4, 5]])
+        on_blocks = WidthCertificate(2, (1, 2), ((0, 2), (1,)))
+        assert on_blocks.spliced(blocks) == WidthCertificate(
+            2, (1, 2), ((0, 3, 2, 4, 5), (1,)))
+
     def test_chain_has_width_one(self):
         cert = width(closure(5, [(i, i + 1) for i in range(4)]))
         assert cert.width == 1
@@ -761,8 +767,20 @@ class TestRelationJsonErrors:
         assert rel.pairs() == [(0, 1), (1, 2)]
 
 
-def validate_reference(rel, cert):
-    """Loop form of the certificate validation; returns the message or None."""
+def consecutive_pairs(chain):
+    return zip(chain, chain[1:])
+
+
+def all_pairs(chain):
+    return ((u, v) for i, u in enumerate(chain) for v in chain[i + 1:])
+
+
+def validate_reference(rel, cert, chain_pairs=consecutive_pairs):
+    """Loop form of the certificate validation; returns the message or None.
+
+    A chain is checked by consecutive pairs, which decides it for a
+    transitive relation; ``chain_pairs`` can give another choice of pairs.
+    """
     if len(cert.antichain) != cert.width or len(cert.chains) != cert.width:
         return (f"certificate sizes {len(cert.antichain)}/{len(cert.chains)} "
                 f"do not match width {cert.width}")
@@ -774,10 +792,9 @@ def validate_reference(rel, cert):
     if flat != list(range(rel.n)):
         return "chains do not partition the elements"
     for chain in cert.chains:
-        for i, u in enumerate(chain):
-            for v in chain[i + 1:]:
-                if not rel.bits[u, v]:
-                    return f"chain elements {u} and {v} are not ordered"
+        for u, v in chain_pairs(chain):
+            if not rel.bits[u, v]:
+                return f"chain elements {u} and {v} are not ordered"
     return None
 
 
@@ -805,6 +822,12 @@ class TestCertificateValidation:
             bad = WidthCertificate(cert.width, tuple(antichain),
                                    tuple(tuple(c) for c in chains))
             expected = validate_reference(rel, bad)
+            # On a transitive relation, consecutive pairs give the verdict
+            # of all pairs; only the pair named can differ.
+            every_pair = validate_reference(rel, bad, all_pairs)
+            assert (expected is None) == (every_pair is None)
+            if expected is not None:
+                assert expected.split()[:2] == every_pair.split()[:2]
             if expected is None:
                 _validate_certificate(rel, bad)
             else:
