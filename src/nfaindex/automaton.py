@@ -28,7 +28,6 @@ automaton reproduces it up to that renaming.
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Iterable
 
 import numpy as np
@@ -67,32 +66,88 @@ def lambda_leq(x: Iterable[str], y: Iterable[str]) -> bool:
     return max(label_key(a) for a in x) <= min(label_key(b) for b in y)
 
 
-def _check_token(tok: str, what: str) -> str:
+def _is_token(tok: str) -> bool:
     # U+0020 is the only printable whitespace code point, so once the token
     # is printable a search for " " finds any whitespace in it.
-    if not tok or not tok.isprintable() or " " in tok or HASH in tok:
+    return bool(tok) and tok.isprintable() and " " not in tok and HASH not in tok
+
+
+def _check_token(tok: str, what: str) -> str:
+    if not _is_token(tok):
         raise ValidationError(f"invalid {what} {tok!r}: expected a printable token "
                               f"without whitespace or '#'")
     return tok
 
 
-def _bfs_distances(n: int, source: int,
-                   edges: Iterable[tuple[int, str, int]]) -> list[int]:
+def _lex_order(major: np.ndarray, minor: np.ndarray, major_span: int, span: int) -> np.ndarray:
+    """Stable order of the pairs (major[i], minor[i]), 0 <= major <
+    major_span and 0 <= minor < span, by one int64 key when it fits."""
+    if major_span * span > np.iinfo(np.int64).max:
+        return np.lexsort((minor, major))
+    return np.argsort(major * span + minor, kind="stable")
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the entries of columns, sorted together, that differ from
+    the entry before them in some column."""
+    starts = np.ones(len(columns[0]), bool)
+    starts[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in columns])
+    return starts
+
+
+def _bfs_distances(n: int, source: int, src: np.ndarray, dst: np.ndarray) -> list[int]:
     """Edge count of a shortest path from ``source`` to each of 0..n-1 over
-    (from, label, to) edges; -1 marks an unreachable state."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for (u, _, v) in edges:
-        succ[u].append(v)
+    the edges src[i] -> dst[i], ``src`` ascending; -1 marks an unreachable
+    state."""
+    start = src.searchsorted(np.arange(n + 1)).tolist()
+    dst = dst.tolist()
     dist = [-1] * n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
+    queue = [source]
+    for u in queue:  # the loop reaches the states appended while it runs
+        d = dist[u] + 1
+        for v in dst[start[u]:start[u + 1]]:
             if dist[v] < 0:
-                dist[v] = dist[u] + 1
+                dist[v] = d
                 queue.append(v)
     return dist
+
+
+def _plain_edges(trans: list, n: int) -> tuple[np.ndarray, tuple[str, ...]] | None:
+    """The from-ids followed by the to-ids as one array, and the labels,
+    when every item of ``trans`` is a tuple of two int ids in 0..n-1 around
+    a valid str label; else None."""
+    if set(map(type, trans)) != {tuple} or set(map(len, trans)) != {3}:
+        return None
+    us, labs, vs = zip(*trans)
+    ids = us + vs
+    if (set(map(type, ids)) != {int} or set(map(type, labs)) != {str}
+            or not all(map(_is_token, set(labs)))):
+        return None
+    try:
+        ids = np.array(ids, np.intp)
+    except OverflowError:
+        return None
+    if ids.min() < 0 or ids.max() >= n:
+        return None
+    return ids, labs
+
+
+def _checked_edges(transitions: Iterable, n: int, names: list[str]) -> list[tuple[int, str, int]]:
+    """The transitions as (int, label, int) triples, checked edge by edge
+    in listed order; raises on the first one out of range, with an invalid
+    label or repeating an earlier one."""
+    seen: dict[tuple[int, str, int], None] = {}
+    for (u, a, v) in transitions:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"transition ({u}, {a!r}, {v}) out of range")
+        _check_token(a, "label")
+        t = (int(u), a, int(v))
+        if t in seen:
+            raise ValidationError(
+                f"duplicate transition {names[t[0]]} {a} {names[t[2]]}")
+        seen[t] = None
+    return list(seen)
 
 
 class Nfa:
@@ -100,7 +155,11 @@ class Nfa:
 
     Validation happens at construction: duplicate transitions, incoming
     edges on the initial state, unreachable states and unused alphabet
-    labels all raise ValidationError naming the offending entity.
+    labels all raise ValidationError naming the offending entity.  The
+    checks run in bulk; duplicates are found by the stable sort that orders
+    the transitions.  Input that fails one, or whose items are not plain
+    (int, str, int) tuples, is re-scanned edge by edge in listed order,
+    which words the first error and converts ids to int.
 
     ``transitions`` holds the (from, label, to) triples sorted by from-id,
     label order and to-id; ``src``, ``lab`` and ``dst`` hold them in that
@@ -124,7 +183,10 @@ class Nfa:
             raise ValidationError(f"initial state {initial} out of range")
         if names is None:
             names = [f"q{i}" for i in range(n_states)]
-        names = [_check_token(str(nm), "state name") for nm in names]
+        names = list(map(str, names))
+        if not (all(names) and _is_token("".join(names))):
+            for nm in names:
+                _check_token(nm, "state name")
         if len(names) != n_states:
             raise ValidationError(f"got {len(names)} names for {n_states} states")
         if len(set(names)) != n_states:
@@ -135,22 +197,24 @@ class Nfa:
                     raise ValidationError(f"duplicate state name {nm!r}")
                 earlier.add(nm)
 
-        seen: dict[tuple[int, str, int], None] = {}  # the transitions, in listed order
-        for (u, a, v) in transitions:
-            if not (0 <= u < n_states and 0 <= v < n_states):
-                raise ValidationError(f"transition ({u}, {a!r}, {v}) out of range")
-            _check_token(a, "label")
-            t = (int(u), a, int(v))
-            if t in seen:
-                raise ValidationError(
-                    f"duplicate transition {names[t[0]]} {a} {names[t[2]]}")
-            seen[t] = None
-        trans = list(seen)
-
-        used = {a for (_, a, _) in trans}
-        if alphabet is None:
-            alpha = used
-        else:
+        trans = list(transitions)
+        columns = _plain_edges(trans, n_states)
+        if columns is None:
+            trans = _checked_edges(trans, n_states, names)
+            us, labs, vs = zip(*trans) if trans else ((), (), ())
+            columns = np.array(us + vs, np.intp), labs
+        ids, labs = columns
+        m = len(labs)
+        src, dst = ids[:m], ids[m:]
+        used = set(labs)
+        self.alphabet = tuple(sorted(used, key=label_key))
+        rank = dict(zip(self.alphabet, range(len(used))))
+        lab = np.fromiter(map(rank.__getitem__, labs), np.intp, m)
+        order = _lex_order(src * len(used) + lab, dst, n_states * len(used), n_states)
+        edges = np.stack((src[order], lab[order], dst[order]))
+        if not _run_starts(*edges).all():
+            _checked_edges(trans, n_states, names)  # raises on the first duplicate
+        if alphabet is not None:
             alpha = {_check_token(a, "label") for a in alphabet}
             if not used <= alpha:
                 extra = sorted(used - alpha, key=label_key)[0]
@@ -163,15 +227,10 @@ class Nfa:
         self.n_states = n_states
         self.initial = int(initial)
         self.names = tuple(names)
-        self.id_of = {nm: i for i, nm in enumerate(self.names)}
-        self.alphabet = tuple(sorted(alpha, key=label_key))
-        rank = {a: i for i, a in enumerate(self.alphabet)}
-        edges = np.array([(u, rank[a], v) for (u, a, v) in trans], np.intp).reshape(-1, 3)
-        order = np.lexsort(edges.T[::-1])
+        self.id_of = dict(zip(self.names, range(n_states)))
         self.transitions = tuple([trans[e] for e in order.tolist()])
-        columns = edges[order].T.copy()
-        columns.setflags(write=False)
-        self.src, self.lab, self.dst = columns
+        edges.setflags(write=False)
+        self.src, self.lab, self.dst = edges
 
         into = np.flatnonzero(self.dst == self.initial)
         if len(into):
@@ -181,7 +240,7 @@ class Nfa:
                 f"initial state has incoming transition "
                 f"{self.names[u]} {a} {self.names[self.initial]}")
 
-        dist = _bfs_distances(n_states, self.initial, trans)
+        dist = _bfs_distances(n_states, self.initial, self.src, self.dst)
         if -1 in dist:
             missing = dist.index(-1)
             raise ValidationError(f"state {self.names[missing]!r} is unreachable")
@@ -257,46 +316,43 @@ def delta_string(nfa: Nfa, source: int | str, word: Iterable[str]) -> frozenset[
 
 def parse_nfa(text: str) -> Nfa:
     """Parse the line-oriented text format; see the module docstring."""
+    rows = [raw.partition(HASH)[0].split() for raw in text.splitlines()]
+    lines = [tokens for tokens in rows if tokens]
+    body = lines[1:]
+    if not (lines and lines[0][0] == "initial" and len(lines[0]) == 2
+            and set(map(len, body)) <= {4} and {tokens[0] for tokens in body} <= {"trans"}):
+        raise _syntax_error(rows)
+    _, us, labels, vs = zip(*body) if body else ((), (), (), ())
+    # Names by first appearance: the initial state's, then each edge's ends.
+    ends = [lines[0][1]] * (2 * len(body) + 1)
+    ends[1::2], ends[2::2] = us, vs
+    names = list(dict.fromkeys(ends))
+    ids = dict(zip(names, range(len(names))))
+    transitions = list(zip(map(ids.__getitem__, us), labels, map(ids.__getitem__, vs)))
+    return Nfa(len(names), 0, transitions, names=names)
+
+
+def _syntax_error(rows: list[list[str]]) -> NfaSyntaxError:
+    """The first syntax error among the token rows of the lines, which
+    parse_nfa found to hold one."""
     initial_seen = False
-    names: list[str] = []
-    ids: dict[str, int] = {}
-    transitions: list[tuple[int, str, int]] = []
-    line_no = 0
-
-    def intern(name: str) -> int:
-        if name not in ids:
-            ids[name] = len(names)
-            names.append(name)
-        return ids[name]
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(HASH, 1)[0].strip()
-        if not line:
+    for line_no, tokens in enumerate(rows, start=1):
+        if not tokens:
             continue
-        tokens = line.split()
         if not initial_seen:
             if tokens[0] != "initial":
-                raise NfaSyntaxError(
+                return NfaSyntaxError(
                     f"expected 'initial <name>' before {tokens[0]!r}", line_no)
             if len(tokens) != 2:
-                raise NfaSyntaxError("expected 'initial <name>'", line_no)
-            intern(tokens[1])
+                return NfaSyntaxError("expected 'initial <name>'", line_no)
             initial_seen = True
         elif tokens[0] == "initial":
-            raise NfaSyntaxError("duplicate 'initial' directive", line_no)
-        elif tokens[0] == "trans":
-            if len(tokens) != 4:
-                raise NfaSyntaxError("expected 'trans <from> <label> <to>'", line_no)
-            u = intern(tokens[1])
-            v_label = tokens[2]
-            v = intern(tokens[3])
-            transitions.append((u, v_label, v))
-        else:
-            raise NfaSyntaxError(f"unknown directive {tokens[0]!r}", line_no)
-
-    if not initial_seen:
-        raise NfaSyntaxError("missing 'initial' directive", line_no or 1)
-    return Nfa(len(names), 0, transitions, names=names)
+            return NfaSyntaxError("duplicate 'initial' directive", line_no)
+        elif tokens[0] != "trans":
+            return NfaSyntaxError(f"unknown directive {tokens[0]!r}", line_no)
+        elif len(tokens) != 4:
+            return NfaSyntaxError("expected 'trans <from> <label> <to>'", line_no)
+    return NfaSyntaxError("missing 'initial' directive", len(rows) or 1)
 
 
 def serialize_nfa(nfa: Nfa) -> str:
@@ -420,7 +476,8 @@ def gen_random(states: int, alphabet_size: int, density: float, seed: int) -> Nf
         a = labels[rng.randrange(alphabet_size)]
         edges.append((0, a, t))
 
-    keep = [u for u, d in enumerate(_bfs_distances(states, 0, edges)) if d >= 0]
+    src, dst = np.array(sorted((u, v) for (u, _, v) in edges), np.intp).reshape(-1, 2).T
+    keep = [u for u, d in enumerate(_bfs_distances(states, 0, src, dst)) if d >= 0]
     new_id = {old: i for i, old in enumerate(keep)}
     edges = [(new_id[u], a, new_id[v]) for (u, a, v) in edges if u in new_id]
     names = [f"q{i}" for i in range(len(keep))]

@@ -328,7 +328,7 @@ def is_quasi_wheeler(nfa: Nfa) -> tuple[bool, Relation | None]:
 
 def source_distances(nfa: Nfa) -> tuple[int, ...]:
     """Length of the shortest string from the initial state to each state."""
-    return tuple(_bfs_distances(nfa.n_states, nfa.initial, nfa.transitions))
+    return tuple(_bfs_distances(nfa.n_states, nfa.initial, nfa.src, nfa.dst))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 A partition P of the states is forward stable when for every pair of
 blocks S, T and every label a, the a-image of T either covers S or misses
 it entirely, that is when the members of each block share one set of
-(predecessor block, label) pairs; ``is_forward_stable`` tests this in
-O(m + n).  Forward stability is closed under coarsest-common-coarsening,
-so every NFA has a unique coarsest forward-stable partition.
+(predecessor block, label) pairs; ``is_forward_stable`` tests this with
+two sorts of the edges, in O(m log m).  Forward stability is closed under
+coarsest-common-coarsening, so every NFA has a unique coarsest
+forward-stable partition.
 
 It is computed by the partition refinement of Paige and Tarjan (SIAM J.
 Comput. 1987) on the label-wise reversed edges, with three-way splitting.
@@ -21,7 +22,8 @@ B at most log2(n) times, and each time only its out-edges are walked, so
 the refinement runs in O(m log n).
 
 The quotient automaton has one state per block and a block-level edge on a
-whenever some member pair has one.  For a forward-stable partition the
+whenever some member pair has one; one sort of the edges' (block, label,
+block) codes finds those edges.  For a forward-stable partition the
 quotient is always a valid NFA in this package's sense; for arbitrary
 partitions it can violate the no-incoming-edges-into-the-initial-state
 invariant, reported as QuotientInvalid.
@@ -32,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automaton import Nfa
+import numpy as np
+
+from .automaton import Nfa, _lex_order, _run_starts
 from .errors import (
     InternalInvariantViolation,
     QuotientInvalid,
@@ -133,13 +137,34 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
     """Check forward stability; on failure also return the first violation.
 
     The a-image of block T splits block S exactly when the members of S
-    disagree on having an a-predecessor in T.  The violation reported is
-    the first split in the order source block T ascending, labels in label
-    order, split block S ascending.
+    disagree on having an a-predecessor in T.  So the partition is stable
+    when, for each (T, a) that some member of S holds, as many members hold
+    it as S has; both counts come from sorting the edges' (target,
+    predecessor block, label) codes, in O(m log m).  The violation reported
+    is the first split in the order source block T ascending, labels in
+    label order, split block S ascending.
     """
     if partition.n != nfa.n_states:
         raise SizeMismatch(
             f"partition over {partition.n} elements, automaton has {nfa.n_states} states")
+    beta = np.array(partition.block_of, np.intp)
+    k, sigma = partition.n_blocks, len(nfa.alphabet)
+    key = beta[nfa.src] * sigma + nfa.lab
+    # The distinct (state, key) pairs, then the (block, key) groups they form.
+    order = _lex_order(nfa.dst, key, nfa.n_states, k * sigma)
+    dst, key = nfa.dst[order], key[order]
+    held = _run_starts(dst, key)
+    blk, key = beta[dst[held]], key[held]
+    order = _lex_order(blk, key, k, k * sigma)
+    blk, key = blk[order], key[order]
+    group = _run_starts(blk, key)
+    holders = np.bincount(group.cumsum() - 1)
+    if (holders == np.bincount(beta)[blk[group]]).all():
+        return True, None
+    return False, _first_violation(nfa, partition)
+
+
+def _first_violation(nfa: Nfa, partition: Partition) -> FsViolation:
     pairs = _signatures(nfa, partition.block_of)
     splits = []
     for s, block in enumerate(partition.blocks):
@@ -150,11 +175,9 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
                 held = [pairs[y] for y in block]
                 splits.append((min(set.union(*held) - set.intersection(*held)), s))
                 break
-    if not splits:
-        return True, None
     (t, a), s = min(splits)
     block = partition.blocks[s]
-    return False, FsViolation(
+    return FsViolation(
         s_block=s, t_block=t, label=nfa.alphabet[a],
         covered=next(x for x in block if (t, a) in pairs[x]),
         uncovered=next(x for x in block if (t, a) not in pairs[x]))
@@ -322,13 +345,22 @@ def build_quotient(nfa: Nfa, partition: Partition) -> QuotientMap:
     if partition.n != nfa.n_states:
         raise SizeMismatch(
             f"partition over {partition.n} elements, automaton has {nfa.n_states} states")
-    beta = partition.block_of
-    qtrans = sorted({(beta[u], a, beta[v]) for (u, a, v) in nfa.transitions})
+    beta = np.array(partition.block_of, np.intp)
+    sigma = len(nfa.alphabet)
+    # The distinct (block of u, label, block of v) codes of the edges u-a->v.
+    head, tail = beta[nfa.src] * sigma + nfa.lab, beta[nfa.dst]
+    order = _lex_order(head, tail, partition.n_blocks * sigma, partition.n_blocks)
+    head, tail = head[order], tail[order]
+    keep = _run_starts(head, tail)
+    qsrc, qlab = np.divmod(head[keep], sigma)
+    qtrans = list(zip(qsrc.tolist(), map(nfa.alphabet.__getitem__, qlab.tolist()),
+                      tail[keep].tolist()))
     qnames = ["+".join(nfa.names[x] for x in b) for b in partition.blocks]
     if len(set(qnames)) < len(qnames):
         qnames = [f"{i}:{nm}" for i, nm in enumerate(qnames)]
     try:
-        quotient = Nfa(partition.n_blocks, beta[nfa.initial], qtrans, names=qnames)
+        quotient = Nfa(partition.n_blocks, partition.block_of[nfa.initial], qtrans,
+                       names=qnames)
     except ValidationError as exc:
         raise QuotientInvalid(f"quotient is not a valid automaton: {exc}") from exc
     return QuotientMap(source=nfa, partition=partition, quotient=quotient)

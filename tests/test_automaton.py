@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 import sys
 
 import numpy as np
@@ -26,6 +27,7 @@ from nfaindex import (
     parse_nfa,
     to_dot,
 )
+from nfaindex import automaton
 
 FIG2_TEXT = """\
 # seven states over {a, b}
@@ -173,6 +175,12 @@ class TestValidationMessages:
          "duplicate transition s a t"),
         ("initial s\ntrans s a t\ntrans y b x\ntrans x a t\n",
          "state 'y' is unreachable"),
+        # The unreachable state is the source of the edge into s.
+        ("initial s\ntrans s a t\ntrans x a s\n",
+         "initial state has incoming transition x a s"),
+        # A duplicate listed before an unreachable state.
+        ("initial s\ntrans s a t\ntrans s a t\ntrans x a t\n",
+         "duplicate transition s a t"),
     ])
     def test_parsed(self, text, message):
         with pytest.raises(ValidationError) as err:
@@ -193,11 +201,133 @@ class TestValidationMessages:
          "label 'a' used but not in the alphabet"),
         ([(0, "b", 1)], ["c", "b", "a"], "label 'a' declared but unused"),
         ([(0, "a", 1), (1, "a", 0)], ["a", "b"], "label 'b' declared but unused"),
+        # A bad label after a duplicate, and before one.
+        ([(0, "a", 1), (0, "a", 1), (0, "a b", 1)], None,
+         "duplicate transition q0 a q1"),
+        ([(0, "a", 1), (0, "a b", 1), (0, "a", 1)], None,
+         "invalid label 'a b': expected a printable token without whitespace or '#'"),
+        # numpy integer ids take the per-edge path.
+        ([(np.intp(0), "a", np.intp(1)), (np.intp(1), "a", np.intp(5))], None,
+         "transition (1, 'a', 5) out of range"),
+        ([(np.intp(0), "a", np.intp(1)), (np.int32(0), "a", np.int32(1))], None,
+         "duplicate transition q0 a q1"),
+        # An edge into the initial state, from a state it cannot reach.
+        ([(1, "a", 0)], None, "initial state has incoming transition q1 a q0"),
     ])
     def test_constructed(self, transitions, alphabet, message):
         with pytest.raises(ValidationError) as err:
             Nfa(2, 0, transitions, alphabet=alphabet)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("edge", [
+        (np.int64(0), "a", np.int64(1)), [0, "a", 1], (False, "a", True),
+    ])
+    def test_ids_are_stored_as_int(self, edge):
+        nfa = Nfa(2, 0, [edge])
+        assert nfa == Nfa(2, 0, [(0, "a", 1)])
+        assert [type(x) for x in nfa.transitions[0]] == [int, str, int]
+
+
+def line_loop_parse(text):
+    """The state names and listed transitions of a valid automaton text,
+    read line by line."""
+    names, ids, transitions = [], {}, []
+
+    def intern(name):
+        if name not in ids:
+            ids[name] = len(names)
+            names.append(name)
+        return ids[name]
+
+    for raw in text.splitlines():
+        tokens = raw.split(HASH, 1)[0].split()
+        if tokens and tokens[0] == "initial":
+            intern(tokens[1])
+        elif tokens:
+            transitions.append((intern(tokens[1]), tokens[2], intern(tokens[3])))
+    return names, transitions
+
+
+def shape_edges(rng, shape):
+    """Named edges of a random path, trie or comb, as the benchmark draws them."""
+    if shape == "path":
+        return [(f"p{i}", "a", f"p{i + 1}") for i in range(rng.randint(1, 60))]
+    if shape == "trie":
+        node_of, edges = {"": "t0"}, []
+        for _ in range(rng.randint(1, 25)):
+            word = "".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
+            for end in range(1, len(word) + 1):
+                if word[:end] not in node_of:
+                    node_of[word[:end]] = f"t{len(node_of)}"
+                    edges.append((node_of[word[:end - 1]], word[end - 1], node_of[word[:end]]))
+        return edges
+    pattern = [rng.choice("ab") for _ in range(rng.randint(1, 12))]
+    edges = []
+    for i in range(rng.randint(1, 6)):
+        prev = "s0"
+        for j, a in enumerate(pattern):
+            edges.append((prev, a, f"c{i}_{j}"))
+            prev = f"c{i}_{j}"
+    return edges
+
+
+def scrambled(rng, nfa):
+    """The automaton's text with its transitions shuffled, comments, blank
+    lines and tabs added, and CRLF line ends."""
+    first, *rest = nfa.serialize().splitlines()
+    rng.shuffle(rest)
+    lines = ["# scrambled", first + "  # the initial state"]
+    for line in rest:
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "   ", "# note", "\t# tabbed note"]))
+        lines.append(line.replace(" ", rng.choice([" ", "\t", "  "]))
+                     + rng.choice(["", " ", "\t#x", " # trailing # twice"]))
+    return "\r\n".join(lines) + "\r\n"
+
+
+def test_lex_order_falls_back_to_lexsort_when_one_key_would_overflow():
+    rng = np.random.default_rng(4)
+    major, minor = rng.integers(0, 50, 400), rng.integers(0, 50, 400)
+    expected = sorted(range(400), key=lambda i: (major[i], minor[i]))
+    assert automaton._lex_order(major, minor, 50, 50).tolist() == expected
+    assert automaton._lex_order(major, minor, 2**40, 2**40).tolist() == expected
+
+
+class TestBulkParse:
+    """The bulk parse and validation give what the line and edge loops give."""
+
+    @given(seed=st.integers(0, 10**6),
+           shape=st.sampled_from(["random", "path", "trie", "comb"]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_loops(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        if shape == "random":
+            nfa = gen_random(int(rng.integers(1, 30)), int(rng.integers(1, 4)),
+                             float(rng.uniform(0.02, 0.4)), seed)
+        else:
+            edges = shape_edges(random.Random(seed), shape)
+            nfa = parse_nfa(f"initial {edges[0][0]}\n"
+                            + "".join(f"trans {u} {a} {v}\n" for u, a, v in edges))
+        text = scrambled(random.Random(seed), nfa)
+        parsed = parse_nfa(text)
+
+        names, listed = line_loop_parse(text)
+        alphabet = sorted({a for (_, a, _) in listed}, key=label_key)
+        ordered = sorted(listed, key=lambda t: (t[0], label_key(t[1]), t[2]))
+        assert parsed.names == tuple(names)
+        assert parsed.alphabet == tuple(alphabet)
+        assert parsed.transitions == tuple(ordered)
+        assert parsed.serialize() == "".join(
+            [f"initial {names[0]}\n"]
+            + [f"trans {names[u]} {a} {names[v]}\n" for (u, a, v) in ordered])
+        assert parse_nfa(text.replace("\r\n", "\n")) == parsed
+        # Lists instead of tuples take the per-edge path.
+        looped = Nfa(len(names), 0, [list(t) for t in listed], names=names)
+        assert looped == parsed and hash(looped) == hash(parsed)
+        assert looped.lambda_sets == parsed.lambda_sets
+        for x, y in zip((looped.src, looped.lab, looped.dst),
+                        (parsed.src, parsed.lab, parsed.dst)):
+            assert np.array_equal(x, y)
 
 
 def dict_reference(nfa):

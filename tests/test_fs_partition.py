@@ -307,6 +307,93 @@ class TestImageScanReference:
             s_block=1, t_block=0, label="a", covered=1, uncovered=2))
 
 
+def signature_forward_stable(nfa, partition):
+    """Forward stability from each state's set of (predecessor block, label)
+    pairs: the first split is the least pair that some but not all members
+    of a block hold, then the least such block."""
+    pairs = [set() for _ in range(nfa.n_states)]
+    for (u, a, v) in nfa.transitions:
+        pairs[v].add((partition.block_of[u], nfa.alphabet.index(a)))
+    splits = []
+    for s, block in enumerate(partition.blocks):
+        held = [pairs[x] for x in block]
+        if any(h != held[0] for h in held):
+            splits.append((min(set.union(*held) - set.intersection(*held)), s))
+    if not splits:
+        return True, None
+    (t, a), s = min(splits)
+    block = partition.blocks[s]
+    return False, FsViolation(
+        s_block=s, t_block=t, label=nfa.alphabet[a],
+        covered=next(x for x in block if (t, a) in pairs[x]),
+        uncovered=next(x for x in block if (t, a) not in pairs[x]))
+
+
+def random_partitions(rng, nfa):
+    """Stable and unstable partitions of the states: the coarsest and the
+    discrete one, refinements and coarsenings of the coarsest, and random
+    ones."""
+    n = nfa.n_states
+    coarse = coarsest_fs_partition(nfa).block_of
+    k = rng.randint(1, n)
+    block_ofs = [coarse, list(range(n)), [min(b, k) for b in coarse],
+                 [b if rng.random() < 0.8 else n + x for x, b in enumerate(coarse)],
+                 [rng.randrange(k) for _ in range(n)]]
+    return [Partition.from_block_of(b) for b in block_ofs]
+
+
+class TestSignatureReference:
+    """The sort-based stability test against per-state signature sets, and
+    the quotient against a set of block-level triples."""
+
+    @staticmethod
+    def automata():
+        rng = random.Random(5)
+        for seed in range(60):
+            n = rng.randint(2, 120)
+            yield gen_random(n, rng.randint(1, 4), rng.uniform(1.0, 4.0) / n, seed)
+        for k, length, pattern in ((3, 7, "aab"), (6, 12, "abbab"), (30, 20, "ba")):
+            yield comb(k, length, pattern)
+        yield unary_path(300)
+
+    def test_same_verdict_and_violation(self):
+        rng = random.Random(8)
+        stable = unstable = 0
+        for nfa in self.automata():
+            for p in random_partitions(rng, nfa):
+                got = is_forward_stable(nfa, p)
+                assert got == signature_forward_stable(nfa, p)
+                stable += got[0]
+                unstable += not got[0]
+        assert stable > 100 and unstable > 100
+
+    def test_quotient_equals_set_of_triples(self):
+        rng = random.Random(9)
+        valid = invalid = 0
+        for nfa in self.automata():
+            for p in random_partitions(rng, nfa):
+                beta = p.block_of
+                triples = sorted({(beta[u], a, beta[v]) for (u, a, v) in nfa.transitions})
+                names = ["+".join(nfa.names[x] for x in b) for b in p.blocks]
+                try:
+                    expected = Nfa(p.n_blocks, beta[nfa.initial], triples, names=names)
+                except ValidationError as exc:
+                    with pytest.raises(QuotientInvalid) as err:
+                        build_quotient(nfa, p)
+                    assert str(err.value) == f"quotient is not a valid automaton: {exc}"
+                    invalid += 1
+                else:
+                    assert build_quotient(nfa, p).quotient == expected
+                    valid += 1
+        assert valid > 100 and invalid > 40
+
+    def test_quotient_message_for_an_edge_into_the_initial_block(self, fig2):
+        with pytest.raises(QuotientInvalid) as err:
+            build_quotient(fig2, Partition(7, [[0, 1], [2], [3], [4], [5], [6]]))
+        assert str(err.value) == ("quotient is not a valid automaton: initial state "
+                                  "has incoming transition u0+u1 a u0+u1")
+
+
 class TestStabilitySelfCheck:
     def test_rejects_unstable_partition(self, fig2):
         ok, violation = is_forward_stable(fig2, Partition(7, [range(7)]))
