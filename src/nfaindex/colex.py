@@ -36,7 +36,9 @@ by looking at the few unmarked pairs' incoming edges instead of the many
 marked pairs' outgoing ones, while sparse seeds (unary paths, tries,
 combs) never build the list.  The fixpoint is unique, so the direction
 never changes the result.  Memory is the n*n mark matrix, the push's n*n
-index array, the table, 8 bytes per cell and bounded batches.
+index array, the table, 8 bytes per cell, 4 bytes per frontier pair (while
+n*n < 2**31) and batches cut on the running count of frontier pairs, of
+their first states' out-edges and of candidates.
 
 ``cfs_order`` is the maximum co-lex order of the quotient by the coarsest
 forward-stable partition, lifted to the states: a preorder whose classes
@@ -68,6 +70,7 @@ from .relations import (
     Relation,
     WidthCertificate,
     _require_dense,
+    _spread,
     check_colex_relation,
     induced_equivalence,
     label_bounds,
@@ -80,6 +83,9 @@ from .relations import (
 # of candidate pairs at which a batch is cut; an out-edge of a frontier pair
 # with more candidates makes its batch that large.
 _CHUNK = 1 << 12
+# Running count of out-edges of the frontier pairs' first states at which a
+# push batch is cut; a pair whose first state has more makes its batch.
+_FANOUT = 1 << 16
 
 
 def _edge_table(nfa: Nfa) -> tuple[np.ndarray, np.ndarray]:
@@ -88,12 +94,6 @@ def _edge_table(nfa: Nfa) -> tuple[np.ndarray, np.ndarray]:
     sigma = len(nfa.alphabet)
     deg = np.bincount(nfa.src * sigma + nfa.lab, minlength=nfa.n_states * sigma)
     return deg, np.cumsum(deg) - deg
-
-
-def _spread(first: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-    """Indices first[i] .. first[i] + cnt[i] - 1, for every i in turn."""
-    idx = (first - cnt.cumsum() + cnt).repeat(cnt)
-    return idx + np.arange(len(idx))
 
 
 def _round0_costs(nfa: Nfa, hi: np.ndarray, lo: np.ndarray,
@@ -187,14 +187,20 @@ def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray,
         return
     n, sigma = nfa.n_states, len(nfa.alphabet)
     first, outdeg = ptr[::sigma], deg.reshape(n, sigma).sum(axis=1)
+    # Flat pair indices, and positions within a batch, fit 4 bytes below 2**31.
+    index = np.int32 if n * n < 2**31 else np.intp
     # slot[c] == position of c in its batch marks a first occurrence.
-    slot = np.empty(n * n, dtype=np.intp)
+    slot = np.empty(n * n, dtype=index)
     while len(frontier):
         found = []
-        for f in range(0, len(frontier), _CHUNK):
+        f = 0
+        while f < len(frontier):
             u, v = np.divmod(frontier[f:f + _CHUNK], n)
             # Each out-edge u -a-> x of a pair (u, v) looks up v's a-edges.
             od = outdeg[u]
+            k = max(1, int(np.cumsum(od).searchsorted(_FANOUT, side="right")))
+            u, v, od = u[:k], v[:k], od[:k]
+            f += k
             e = _spread(first[u], od)
             key = (v * sigma).repeat(od) + nfa.lab[e]
             hit = deg[key] > 0
@@ -209,7 +215,7 @@ def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray,
                 slot[cand] = pos
                 cand = cand[slot[cand] == pos]
                 flat[cand] = True
-                found.append(cand)
+                found.append(cand.astype(index))
         frontier = np.concatenate(found)
 
 

@@ -41,14 +41,15 @@ def no_dense_allocation(monkeypatch, no_dense_relation):
 
 @pytest.fixture
 def products(monkeypatch):
-    """The sizes of the n*n matrix products behind transitivity checks,
-    in the order they run."""
+    """The sizes of the relations whose transitivity is computed (by the
+    n*n matrix product or by composing related pairs), in the order the
+    checks run."""
     sizes = []
-    real = Relation._compose
+    real = Relation._first_gap
 
     def counted(rel):
         sizes.append(rel.n)
         return real(rel)
 
-    monkeypatch.setattr(Relation, "_compose", counted)
+    monkeypatch.setattr(Relation, "_first_gap", counted)
     return sizes

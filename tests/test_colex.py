@@ -1,6 +1,7 @@
 """Maximum co-lex relation, the forward-stable order, and the comparison."""
 
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -295,6 +296,27 @@ class TestPushPull:
         assert branches["cells"] == pulls
         assert [k > 0 for k in branches["pushed"]] == [pushes]
         assert np.array_equal(rel.bits, push_only_reference(nfa))
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_separation_family(300), lambda: random_automaton(100, 2, 2, 1),
+        lambda: word_trie(270, 2)], ids=["sep300", "pull-then-push", "trie270"])
+    def test_batches_cut_on_fan_out(self, monkeypatch, make):
+        monkeypatch.setattr(colex, "_FANOUT", 3)
+        nfa = make()
+        assert np.array_equal(max_colex_relation(nfa).bits, push_only_reference(nfa))
+
+    def test_fan_out_memory_of_the_separation_family(self):
+        # Each pair (u3, v) expands the n - 4 out-edges of u3: a batch of
+        # 4096 such pairs, and 8-byte frontier indices, once took the peak
+        # to 34 bytes per state pair.
+        n = 1024
+        tracemalloc.start()
+        try:
+            max_colex_relation(gen_separation_family(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n
 
     @pytest.mark.parametrize("seed", range(2))
     def test_fifty_labels(self, seed):

@@ -36,19 +36,25 @@ from nfaindex import (
     relation_to_json_text,
     width,
 )
+from nfaindex import relations
 from nfaindex.automaton import label_key
 from nfaindex.cli import main
 from nfaindex.relations import (
+    _SPARSE_AXIOM2_COST,
+    _SPARSE_COMPOSE_COST,
     Violation,
     WidthCertificate,
     _axiom1_violation,
+    _axiom2_cells,
     _axiom2_violation,
     _class_order,
+    _compose_cells,
     _max_matching,
     _partial_order_violation,
     _totality_violation,
     _validate_certificate,
 )
+from test_colex import random_automaton, unary_path, word_trie
 
 
 def closure(n, pairs):
@@ -589,6 +595,180 @@ class TestArrayCheckersMatchLoops:
                         assert v2 == axiom2_reference(nfa, rel, strict_name)
                         found += (v1 is not None) + (v2 is not None)
         assert found > 0
+
+
+def scan_cells_reference(nfa, rel):
+    """The two axiom-2 scans' cells by a loop over same-label edge pairs:
+    all of them, and those whose targets are related and distinct."""
+    dense = sparse = 0
+    for a in nfa.alphabet:
+        targets = [v for (_, lab, v) in nfa.transitions if lab == a]
+        for u in targets:
+            for v in targets:
+                dense += 1
+                sparse += bool(u != v and rel.bits[u, v])
+    return dense, sparse
+
+
+def compose_cells_reference(rel):
+    """Related (u, v), (v, w) with u != v != w, by a loop over middles."""
+    n = rel.n
+    return n ** 3, sum(
+        sum(bool(rel.bits[u, v]) for u in range(n) if u != v)
+        * sum(bool(rel.bits[v, w]) for w in range(n) if w != v)
+        for v in range(n))
+
+
+def swapped_order(nfa, i):
+    """The maximum co-lex relation of a trie, a total order, with the
+    elements at positions i and i + 1 of the order swapped."""
+    bits = max_colex_relation(nfa).bits
+    order = np.argsort(bits.sum(axis=0), kind="stable")  # by down-set size
+    order[[i, i + 1]] = order[[i + 1, i]]
+    pos = np.empty(nfa.n_states, dtype=np.intp)
+    pos[order] = np.arange(nfa.n_states)
+    return Relation.from_matrix(pos[:, None] <= pos[None, :])
+
+
+def scan_table(family):
+    """(automaton, relation) pairs of one family, most with several violations."""
+    rng = np.random.default_rng(11)
+    if family == "random":
+        for n, sigma, degree in [(60, 3, 3), (200, 2, 2), (141, 4, 6)]:
+            nfa = random_automaton(n, sigma, degree, n)
+            base = max_colex_relation(nfa).bits
+            for density in (0.001, 0.01, 0.1):
+                yield nfa, Relation.from_matrix(base | (rng.random(base.shape) < density))
+    elif family == "trie-swap":
+        nfa = word_trie(80, 4)
+        for i in (0, 1, 40, 57, nfa.n_states - 2):
+            yield nfa, swapped_order(nfa, i)
+    elif family in ("sep", "path"):
+        for n in (7, 60, 300):
+            nfa = gen_separation_family(n) if family == "sep" else unary_path(n)
+            base = max_colex_relation(nfa)
+            for rate in (0.001, 0.01, 0.1):
+                yield nfa, corrupted(base, rng, rate)
+    else:
+        yield wide_middle_star(256)
+
+
+def forced(monkeypatch, sparse):
+    """Make both self-checks take the sparse scans, or both the dense ones."""
+    cells = (lambda *args: (1, 0)) if sparse else (lambda *args: (0, 1))
+    monkeypatch.setattr(relations, "_axiom2_cells", cells)
+    monkeypatch.setattr(relations, "_compose_cells", cells)
+
+
+class TestSparseScansMatchDense:
+    @pytest.mark.parametrize("batch", [relations._EDGE_PAIR_CELLS, 61])
+    @pytest.mark.parametrize("family", ["random", "trie-swap", "sep", "path", "star"])
+    def test_same_first_witness(self, monkeypatch, family, batch):
+        monkeypatch.setattr(relations, "_EDGE_PAIR_CELLS", batch)
+        found = [0, 0]
+        for nfa, rel in scan_table(family):
+            got = {}
+            for sparse in (True, False):
+                forced(monkeypatch, sparse)
+                fresh = Relation.from_matrix(rel.bits)  # its witness is not cached
+                got[sparse] = (fresh.transitivity_witness(),
+                               _axiom2_violation(nfa, fresh, "~"),
+                               _axiom2_violation(nfa, fresh, "<"))
+            assert got[True] == got[False]
+            found[0] += got[True][0] is not None
+            found[1] += got[True][1] is not None
+        if family == "trie-swap":  # a swapped total order is still transitive
+            assert found == [0, 5]
+        elif family == "star":
+            assert found == [1, 0]
+        else:
+            assert found[0] >= 4 and found[1] >= 4
+
+    def test_first_witness_matches_the_loop(self, monkeypatch):
+        forced(monkeypatch, sparse=True)
+        for family in ("random", "sep", "path"):
+            for nfa, rel in scan_table(family):
+                if nfa.n_states <= 60:
+                    assert (_axiom2_violation(nfa, rel, "<")
+                            == axiom2_reference(nfa, rel, "<"))
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_gap_with_256_middles(self, monkeypatch, sparse):
+        forced(monkeypatch, sparse)
+        nfa, rel = wide_middle_star(256)
+        ok, violation = check_colex_order(nfa, rel)
+        assert not ok and violation.rule == "not-transitive"
+        assert violation.witness == (1, 2, 258)
+
+    @pytest.mark.parametrize("batch", [1, 3, 61])
+    def test_batches_hold_every_cell_once_in_order(self, monkeypatch, batch):
+        monkeypatch.setattr(relations, "_EDGE_PAIR_CELLS", batch)
+        rng = np.random.default_rng(batch)
+        for _ in range(30):
+            # items of no cells, of one, and of more than a batch
+            cells = rng.integers(0, 3, size=rng.integers(0, 40)) * rng.integers(1, 80)
+            got, sizes = [], []
+            for k, l in relations._cell_batches(cells):
+                got += zip(k.tolist(), l.tolist())
+                sizes.append(len(k))
+            assert got == [(k, l) for k, c in enumerate(cells.tolist()) for l in range(c)]
+            assert set(sizes[:-1]) <= {batch}
+
+    def test_cell_counts_match_the_loops(self):
+        rng = np.random.default_rng(5)
+        for nfa in [gen_fixture("fig2"), gen_separation_family(9),
+                    random_automaton(30, 3, 4, 1), word_trie(40, 2)]:
+            base = max_colex_relation(nfa)
+            for rel in (base, corrupted(base, rng, 0.2), Relation(nfa.n_states)):
+                assert _axiom2_cells(nfa, rel.bits) == scan_cells_reference(nfa, rel)
+                assert _compose_cells(rel.bits) == compose_cells_reference(rel)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Names of the self-check scans run, in order."""
+    ran = []
+    for name in ("_sparse_first_edge_pair", "_first_edge_pair",
+                 "_sparse_first_gap", "_dense_first_gap"):
+        def record(*args, _real=getattr(relations, name), _name=name):
+            ran.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(relations, name, record)
+    return ran
+
+
+class TestScanChoice:
+    @pytest.mark.parametrize("n,sigma,degree", [
+        (50, 3, 4), (71, 2, 3), (100, 2, 2), (141, 4, 6), (200, 2, 2)])
+    def test_sparse_axiom2_on_random_automata(self, scans, n, sigma, degree):
+        max_colex_relation(random_automaton(n, sigma, degree, 3))
+        assert set(scans) - {"_dense_first_gap", "_sparse_first_gap"} == {
+            "_sparse_first_edge_pair"}
+
+    def test_both_sparse_at_a_thousand_states(self, scans):
+        nfa = random_automaton(1000, 3, 6, 1)
+        rel = max_colex_relation(nfa)
+        assert set(scans) == {"_sparse_first_gap", "_sparse_first_edge_pair"}
+        dense, sparse = _compose_cells(rel.bits)
+        assert _SPARSE_COMPOSE_COST * sparse * 100 < dense
+        dense, sparse = _axiom2_cells(nfa, rel.bits)
+        assert _SPARSE_AXIOM2_COST * sparse * 100 < dense
+
+    @pytest.mark.parametrize("make", [
+        lambda: word_trie(271, 3), lambda: word_trie(271, 4, "abcd"),
+        lambda: unary_path(400)], ids=["trie271", "trie271-4-letters", "path400"])
+    def test_dense_on_trie_orders_and_paths(self, scans, make):
+        nfa = make()
+        rel = max_colex_relation(nfa)
+        assert rel.is_total()
+        assert set(scans) == {"_dense_first_gap", "_first_edge_pair"}
+        dense, sparse = _axiom2_cells(nfa, rel.bits)
+        assert 2 * sparse < dense < 2.2 * sparse  # half the edge pairs, not fewer
+
+    def test_sparse_composition_on_the_star(self, scans):
+        nfa, rel = wide_middle_star(256)
+        assert check_colex_order(nfa, rel)[1].witness == (1, 2, 258)
+        assert scans == ["_sparse_first_gap"]
 
 
 def wheeler_order_reference(nfa, rel):
