@@ -36,9 +36,9 @@ by looking at the few unmarked pairs' incoming edges instead of the many
 marked pairs' outgoing ones, while sparse seeds (unary paths, tries,
 combs) never build the list.  The fixpoint is unique, so the direction
 never changes the result.  Memory is the n*n mark matrix, the push's n*n
-index array, the table, 8 bytes per cell, 4 bytes per frontier pair (while
-n*n < 2**31) and batches cut on the running count of frontier pairs, of
-their first states' out-edges and of candidates.
+int32 index array, the table, 8 bytes per cell, 4 bytes per frontier pair
+and batches cut on the running count of frontier pairs, of their first
+states' out-edges and of candidates.
 
 ``cfs_order`` is the maximum co-lex order of the quotient by the coarsest
 forward-stable partition, lifted to the states: a preorder whose classes
@@ -187,10 +187,13 @@ def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray,
         return
     n, sigma = nfa.n_states, len(nfa.alphabet)
     first, outdeg = ptr[::sigma], deg.reshape(n, sigma).sum(axis=1)
-    # Flat pair indices, and positions within a batch, fit 4 bytes below 2**31.
-    index = np.int32 if n * n < 2**31 else np.intp
+    top = int(outdeg.max())
+    # Flat pair indices, and positions within a batch, are held as int32:
+    # max_colex_relation refuses more than MAX_DENSE_STATES states, so
+    # n*n <= 2**24.
+    assert n * n < 2**31
     # slot[c] == position of c in its batch marks a first occurrence.
-    slot = np.empty(n * n, dtype=index)
+    slot = np.empty(n * n, dtype=np.int32)
     while len(frontier):
         found = []
         f = 0
@@ -198,9 +201,10 @@ def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray,
             u, v = np.divmod(frontier[f:f + _CHUNK], n)
             # Each out-edge u -a-> x of a pair (u, v) looks up v's a-edges.
             od = outdeg[u]
-            k = max(1, int(np.cumsum(od).searchsorted(_FANOUT, side="right")))
-            u, v, od = u[:k], v[:k], od[:k]
-            f += k
+            if len(od) * top > _FANOUT:  # else the cut cannot bind
+                k = max(1, int(np.cumsum(od).searchsorted(_FANOUT, side="right")))
+                u, v, od = u[:k], v[:k], od[:k]
+            f += len(u)
             e = _spread(first[u], od)
             key = (v * sigma).repeat(od) + nfa.lab[e]
             hit = deg[key] > 0
@@ -215,7 +219,7 @@ def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray,
                 slot[cand] = pos
                 cand = cand[slot[cand] == pos]
                 flat[cand] = True
-                found.append(cand.astype(index))
+                found.append(cand.astype(np.int32))
         frontier = np.concatenate(found)
 
 

@@ -14,21 +14,22 @@ The work is done on arrays, never per pair in Python.  The axiom-2 and
 Wheeler checks scan the O(m^2) cells of an edge-pair mask in row chunks
 of bounded size; the first hit in row-major order is the witness a scan
 over edge pairs in listed order would find.  Transitivity is the float32
-product R @ R in row blocks, n^3 multiply-adds.  A relation with few
-related pairs gets sparse scans instead: axiom 2 visits only the a-edge
-pairs into a related distinct pair (u, v), the sum of in_a(u) * in_a(v),
-and transitivity composes only related pairs, the sum over v of
-in(v) * out(v).  Exact counts of both, O(sigma * n^2) and O(n^2), times a
-measured cost per sparse cell pick the cheaper scan, and each sparse scan
-reports the dense scan's first witness: the least hit in row-major order.
-On a 4096-state random automaton with 3 labels and out-degree 6, where
-0.3% of the pairs are related, the two checks fall from about 3 s and
-0.9 s to 0.04 s each; total orders and unary paths, where half the pairs
-are related, keep the dense scans.  The JSON form of a relation
-is read with one name lookup per entry and a single scatter into the
-matrix, and ``relation_to_json_text`` writes it without the generic JSON
-encoder.  Inputs are re-scanned one item at a time only to word the error
-for an input that is already rejected.
+product R @ R in row blocks, n^3 multiply-adds, stopping at the first
+block with a gap.  A relation with few related pairs gets a sparse
+axiom-2 scan instead: it visits only the a-edge pairs into a related
+distinct pair (u, v), the sum of in_a(u) * in_a(v), and reports the mask
+scan's first witness, the least hit in row-major order.  An exact count
+of those cells, n*n*(sigma + 1) operations, times a measured cost per
+sparse cell picks the scan; the count itself is skipped when it would
+cost more than a tenth of the mask scan, as with many labels.  On a
+4096-state random automaton with 3 labels and out-degree 6, where 0.3% of
+the pairs are related, the axiom-2 check falls from about 3 s to 0.04 s;
+total orders and unary paths, where half the pairs are related, keep the
+mask scan.  The JSON form of a relation is read with one name lookup per
+entry and a single scatter into the matrix, and ``relation_to_json_text``
+writes it without the generic JSON encoder.  Inputs are re-scanned one
+item at a time only to word the error for an input that is already
+rejected.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ from .fs_partition import Partition, build_quotient, coarsest_fs_partition
 
 # Most states of an automaton for which an n*n relation is built; the
 # relation and its checks are stored densely.  At this limit (tracemalloc)
-# the maximum co-lex relation of a unary path peaks at 105 MB, in the float32
-# transitivity product's copy of the relation and its row block; a random
-# automaton, whose checks are sparse, at 118 MB in the propagation's mark
-# matrix and pull cell list; and sep:4096, whose one push round marks
-# almost every pair, at 219 MB, the new pairs held twice as 4-byte indices.
+# the maximum co-lex relation of a unary path or of a random automaton
+# peaks at about 105-120 MB, in the float32 transitivity product's copy of
+# the relation and its row block or in the propagation's mark matrix and
+# pull cell list; sep:4096, whose one push round marks almost every pair,
+# peaks at about 220 MB, the new pairs held twice as 4-byte indices.
 MAX_DENSE_STATES = 4096
 
 
@@ -146,13 +147,17 @@ class Relation:
         return (u, int(via[0]), w)
 
     def _first_gap(self) -> tuple[int, int] | None:
-        # Row-major first (u, w) outside R that two related pairs lead to:
-        # by composing the related pairs when the matrix product's n**3
-        # multiply-adds cost more.
-        dense, sparse = _compose_cells(self.bits)
-        if _SPARSE_COMPOSE_COST * sparse < dense:
-            return _sparse_first_gap(self.bits)
-        return _dense_first_gap(self.bits)
+        # Row-major first (u, w) outside R that two related pairs lead to,
+        # from the product R @ R in row blocks.  float32 counts the middle
+        # elements exactly up to 2**24; uint8 would wrap at 256 and hide a
+        # gap shared by 256 middles.
+        a = self.bits.astype(np.float32)
+        rows = max(1, _BLOCK_CELLS // max(1, self.n))
+        for r in range(0, self.n, rows):
+            hit = _first_hit(((a[r:r + rows] @ a) > 0) & ~self.bits[r:r + rows])
+            if hit is not None:
+                return hit[0] + r, hit[1]
+        return None
 
     def is_transitive(self) -> bool:
         return self.transitivity_witness() is None
@@ -169,16 +174,9 @@ class Relation:
         return f"Relation(n={self.n}, pairs={self.pairs()})"
 
 
-# Cells of an n-column row block of a relation's matrix that a count or
-# the transitivity product takes at once.
+# Cells of an n-column row block of a relation's matrix that the
+# transitivity product or the axiom-2 count takes at once.
 _BLOCK_CELLS = 1 << 22
-
-# Measured cost of a sparse scan's cell in units of the dense work it
-# replaces: a sparse composition cell against multiply-adds of the float32
-# product, a sparse axiom-2 cell against cells of the edge-pair mask.  A
-# sparse scan runs only when its cells times this cost are fewer.
-_SPARSE_COMPOSE_COST = 1000
-_SPARSE_AXIOM2_COST = 8
 
 
 def _related_pairs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,61 +190,6 @@ def _spread(first: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     """Indices first[i] .. first[i] + cnt[i] - 1, for every i in turn."""
     idx = (first - cnt.cumsum() + cnt).repeat(cnt)
     return idx + np.arange(len(idx))
-
-
-def _cell_batches(cells: np.ndarray):
-    """The cells of items 0, 1, ..., item k owning cells[k] of them, in
-    order and in batches of _EDGE_PAIR_CELLS: yields each batch as the
-    item of every cell and the cell's index within its item."""
-    end = np.cumsum(cells)
-    total = int(end[-1]) if len(end) else 0
-    for c0 in range(0, total, _EDGE_PAIR_CELLS):
-        c1 = min(total, c0 + _EDGE_PAIR_CELLS)
-        k0, k1 = end.searchsorted([c0, c1 - 1], side="right").tolist()
-        ks = np.arange(k0, k1 + 1)
-        start = end[ks] - cells[ks]
-        lo = np.maximum(start, c0)
-        take = np.minimum(end[ks], c1) - lo
-        yield ks.repeat(take), _spread(lo - start, take)
-
-
-def _compose_cells(bits: np.ndarray) -> tuple[int, int]:
-    """Multiply-adds of the n*n product, and cells of the composition of
-    the related pairs: the sum over v of in(v) * out(v), diagonal excluded."""
-    ins = bits.sum(axis=0, dtype=np.int64) - 1
-    outs = bits.sum(axis=1, dtype=np.int32) - 1
-    return len(bits) ** 3, int(ins @ outs)
-
-
-def _dense_first_gap(bits: np.ndarray) -> tuple[int, int] | None:
-    # float32 counts the middle elements exactly up to 2**24; uint8 would
-    # wrap at 256 and hide a gap shared by 256 middles.
-    a = bits.astype(np.float32)
-    rows = max(1, _BLOCK_CELLS // max(1, len(bits)))
-    for r in range(0, len(bits), rows):
-        hit = _first_hit(((a[r:r + rows] @ a) > 0) & ~bits[r:r + rows])
-        if hit is not None:
-            return hit[0] + r, hit[1]
-    return None
-
-
-def _sparse_first_gap(bits: np.ndarray) -> tuple[int, int] | None:
-    """The gap _dense_first_gap finds, by composing each related pair (u, v)
-    with the pairs leaving v.  The pairs are taken in row-major order, so
-    the scan stops at the first batch past the row of a gap found."""
-    n = len(bits)
-    us, vs = _related_pairs(bits)
-    outs = np.bincount(us, minlength=n)
-    first = np.cumsum(outs) - outs
-    best = n * n  # none yet
-    for k, l in _cell_batches(outs[vs]):
-        if us[k[0]] > best // n:
-            break
-        u, w = us[k], vs[first[vs[k]] + l]
-        gap = ~bits[u, w]
-        if gap.any():
-            best = min(best, int((u[gap] * n + w[gap]).min()))
-    return divmod(best, n) if best < n * n else None
 
 
 def relation_to_json_dict(rel: Relation, names: Sequence[str]) -> dict:
@@ -400,21 +343,41 @@ def _first_edge_pair(m: int, mask_rows) -> tuple[int, int] | None:
     return None
 
 
-def _axiom2_cells(nfa: Nfa, bits: np.ndarray) -> tuple[int, int]:
-    """Edge pairs the two axiom-2 scans visit: the sum over labels a of
-    |E_a|**2 for the masks, and for the sparse scan the sum over related
-    distinct (u, v) of in_a(u) * in_a(v).  With in_a the columns of an
-    n x sigma matrix C, the second is sum(C * (R @ C)) less the diagonal's
-    sum(C * C), taken in row blocks.  An entry of R @ C is at most
-    |E_a| <= n*n, so float32 holds it exactly up to the dense limit."""
+# Measured costs, in cells of an edge-pair mask: a cell of the sparse
+# axiom-2 scan costs about 8 (6-7 on full scans of unary paths, more on
+# small trie orders, where each label's fixed work weighs more), and an
+# operation of its exact count 1/50 or less.  The count runs only when it
+# costs at most a tenth of the mask scan, and the sparse scan only when its
+# cells cost less than the mask's.
+_SPARSE_AXIOM2_COST = 8
+_COUNT_ADDS_PER_CELL = 5
+
+
+def _sparse_axiom2_cells(nfa: Nfa, bits: np.ndarray) -> int:
+    """Edge pairs the sparse axiom-2 scan visits: the sum over related
+    distinct (u, v) and labels a of in_a(u) * in_a(v).  With in_a the
+    columns of an n x sigma matrix C, that is sum(C * (R @ C)) less the
+    diagonal's sum(C * C), taken in row blocks: n*n*(sigma + 1) operations
+    with the cast.  An entry of R @ C is at most |E_a| <= n*n, so float32
+    holds it exactly up to the dense limit."""
     n, sigma = nfa.n_states, len(nfa.alphabet)
     into = np.bincount(nfa.dst * sigma + nfa.lab, minlength=n * sigma).reshape(n, sigma)
     c = into.astype(np.float32)
-    sparse = -int(np.square(into).sum())
+    cells = -int(np.square(into).sum())
     rows = max(1, _BLOCK_CELLS // max(1, n))
     for r in range(0, n, rows):
-        sparse += int(((bits[r:r + rows] @ c).astype(np.int64) * into[r:r + rows]).sum())
-    return int(np.square(into.sum(axis=0)).sum()), sparse
+        cells += int(((bits[r:r + rows] @ c).astype(np.int64) * into[r:r + rows]).sum())
+    return cells
+
+
+def _use_sparse_axiom2(nfa: Nfa, bits: np.ndarray, mask_cells: int) -> bool:
+    """Whether the sparse axiom-2 scan costs less than the masks' cells.
+    Many labels make the count dearer than the masks it could save, and
+    then the masks are scanned without it."""
+    n, sigma = nfa.n_states, len(nfa.alphabet)
+    if n * n * (sigma + 1) > _COUNT_ADDS_PER_CELL * mask_cells:
+        return False
+    return _SPARSE_AXIOM2_COST * _sparse_axiom2_cells(nfa, bits) < mask_cells
 
 
 def _sparse_first_edge_pair(bits: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -422,28 +385,34 @@ def _sparse_first_edge_pair(bits: np.ndarray, src: np.ndarray, dst: np.ndarray,
     """The first hit of a label's axiom-2 mask, visiting only the edge
     pairs whose targets are a related distinct pair (us[k], vs[k]).  Row i
     of the mask, for the edge into u, is visited as the edges into each v
-    related to u, rows in order, so the scan stops past the first hit's row."""
+    related to u.  Rows are taken in order, in groups of at most about
+    _EDGE_PAIR_CELLS cells (or one row), and the first group with a hit
+    holds the least one."""
     m, n = len(dst), len(bits)
     by_dst = np.argsort(dst, kind="stable")
     into = np.bincount(dst, minlength=n)
     keep = into[vs] > 0
     us, vs = us[keep], vs[keep]
     row = np.bincount(us, minlength=n)
-    # One item per edge i and state v related to its target: into[v] cells.
-    per_edge = row[dst]
-    v = vs[_spread((np.cumsum(row) - row)[dst], per_edge)]
-    edge = np.arange(m).repeat(per_edge)
-    first = np.cumsum(into) - into
-    best = m * m  # none yet
-    for k, l in _cell_batches(into[v]):
-        i = edge[k]
-        if i[0] > best // m:
-            break
-        j = by_dst[first[v[k]] + l]
+    start, first = np.cumsum(row) - row, np.cumsum(into) - into
+    # Cells up to and including each row of the mask.
+    ends = np.cumsum(np.bincount(us, into[vs], n).astype(np.int64)[dst])
+    i0 = 0
+    while i0 < m:
+        done = int(ends[i0 - 1]) if i0 else 0
+        i1 = max(i0 + 1, int(ends.searchsorted(done + _EDGE_PAIR_CELLS, side="right")))
+        # One item per row i and state v related to its target, then one
+        # cell per item and edge into v.
+        d = dst[i0:i1]
+        cnt = row[d]
+        v = vs[_spread(start[d], cnt)]
+        i = np.arange(i0, i1).repeat(cnt).repeat(into[v])
+        j = by_dst[_spread(first[v], into[v])]
         hit = ~bits[src[i], src[j]]
         if hit.any():
-            best = min(best, int((i[hit] * m + j[hit]).min()))
-    return divmod(best, m) if best < m * m else None
+            return divmod(int((i[hit] * m + j[hit]).min()), m)
+        i0 = i1
+    return None
 
 
 def _axiom2_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | None:
@@ -452,9 +421,10 @@ def _axiom2_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | 
     # a scan over edge pairs.  When it costs less, only the cells whose
     # target pair is related and distinct are visited, for the least hit.
     bits = rel.bits
-    dense, sparse = _axiom2_cells(nfa, bits)
-    related = _related_pairs(bits) if _SPARSE_AXIOM2_COST * sparse < dense else None
-    for a, (src, dst) in zip(nfa.alphabet, label_edges(nfa)):
+    edges = label_edges(nfa)
+    mask_cells = sum(len(dst) ** 2 for _, dst in edges)
+    related = _related_pairs(bits) if _use_sparse_axiom2(nfa, bits, mask_cells) else None
+    for a, (src, dst) in zip(nfa.alphabet, edges):
         if related is not None:
             hit = _sparse_first_edge_pair(bits, src, dst, *related)
         else:

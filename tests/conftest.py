@@ -41,9 +41,8 @@ def no_dense_allocation(monkeypatch, no_dense_relation):
 
 @pytest.fixture
 def products(monkeypatch):
-    """The sizes of the relations whose transitivity is computed (by the
-    n*n matrix product or by composing related pairs), in the order the
-    checks run."""
+    """The sizes of the n*n matrix products behind transitivity checks,
+    in the order they run."""
     sizes = []
     real = Relation._first_gap
 

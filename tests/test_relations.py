@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,16 +42,14 @@ from nfaindex.automaton import label_key
 from nfaindex.cli import main
 from nfaindex.relations import (
     _SPARSE_AXIOM2_COST,
-    _SPARSE_COMPOSE_COST,
     Violation,
     WidthCertificate,
     _axiom1_violation,
-    _axiom2_cells,
     _axiom2_violation,
     _class_order,
-    _compose_cells,
     _max_matching,
     _partial_order_violation,
+    _sparse_axiom2_cells,
     _totality_violation,
     _validate_certificate,
 )
@@ -610,15 +609,6 @@ def scan_cells_reference(nfa, rel):
     return dense, sparse
 
 
-def compose_cells_reference(rel):
-    """Related (u, v), (v, w) with u != v != w, by a loop over middles."""
-    n = rel.n
-    return n ** 3, sum(
-        sum(bool(rel.bits[u, v]) for u in range(n) if u != v)
-        * sum(bool(rel.bits[v, w]) for w in range(n) if w != v)
-        for v in range(n))
-
-
 def swapped_order(nfa, i):
     """The maximum co-lex relation of a trie, a total order, with the
     elements at positions i and i + 1 of the order swapped."""
@@ -643,46 +633,37 @@ def scan_table(family):
         nfa = word_trie(80, 4)
         for i in (0, 1, 40, 57, nfa.n_states - 2):
             yield nfa, swapped_order(nfa, i)
-    elif family in ("sep", "path"):
+    else:
         for n in (7, 60, 300):
             nfa = gen_separation_family(n) if family == "sep" else unary_path(n)
             base = max_colex_relation(nfa)
             for rate in (0.001, 0.01, 0.1):
                 yield nfa, corrupted(base, rng, rate)
-    else:
-        yield wide_middle_star(256)
 
 
 def forced(monkeypatch, sparse):
-    """Make both self-checks take the sparse scans, or both the dense ones."""
-    cells = (lambda *args: (1, 0)) if sparse else (lambda *args: (0, 1))
-    monkeypatch.setattr(relations, "_axiom2_cells", cells)
-    monkeypatch.setattr(relations, "_compose_cells", cells)
+    """Make the axiom-2 check take the sparse scan, or the masks."""
+    monkeypatch.setattr(relations, "_use_sparse_axiom2", lambda *args: sparse)
 
 
-class TestSparseScansMatchDense:
-    @pytest.mark.parametrize("batch", [relations._EDGE_PAIR_CELLS, 61])
-    @pytest.mark.parametrize("family", ["random", "trie-swap", "sep", "path", "star"])
+class TestSparseScanMatchesMasks:
+    @pytest.mark.parametrize("batch", [relations._EDGE_PAIR_CELLS, 61, 1])
+    @pytest.mark.parametrize("family", ["random", "trie-swap", "sep", "path"])
     def test_same_first_witness(self, monkeypatch, family, batch):
         monkeypatch.setattr(relations, "_EDGE_PAIR_CELLS", batch)
-        found = [0, 0]
+        found = 0
         for nfa, rel in scan_table(family):
             got = {}
             for sparse in (True, False):
                 forced(monkeypatch, sparse)
-                fresh = Relation.from_matrix(rel.bits)  # its witness is not cached
-                got[sparse] = (fresh.transitivity_witness(),
-                               _axiom2_violation(nfa, fresh, "~"),
-                               _axiom2_violation(nfa, fresh, "<"))
+                got[sparse] = (_axiom2_violation(nfa, rel, "~"),
+                               _axiom2_violation(nfa, rel, "<"))
             assert got[True] == got[False]
-            found[0] += got[True][0] is not None
-            found[1] += got[True][1] is not None
-        if family == "trie-swap":  # a swapped total order is still transitive
-            assert found == [0, 5]
-        elif family == "star":
-            assert found == [1, 0]
+            found += got[True][0] is not None
+        if family == "trie-swap":
+            assert found == 5
         else:
-            assert found[0] >= 4 and found[1] >= 4
+            assert found >= 4
 
     def test_first_witness_matches_the_loop(self, monkeypatch):
         forced(monkeypatch, sparse=True)
@@ -692,44 +673,53 @@ class TestSparseScansMatchDense:
                     assert (_axiom2_violation(nfa, rel, "<")
                             == axiom2_reference(nfa, rel, "<"))
 
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_gap_with_256_middles(self, monkeypatch, sparse):
-        forced(monkeypatch, sparse)
+    def test_gap_with_256_middles(self):
         nfa, rel = wide_middle_star(256)
         ok, violation = check_colex_order(nfa, rel)
         assert not ok and violation.rule == "not-transitive"
         assert violation.witness == (1, 2, 258)
 
-    @pytest.mark.parametrize("batch", [1, 3, 61])
-    def test_batches_hold_every_cell_once_in_order(self, monkeypatch, batch):
-        monkeypatch.setattr(relations, "_EDGE_PAIR_CELLS", batch)
-        rng = np.random.default_rng(batch)
-        for _ in range(30):
-            # items of no cells, of one, and of more than a batch
-            cells = rng.integers(0, 3, size=rng.integers(0, 40)) * rng.integers(1, 80)
-            got, sizes = [], []
-            for k, l in relations._cell_batches(cells):
-                got += zip(k.tolist(), l.tolist())
-                sizes.append(len(k))
-            assert got == [(k, l) for k, c in enumerate(cells.tolist()) for l in range(c)]
-            assert set(sizes[:-1]) <= {batch}
-
-    def test_cell_counts_match_the_loops(self):
+    def test_cell_counts_match_the_loop(self):
         rng = np.random.default_rng(5)
         for nfa in [gen_fixture("fig2"), gen_separation_family(9),
                     random_automaton(30, 3, 4, 1), word_trie(40, 2)]:
             base = max_colex_relation(nfa)
             for rel in (base, corrupted(base, rng, 0.2), Relation(nfa.n_states)):
-                assert _axiom2_cells(nfa, rel.bits) == scan_cells_reference(nfa, rel)
-                assert _compose_cells(rel.bits) == compose_cells_reference(rel)
+                assert (_sparse_axiom2_cells(nfa, rel.bits)
+                        == scan_cells_reference(nfa, rel)[1])
+
+    def test_memory_is_bounded_on_a_dense_user_relation(self, monkeypatch):
+        # A relation with a tenth of the pairs related on a one-label
+        # automaton of out-degree 6: the sparse scan visits a tenth of the
+        # mask cells, about 3.8M, and must build them a group at a time.
+        # What remains is the list of related pairs, about 33 bytes each
+        # while it is built (3.5 MB here).
+        forced(monkeypatch, sparse=True)
+        nfa = random_automaton(1024, 1, 6, 2)
+        rng = np.random.default_rng(3)
+        bits = max_colex_relation(nfa).bits | (rng.random((1024, 1024)) < 0.1)
+        rel = Relation.from_matrix(bits)
+        peak = traced_peak(lambda: _axiom2_violation(nfa, rel, "<"))
+        monkeypatch.setattr(relations, "_EDGE_PAIR_CELLS", 1 << 30)
+        with_one_group = traced_peak(lambda: _axiom2_violation(nfa, rel, "<"))
+        assert peak < 6 * 1024 * 1024 and 10 * peak < with_one_group
+
+
+def traced_peak(call):
+    """Peak traced memory, in bytes, while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Names of the self-check scans run, in order."""
+    """Names of the axiom-2 scans run, in order, and the counts taken."""
     ran = []
-    for name in ("_sparse_first_edge_pair", "_first_edge_pair",
-                 "_sparse_first_gap", "_dense_first_gap"):
+    for name in ("_sparse_first_edge_pair", "_first_edge_pair", "_sparse_axiom2_cells"):
         def record(*args, _real=getattr(relations, name), _name=name):
             ran.append(_name)
             return _real(*args)
@@ -740,35 +730,35 @@ def scans(monkeypatch):
 class TestScanChoice:
     @pytest.mark.parametrize("n,sigma,degree", [
         (50, 3, 4), (71, 2, 3), (100, 2, 2), (141, 4, 6), (200, 2, 2)])
-    def test_sparse_axiom2_on_random_automata(self, scans, n, sigma, degree):
+    def test_sparse_on_random_automata(self, scans, n, sigma, degree):
         max_colex_relation(random_automaton(n, sigma, degree, 3))
-        assert set(scans) - {"_dense_first_gap", "_sparse_first_gap"} == {
-            "_sparse_first_edge_pair"}
+        assert set(scans) == {"_sparse_axiom2_cells", "_sparse_first_edge_pair"}
 
-    def test_both_sparse_at_a_thousand_states(self, scans):
+    def test_sparse_at_a_thousand_states(self, scans):
         nfa = random_automaton(1000, 3, 6, 1)
         rel = max_colex_relation(nfa)
-        assert set(scans) == {"_sparse_first_gap", "_sparse_first_edge_pair"}
-        dense, sparse = _compose_cells(rel.bits)
-        assert _SPARSE_COMPOSE_COST * sparse * 100 < dense
-        dense, sparse = _axiom2_cells(nfa, rel.bits)
-        assert _SPARSE_AXIOM2_COST * sparse * 100 < dense
+        assert set(scans) == {"_sparse_axiom2_cells", "_sparse_first_edge_pair"}
+        mask_cells = scan_cells_reference(nfa, rel)[0]
+        assert _SPARSE_AXIOM2_COST * _sparse_axiom2_cells(nfa, rel.bits) * 100 < mask_cells
 
     @pytest.mark.parametrize("make", [
         lambda: word_trie(271, 3), lambda: word_trie(271, 4, "abcd"),
         lambda: unary_path(400)], ids=["trie271", "trie271-4-letters", "path400"])
-    def test_dense_on_trie_orders_and_paths(self, scans, make):
+    def test_masks_on_trie_orders_and_paths(self, scans, make):
         nfa = make()
         rel = max_colex_relation(nfa)
         assert rel.is_total()
-        assert set(scans) == {"_dense_first_gap", "_first_edge_pair"}
-        dense, sparse = _axiom2_cells(nfa, rel.bits)
+        assert set(scans) - {"_sparse_axiom2_cells"} == {"_first_edge_pair"}
+        dense, sparse = scan_cells_reference(nfa, rel)
         assert 2 * sparse < dense < 2.2 * sparse  # half the edge pairs, not fewer
 
-    def test_sparse_composition_on_the_star(self, scans):
-        nfa, rel = wide_middle_star(256)
-        assert check_colex_order(nfa, rel)[1].witness == (1, 2, 258)
-        assert scans == ["_sparse_first_gap"]
+    @pytest.mark.parametrize("make", [
+        lambda: word_trie(271, 3), lambda: word_trie(300, 0, [f"l{i:03d}" for i in range(200)]),
+        lambda: random_automaton(300, 50, 4, 0)],
+        ids=["trie271", "trie-200-letters", "random-50-letters"])
+    def test_no_count_where_it_costs_more_than_it_can_save(self, scans, make):
+        max_colex_relation(make())
+        assert set(scans) == {"_first_edge_pair"}
 
 
 def wheeler_order_reference(nfa, rel):
