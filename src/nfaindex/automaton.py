@@ -27,7 +27,9 @@ automaton reproduces it up to that renaming.
 
 from __future__ import annotations
 
+import operator
 import random
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -95,13 +97,12 @@ def _run_starts(*columns: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _bfs_distances(n: int, source: int, src: np.ndarray, dst: np.ndarray) -> list[int]:
-    """Edge count of a shortest path from ``source`` to each of 0..n-1 over
-    the edges src[i] -> dst[i], ``src`` ascending; -1 marks an unreachable
-    state."""
-    start = src.searchsorted(np.arange(n + 1)).tolist()
-    dst = dst.tolist()
-    dist = [-1] * n
+def _bfs_distances(source: int, start: np.ndarray, dst: np.ndarray) -> list[int]:
+    """Edge count of a shortest path from ``source`` to each state u < n
+    over the edges u -> dst[start[u]:start[u + 1]], for out-edge offsets
+    ``start`` of length n + 1; -1 marks an unreachable state."""
+    start, dst = start.tolist(), dst.tolist()
+    dist = [-1] * (len(start) - 1)
     dist[source] = 0
     queue = [source]
     for u in queue:  # the loop reaches the states appended while it runs
@@ -135,14 +136,21 @@ def _plain_edges(trans: list, n: int) -> tuple[np.ndarray, tuple[str, ...]] | No
 
 def _checked_edges(transitions: Iterable, n: int, names: list[str]) -> list[tuple[int, str, int]]:
     """The transitions as (int, label, int) triples, checked edge by edge
-    in listed order; raises on the first one out of range, with an invalid
-    label or repeating an earlier one."""
+    in listed order; raises on the first one that is malformed, out of
+    range, with an invalid label or repeating an earlier one."""
     seen: dict[tuple[int, str, int], None] = {}
-    for (u, a, v) in transitions:
-        if not (0 <= u < n and 0 <= v < n):
+    for item in transitions:
+        try:
+            u, a, v = item
+            t = (operator.index(u), a, operator.index(v))
+            if not isinstance(a, str):
+                raise TypeError
+        except (TypeError, ValueError):
+            raise ValidationError(f"malformed transition {item!r}: "
+                                  f"expected (state id, label, state id)") from None
+        if not (0 <= t[0] < n and 0 <= t[2] < n):
             raise ValidationError(f"transition ({u}, {a!r}, {v}) out of range")
         _check_token(a, "label")
-        t = (int(u), a, int(v))
         if t in seen:
             raise ValidationError(
                 f"duplicate transition {names[t[0]]} {a} {names[t[2]]}")
@@ -164,9 +172,11 @@ class Nfa:
     ``transitions`` holds the (from, label, to) triples sorted by from-id,
     label order and to-id; ``src``, ``lab`` and ``dst`` hold them in that
     order as read-only ``np.intp`` arrays, ``lab`` indexing ``alphabet``.
-    These are the only edge storage.  ``targets`` binary-searches ``src``,
-    ``sources`` scans all of ``dst`` and ``delta_set`` calls ``targets`` per
-    state; code that asks per state in a loop builds its own index.
+    These are the only edge storage.  Two read-only indexes sit beside
+    them: the out-edge offsets ``out_start``, which the reachability check
+    builds, and the incoming-label ranks ``label_bounds``, built on first
+    use.  ``targets`` reads ``out_start``, ``sources`` scans all of ``dst``
+    and ``delta_set`` calls ``targets``.
     """
 
     def __init__(
@@ -179,6 +189,10 @@ class Nfa:
     ):
         if n_states < 1:
             raise ValidationError("an automaton needs at least one state")
+        try:
+            initial = operator.index(initial)
+        except TypeError:
+            raise ValidationError(f"initial state {initial!r} is not an integer id") from None
         if not 0 <= initial < n_states:
             raise ValidationError(f"initial state {initial} out of range")
         if names is None:
@@ -225,12 +239,15 @@ class Nfa:
                 raise ValidationError(f"label {lbl!r} declared but unused")
 
         self.n_states = n_states
-        self.initial = int(initial)
+        self.initial = initial
         self.names = tuple(names)
         self.id_of = dict(zip(self.names, range(n_states)))
         self.transitions = tuple([trans[e] for e in order.tolist()])
         edges.setflags(write=False)
         self.src, self.lab, self.dst = edges
+        # The edges leaving u are out_start[u] to out_start[u + 1] - 1.
+        self.out_start = self.src.searchsorted(np.arange(n_states + 1))
+        self.out_start.setflags(write=False)
 
         into = np.flatnonzero(self.dst == self.initial)
         if len(into):
@@ -240,7 +257,7 @@ class Nfa:
                 f"initial state has incoming transition "
                 f"{self.names[u]} {a} {self.names[self.initial]}")
 
-        dist = _bfs_distances(n_states, self.initial, self.src, self.dst)
+        dist = _bfs_distances(self.initial, self.out_start, self.dst)
         if -1 in dist:
             missing = dist.index(-1)
             raise ValidationError(f"state {self.names[missing]!r} is unreachable")
@@ -251,11 +268,26 @@ class Nfa:
         lam[self.initial].add(HASH)
         self.lambda_sets = tuple(map(frozenset, lam))
 
+    @cached_property
+    def label_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Highest and lowest rank (hi, lo) of each state's incoming labels.
+        HASH ranks 0 and the alphabet 1, 2, ... in label order, so hi[u] <=
+        lo[v] exactly when lambda_leq(λ(u), λ(v)), and hi[u] == lo[u] when
+        u has one incoming label."""
+        hi = np.zeros(self.n_states, dtype=np.intp)
+        lo = np.full(self.n_states, len(self.alphabet) + 1, dtype=np.intp)
+        np.maximum.at(hi, self.dst, self.lab + 1)
+        np.minimum.at(lo, self.dst, self.lab + 1)
+        lo[self.initial] = 0  # the initial state alone is entered by no edge
+        hi.setflags(write=False)
+        lo.setflags(write=False)
+        return hi, lo
+
     # -- queries ---------------------------------------------------------
 
     def targets(self, u: int, a: str) -> tuple[int, ...]:
         """States reachable from u in one step on label a."""
-        lo, hi = self.src.searchsorted([u, u + 1]).tolist()
+        lo, hi = self.out_start[u:u + 2].tolist() if 0 <= u < self.n_states else (0, 0)
         return tuple([v for (_, b, v) in self.transitions[lo:hi] if b == a])
 
     def sources(self, u: int, a: str) -> tuple[int, ...]:
@@ -477,7 +509,8 @@ def gen_random(states: int, alphabet_size: int, density: float, seed: int) -> Nf
         edges.append((0, a, t))
 
     src, dst = np.array(sorted((u, v) for (u, _, v) in edges), np.intp).reshape(-1, 2).T
-    keep = [u for u, d in enumerate(_bfs_distances(states, 0, src, dst)) if d >= 0]
+    start = src.searchsorted(np.arange(states + 1))
+    keep = [u for u, d in enumerate(_bfs_distances(0, start, dst)) if d >= 0]
     new_id = {old: i for i, old in enumerate(keep)}
     edges = [(new_id[u], a, new_id[v]) for (u, a, v) in edges if u in new_id]
     names = [f"q{i}" for i in range(len(keep))]

@@ -36,21 +36,22 @@ by looking at the few unmarked pairs' incoming edges instead of the many
 marked pairs' outgoing ones, while sparse seeds (unary paths, tries,
 combs) never build the list.  The fixpoint is unique, so the direction
 never changes the result.  Memory is the n*n mark matrix, the push's n*n
-int32 index array, the table, 8 bytes per cell, 4 bytes per frontier pair
-and batches cut on the running count of frontier pairs, of their first
-states' out-edges and of candidates.
+int32 index array, the table (16 bytes per state and label; every other
+count is taken per edge), 8 bytes per cell, 4 bytes per frontier pair and
+batches cut on the running count of frontier pairs, of their first states'
+out-edges and of candidates.
 
 ``cfs_order`` is the maximum co-lex order of the quotient by the coarsest
 forward-stable partition, lifted to the states: a preorder whose classes
-are the blocks.  Inside the package it stays the pair (order on the
-blocks, partition); ``cfs_width`` splices the blocks into the quotient
-order's certificate, and only ``cfs_order`` builds the n*n lift.  The
-preorder always contains the maximum co-lex relation, has at most its
-width, and never has more classes; ``compare_report`` cross-checks those
-guarantees, raising InternalInvariantViolation on any discrepancy.  When
-the partition is discrete the quotient is a renaming of the automaton, so
-``compare_report`` reuses the maximum co-lex relation as the order on the
-blocks; whenever the two relations are equal it reuses the width.
+are the blocks.  ``cfs_order``, ``cfs_width`` and ``compare_report`` take
+the order on the blocks from one helper; ``cfs_width`` splices the blocks
+into its certificate, the other two lift it to n*n.  The preorder always
+contains the maximum co-lex relation, has at most its width, and never
+has more classes; ``compare_report`` cross-checks those guarantees,
+raising InternalInvariantViolation on any discrepancy.  When the partition
+is discrete the quotient is the automaton itself, so the order on the
+blocks is the maximum co-lex relation (reused when already computed) and
+its own lift; whenever the two relations are equal the width is reused.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import numpy as np
 
 from .automaton import Nfa, _bfs_distances
 from .errors import InternalInvariantViolation
-from .fs_partition import Partition, QuotientMap, build_quotient, coarsest_fs_partition
+from .fs_partition import QuotientMap, build_quotient, coarsest_fs_partition
 # Re-exported.  perfbench/layertrace.py counts calls by wrapping
 # colex.PairGraph.successors, so its --trace 1 pass needs the name here.
 from .oracle import PairGraph
@@ -73,7 +74,6 @@ from .relations import (
     _spread,
     check_colex_relation,
     induced_equivalence,
-    label_bounds,
     label_edges,
     width,
 )
@@ -93,7 +93,9 @@ def _edge_table(nfa: Nfa) -> tuple[np.ndarray, np.ndarray]:
     ``ptr[v*s + a]`` in transition order (by source, then label)."""
     sigma = len(nfa.alphabet)
     deg = np.bincount(nfa.src * sigma + nfa.lab, minlength=nfa.n_states * sigma)
-    return deg, np.cumsum(deg) - deg
+    ptr = np.cumsum(deg)
+    ptr -= deg
+    return deg, ptr
 
 
 def _round0_costs(nfa: Nfa, hi: np.ndarray, lo: np.ndarray,
@@ -120,7 +122,8 @@ def _round0_costs(nfa: Nfa, hi: np.ndarray, lo: np.ndarray,
     key = lab * (sigma + 2)
     lows = np.sort(key + lo[src])
     pushed = int((lows.searchsorted(key + hi[src]) - lows.searchsorted(key)).sum())
-    pushed -= int(np.square(deg.reshape(nfa.n_states, sigma))[hi > lo].sum())
+    # Each (u, a) with d edges and hi[u] > lo[u] pairs them d*d times.
+    pushed -= int(deg[src * sigma + lab][hi[src] > lo[src]].sum())
     return int(cells), pushed
 
 
@@ -148,13 +151,8 @@ def _pull_cells(nfa: Nfa, hi: np.ndarray, lo: np.ndarray,
 
 def _pull(nfa: Nfa, flat: np.ndarray, hi: np.ndarray, lo: np.ndarray,
           size: int, deg: np.ndarray) -> np.ndarray:
-    """Pull rounds over the cell list; returns the frontier left to push.
-
-    Each round marks the target pair of every cell whose source pair is
-    marked, then drops the cells whose target pair is now marked.  Pulling
-    goes on while the list is shorter than the push candidates of the
-    pairs the round marked; otherwise those pairs are returned.
-    """
+    """Pull rounds over the cell list, as the module docstring describes;
+    returns the frontier left to push."""
     n = nfa.n_states
     pre, post = _pull_cells(nfa, hi, lo, size)
     while True:
@@ -186,7 +184,7 @@ def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray,
     if not len(frontier):
         return
     n, sigma = nfa.n_states, len(nfa.alphabet)
-    first, outdeg = ptr[::sigma], deg.reshape(n, sigma).sum(axis=1)
+    first, outdeg = nfa.out_start[:-1], np.diff(nfa.out_start)
     top = int(outdeg.max())
     # Flat pair indices, and positions within a batch, are held as int32:
     # max_colex_relation refuses more than MAX_DENSE_STATES states, so
@@ -226,17 +224,14 @@ def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray,
 def max_colex_relation(nfa: Nfa) -> Relation:
     """Union of all co-lex relations of the automaton; always a preorder.
 
-    Seeds the distinct pairs whose incoming-label sets are out of order and
-    spreads that mark forward through the pair graph to a fixpoint, by
-    pull rounds while the unmarked pairs' incoming edges are fewer than the
-    frontier's outgoing ones, then by push rounds; the surviving pairs,
-    plus the diagonal, form the result.  Transitivity and both co-lex
-    axioms are re-verified before returning.  Raises TooLarge, before
+    The pairs left unmarked by the pull and push rounds of the module
+    docstring, plus the diagonal, form the result.  Transitivity and both
+    co-lex axioms are re-verified before returning.  Raises TooLarge, before
     allocating anything, for automata of more than MAX_DENSE_STATES states.
     """
     n = nfa.n_states
     _require_dense(n, "the maximum co-lex relation")
-    hi, lo = label_bounds(nfa)
+    hi, lo = nfa.label_bounds
     bad = hi[:, None] > lo[None, :]
     np.fill_diagonal(bad, False)
     flat = bad.reshape(-1)
@@ -271,58 +266,56 @@ def max_colex_order(nfa: Nfa) -> Relation | None:
 
 
 def cfs_order(nfa: Nfa) -> tuple[Relation, QuotientMap]:
-    """Preorder induced by the maximum co-lex order of the forward-stable quotient.
+    """The forward-stable preorder, lifted to the states, and the quotient map.
 
-    The quotient by the coarsest forward-stable partition always admits a
-    maximum co-lex order; lifting it along the projection gives a preorder
-    on the original states whose classes are exactly the partition blocks.
-    Returns the lifted preorder and the quotient map.  Antisymmetry of the
-    quotient relation is guaranteed; its failure means a bug and raises
+    The forward-stable quotient always admits a maximum co-lex order; a
+    quotient relation that is not antisymmetric is a bug, raised as
     InternalInvariantViolation.  The lifted preorder is stored densely, so
-    automata of more than MAX_DENSE_STATES states raise TooLarge before
-    the partition is refined.
+    automata of more than MAX_DENSE_STATES states raise TooLarge before the
+    partition is refined.
     """
     _require_dense(nfa.n_states, "the forward-stable preorder")
     qm = build_quotient(nfa, coarsest_fs_partition(nfa))
-    return Relation.from_matrix(_lifted(_quotient_order(qm), qm.partition)), qm
+    return _lifted(_fs_order(qm), qm), qm
 
 
 def cfs_width(nfa: Nfa) -> WidthCertificate:
-    """``width(cfs_order(nfa)[0])``, taken on the forward-stable quotient.
-
-    The preorder's classes are the blocks, so its certificate is the
-    quotient order's, spliced into the blocks.  Only the quotient's order
-    is stored densely, so the automaton may have any size; a quotient of
-    more than MAX_DENSE_STATES states raises TooLarge before its order is
-    allocated.
+    """``width(cfs_order(nfa)[0])``, taken on the forward-stable quotient:
+    the quotient order's certificate, spliced into the blocks.  Only that
+    order is stored densely, so the automaton may have any size; a quotient
+    of more than MAX_DENSE_STATES states raises TooLarge before its order
+    is allocated.
     """
     qm = build_quotient(nfa, coarsest_fs_partition(nfa))
     _require_dense(qm.quotient.n_states, "the co-lex order of the forward-stable quotient")
-    return width(_quotient_order(qm)).spliced(qm.partition)
+    return width(_fs_order(qm)).spliced(qm.partition)
 
 
-def _require_antisymmetric(rel: Relation) -> Relation:
-    if not rel.is_antisymmetric():
+def _fs_order(qm: QuotientMap, rel_r: Relation | None = None) -> Relation:
+    """The forward-stable preorder on the blocks of ``qm``, checked
+    antisymmetric: the maximum co-lex relation of the quotient, or ``rel_r``
+    when given and the quotient is the automaton itself."""
+    if rel_r is None or qm.quotient is not qm.source:
+        rel_r = max_colex_relation(qm.quotient)
+    if not rel_r.is_antisymmetric():
         raise InternalInvariantViolation(
             "maximum co-lex relation of the forward-stable quotient is not antisymmetric")
-    return rel
+    return rel_r
 
 
-def _quotient_order(qm: QuotientMap) -> Relation:
-    # The forward-stable preorder on the blocks, checked antisymmetric.
-    return _require_antisymmetric(max_colex_relation(qm.quotient))
-
-
-def _lifted(order: Relation, partition: Partition) -> np.ndarray:
-    # The order on the blocks, lifted to an n*n matrix over their states.
-    beta = np.array(partition.block_of)
-    return order.bits[beta[:, None], beta[None, :]]
+def _lifted(order: Relation, qm: QuotientMap) -> Relation:
+    # The order on the blocks, lifted to their states; the quotient by a
+    # discrete partition is the automaton, whose states are the blocks.
+    if qm.quotient is qm.source:
+        return order
+    beta = np.array(qm.partition.block_of)
+    return Relation.from_matrix(order.bits[beta[:, None], beta[None, :]])
 
 
 def _quasi_wheeler(nfa: Nfa, rel_fs: Relation) -> bool:
     # rel_fs is the forward-stable preorder, on the states or on the blocks:
-    # one is total exactly when the other is.
-    return rel_fs.is_total() and all(len(s) == 1 for s in nfa.lambda_sets)
+    # one is total exactly when the other is.  hi == lo: one label per state.
+    return rel_fs.is_total() and np.array_equal(*nfa.label_bounds)
 
 
 def is_quasi_wheeler(nfa: Nfa) -> tuple[bool, Relation | None]:
@@ -338,7 +331,7 @@ def is_quasi_wheeler(nfa: Nfa) -> tuple[bool, Relation | None]:
 
 def source_distances(nfa: Nfa) -> tuple[int, ...]:
     """Length of the shortest string from the initial state to each state."""
-    return tuple(_bfs_distances(nfa.n_states, nfa.initial, nfa.src, nfa.dst))
+    return tuple(_bfs_distances(nfa.initial, nfa.out_start, nfa.dst))
 
 
 @dataclass(frozen=True)
@@ -367,15 +360,10 @@ def compare_report(nfa: Nfa) -> CompareReport:
     guarantee raises InternalInvariantViolation.
     """
     rel_r = max_colex_relation(nfa)
-    partition = coarsest_fs_partition(nfa)
-    if partition.n_blocks == nfa.n_states:
-        # A discrete partition makes the quotient a renaming of the
-        # automaton, so its maximum co-lex order is rel_r itself.
-        order = _require_antisymmetric(rel_r)
-        lifted = rel_r.bits
-    else:
-        order = _quotient_order(build_quotient(nfa, partition))
-        lifted = _lifted(order, partition)
+    qm = build_quotient(nfa, coarsest_fs_partition(nfa))
+    partition = qm.partition
+    order = _fs_order(qm, rel_r)
+    lifted = _lifted(order, qm).bits
     classes_r = induced_equivalence(rel_r)
     width_r = width(rel_r).width
     same = bool(np.array_equal(rel_r.bits, lifted))

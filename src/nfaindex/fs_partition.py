@@ -23,10 +23,11 @@ the refinement runs in O(m log n).
 
 The quotient automaton has one state per block and a block-level edge on a
 whenever some member pair has one; one sort of the edges' (block, label,
-block) codes finds those edges.  For a forward-stable partition the
-quotient is always a valid NFA in this package's sense; for arbitrary
-partitions it can violate the no-incoming-edges-into-the-initial-state
-invariant, reported as QuotientInvalid.
+block) codes finds those edges; a discrete partition's quotient is the
+automaton itself.  For a forward-stable partition the quotient is always
+a valid NFA in this package's sense; for arbitrary partitions it can
+violate the no-incoming-edges-into-the-initial-state invariant, reported
+as QuotientInvalid.
 """
 
 from __future__ import annotations
@@ -184,17 +185,11 @@ def _first_violation(nfa: Nfa, partition: Partition) -> FsViolation:
 
 
 def coarsest_fs_partition(nfa: Nfa) -> Partition:
-    """Unique coarsest forward-stable partition, by Paige-Tarjan refinement.
-
-    Starts from the single-block partition split by which labels enter each
-    state, with one compound block holding everything.  While a compound
-    block S holds two or more blocks, its smaller block B becomes a compound
-    block of its own and, for each label a on an edge leaving B, every
-    block is split by delta(B, a) and then by delta(B, a) minus
-    delta(S - B, a), the states none of whose a-predecessors lie in S - B.
-    Only the out-edges of B are walked, so the whole refinement is
-    O(m log n).  Forward stability of the result is re-verified by
-    is_forward_stable before returning.
+    """Unique coarsest forward-stable partition, by the Paige-Tarjan
+    refinement described in the module docstring, in O(m log n).  It starts
+    from the single-block partition split by which labels enter each state,
+    with one compound block holding everything.  Forward stability of the
+    result is re-verified by is_forward_stable before returning.
     """
     partition = Partition(nfa.n_states, _refine(nfa))
     ok, viol = is_forward_stable(nfa, partition)
@@ -210,8 +205,7 @@ def _refine(nfa: Nfa) -> list[list[int]]:
     # apart so that its arrays are freed before the result is built and checked.
     n = nfa.n_states
     lab, tgt = nfa.lab.tolist(), nfa.dst.tolist()
-    # The out-edges of u are the transitions out_start[u]..out_start[u+1]-1.
-    out_start = nfa.src.searchsorted(range(n + 1)).tolist()
+    out_start = nfa.out_start.tolist()
 
     # Fine partition as one array: block b is elems[first[b]:end[b]], and
     # its marked members sit at the front, in elems[first[b]:mid[b]].
@@ -325,6 +319,7 @@ class QuotientMap:
 
     Quotient state ids coincide with block indices of the (canonicalized)
     partition, so ``partition.block_of`` is also the state projection map.
+    ``quotient is source`` exactly when the partition is discrete.
     """
 
     source: Nfa
@@ -338,13 +333,18 @@ def build_quotient(nfa: Nfa, partition: Partition) -> QuotientMap:
     Block names join their member names with '+'.  When two blocks would
     get one name, as {x, y} and {x+y} both would, every name is prefixed
     with its block index and ':' instead (0:s, 1:x+y, 2:x+y), which no two
-    blocks share.  Raises QuotientInvalid when the result breaks an
-    automaton invariant, which can only happen for partitions that are not
-    forward stable.
+    blocks share.  A discrete partition's block i is {i}, so its quotient
+    has the automaton's names, edges and initial state: the automaton
+    itself is returned as the quotient, neither copied nor re-validated.
+    Otherwise raises QuotientInvalid when the result breaks an automaton
+    invariant, which can only happen for partitions that are not forward
+    stable.
     """
     if partition.n != nfa.n_states:
         raise SizeMismatch(
             f"partition over {partition.n} elements, automaton has {nfa.n_states} states")
+    if partition.n_blocks == nfa.n_states:
+        return QuotientMap(source=nfa, partition=partition, quotient=nfa)
     beta = np.array(partition.block_of, np.intp)
     sigma = len(nfa.alphabet)
     # The distinct (block of u, label, block of v) codes of the edges u-a->v.

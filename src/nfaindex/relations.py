@@ -18,18 +18,12 @@ product R @ R in row blocks, n^3 multiply-adds, stopping at the first
 block with a gap.  A relation with few related pairs gets a sparse
 axiom-2 scan instead: it visits only the a-edge pairs into a related
 distinct pair (u, v), the sum of in_a(u) * in_a(v), and reports the mask
-scan's first witness, the least hit in row-major order.  An exact count
-of those cells, n*n*(sigma + 1) operations, times a measured cost per
-sparse cell picks the scan; the count itself is skipped when it would
-cost more than a tenth of the mask scan, as with many labels.  On a
-4096-state random automaton with 3 labels and out-degree 6, where 0.3% of
-the pairs are related, the axiom-2 check falls from about 3 s to 0.04 s;
-total orders and unary paths, where half the pairs are related, keep the
-mask scan.  The JSON form of a relation is read with one name lookup per
-entry and a single scatter into the matrix, and ``relation_to_json_text``
-writes it without the generic JSON encoder.  Inputs are re-scanned one
-item at a time only to word the error for an input that is already
-rejected.
+scan's first witness, the least hit in row-major order; an exact count
+of those cells picks the scan.  The JSON form of a relation is read with
+one name lookup per entry and a single scatter into the matrix, and
+``relation_to_json_text`` writes it without the generic JSON encoder.
+Inputs are re-scanned one item at a time only to word the error for an
+input that is already rejected.
 """
 
 from __future__ import annotations
@@ -53,12 +47,8 @@ from .errors import (
 from .fs_partition import Partition, build_quotient, coarsest_fs_partition
 
 # Most states of an automaton for which an n*n relation is built; the
-# relation and its checks are stored densely.  At this limit (tracemalloc)
-# the maximum co-lex relation of a unary path or of a random automaton
-# peaks at about 105-120 MB, in the float32 transitivity product's copy of
-# the relation and its row block or in the propagation's mark matrix and
-# pull cell list; sep:4096, whose one push round marks almost every pair,
-# peaks at about 220 MB, the new pairs held twice as 4-byte indices.
+# relation and its checks are stored densely.  The README lists the peaks
+# of the maximum co-lex relation at this limit.
 MAX_DENSE_STATES = 4096
 
 
@@ -285,20 +275,6 @@ def _check_size(nfa: Nfa, rel: Relation) -> None:
 _EDGE_PAIR_CELLS = 1 << 14
 
 
-def label_bounds(nfa: Nfa) -> tuple[np.ndarray, np.ndarray]:
-    """Highest and lowest rank of each state's incoming labels.
-
-    HASH ranks 0 and the alphabet 1, 2, ... in label order, so
-    ``hi[u] <= lo[v]`` holds exactly when lambda_leq(λ(u), λ(v)).
-    """
-    hi = np.zeros(nfa.n_states, dtype=np.intp)
-    lo = np.full(nfa.n_states, len(nfa.alphabet) + 1, dtype=np.intp)
-    np.maximum.at(hi, nfa.dst, nfa.lab + 1)
-    np.minimum.at(lo, nfa.dst, nfa.lab + 1)
-    lo[nfa.initial] = 0  # the initial state alone is entered by no edge
-    return hi, lo
-
-
 def label_edges(nfa: Nfa) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per label in alphabet order, its edges as (sources, targets) arrays
     sorted by source, then target."""
@@ -316,7 +292,7 @@ def _first_hit(mask: np.ndarray) -> tuple[int, int] | None:
 
 
 def _axiom1_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | None:
-    hi, lo = label_bounds(nfa)
+    hi, lo = nfa.label_bounds
     bad = rel.bits & (hi[:, None] > lo[None, :])
     np.fill_diagonal(bad, False)
     hit = _first_hit(bad)
@@ -371,9 +347,8 @@ def _sparse_axiom2_cells(nfa: Nfa, bits: np.ndarray) -> int:
 
 
 def _use_sparse_axiom2(nfa: Nfa, bits: np.ndarray, mask_cells: int) -> bool:
-    """Whether the sparse axiom-2 scan costs less than the masks' cells.
-    Many labels make the count dearer than the masks it could save, and
-    then the masks are scanned without it."""
+    """Whether the sparse axiom-2 scan costs less than the masks' cells;
+    False, uncounted, when the count would cost too much (see above)."""
     n, sigma = nfa.n_states, len(nfa.alphabet)
     if n * n * (sigma + 1) > _COUNT_ADDS_PER_CELL * mask_cells:
         return False

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nfaindex import Relation, colex, gen_fixture, gen_separation_family
+from nfaindex import Nfa, Relation, colex, gen_fixture, gen_separation_family
 
 
 @pytest.fixture
@@ -22,11 +22,12 @@ def sep6():
 @pytest.fixture
 def no_dense_relation(monkeypatch):
     """Fail on any call that starts building dense storage: numpy's empty
-    and zeros, and the label bounds that seed the maximum co-lex relation."""
+    and zeros, and the automaton's label bounds that seed the maximum
+    co-lex relation."""
     def no_allocation(*args, **kwargs):
         raise AssertionError("dense storage allocated above the limit")
 
-    monkeypatch.setattr(colex, "label_bounds", no_allocation)
+    monkeypatch.setattr(Nfa, "label_bounds", property(no_allocation))
     monkeypatch.setattr(np, "empty", no_allocation)
     monkeypatch.setattr(np, "zeros", no_allocation)
     return no_allocation

@@ -155,6 +155,9 @@ class TestValidation:
         assert nfa.lambda_set(0) == frozenset((HASH,))
 
 
+TRIPLE = "expected (state id, label, state id)"
+
+
 class TestValidationMessages:
     """The exact text of the first error, for inputs that break several
     rules or break one rule several times."""
@@ -213,11 +216,34 @@ class TestValidationMessages:
          "duplicate transition q0 a q1"),
         # An edge into the initial state, from a state it cannot reach.
         ([(1, "a", 0)], None, "initial state has incoming transition q1 a q0"),
+        # Non-integer ids are not truncated, and malformed items are named.
+        ([(0, "a", 1.5)], None, f"malformed transition (0, 'a', 1.5): {TRIPLE}"),
+        ([(0, "a")], None, f"malformed transition (0, 'a'): {TRIPLE}"),
+        ([(0, 1, 1)], None, f"malformed transition (0, 1, 1): {TRIPLE}"),
+        ([("0", "a", 1)], None, f"malformed transition ('0', 'a', 1): {TRIPLE}"),
+        ([(0, "a", 1), 7], None, f"malformed transition 7: {TRIPLE}"),
+        # The first bad edge in listed order is the one reported.
+        ([(0, "a", 1), (0, "a", 1.0), (0, "a b", 1)], None,
+         f"malformed transition (0, 'a', 1.0): {TRIPLE}"),
+        ([(0, "a", 1), (0, "a", 5), (0.0, "a", 1)], None,
+         "transition (0, 'a', 5) out of range"),
+        ([(0, "a", 1), (0, "a", 1), (0, None, 1)], None, "duplicate transition q0 a q1"),
     ])
     def test_constructed(self, transitions, alphabet, message):
         with pytest.raises(ValidationError) as err:
             Nfa(2, 0, transitions, alphabet=alphabet)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("initial", [0.5, 0.0, "0", None])
+    def test_initial_must_be_an_integer_id(self, initial):
+        with pytest.raises(ValidationError) as err:
+            Nfa(2, initial, [(0, "a", 1)])
+        assert str(err.value) == f"initial state {initial!r} is not an integer id"
+
+    @pytest.mark.parametrize("initial", [np.int64(0), False])
+    def test_integer_like_initial_is_stored_as_int(self, initial):
+        nfa = Nfa(2, initial, [(0, "a", 1)])
+        assert nfa == Nfa(2, 0, [(0, "a", 1)]) and type(nfa.initial) is int
 
     @pytest.mark.parametrize("edge", [
         (np.int64(0), "a", np.int64(1)), [0, "a", 1], (False, "a", True),

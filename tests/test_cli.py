@@ -6,17 +6,22 @@ import pytest
 
 from nfaindex import (
     Nfa,
+    QuotientMap,
+    build_quotient,
     cfs_order,
     coarsest_fs_partition,
     gen_fixture,
+    gen_random,
+    gen_separation_family,
     max_colex_relation,
     parse_nfa,
     relation_to_json_dict,
     to_dot,
     width,
 )
+from nfaindex import cli, colex, relations
 from nfaindex.cli import _build_parser, main
-from nfaindex.relations import MAX_DENSE_STATES
+from nfaindex.relations import MAX_DENSE_STATES, Relation
 
 
 def run(capsys, *argv):
@@ -571,3 +576,90 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 1
+
+
+def trie_text(words):
+    """The trie of ``words``: node r<prefix> for every prefix."""
+    lines, nodes = ["initial r"], {""}
+    for word in words:
+        for i in range(1, len(word) + 1):
+            if word[:i] not in nodes:
+                nodes.add(word[:i])
+                lines.append(f"trans r{word[:i - 1]} {word[i - 1]} r{word[:i]}")
+    return "\n".join(lines) + "\n"
+
+
+def copying_build_quotient(copies):
+    """build_quotient, but a discrete partition's quotient is a freshly
+    built and validated copy of the automaton, as every quotient once was;
+    each copy is appended to ``copies``."""
+    def build(nfa, partition):
+        qm = build_quotient(nfa, partition)
+        if qm.quotient is not nfa:
+            return qm
+        copies.append(Nfa(nfa.n_states, nfa.initial, list(nfa.transitions),
+                          names=list(nfa.names)))
+        return QuotientMap(source=nfa, partition=partition, quotient=copies[-1])
+    return build
+
+
+class TestDiscreteQuotientIsTheAutomaton:
+    """Every command that builds a quotient prints the same bytes and exits
+    with the same code whether a discrete partition's quotient is the
+    automaton itself or a copy of it."""
+
+    AUTOMATA = {
+        "path": Nfa(40, 0, [(i, "a", i + 1) for i in range(39)]).serialize(),
+        "trie": trie_text(["abba", "abc", "bca", "cab", "cc", "acb", "bab"]),
+        "trie-ab": trie_text(["aab", "abab", "bba", "ba", "bbb"]),
+        "sep9": gen_separation_family(9).serialize(),
+        "comb": comb_text(3, 6),
+        "fig2": gen_fixture("fig2").serialize(),
+        "xy": "initial s\ntrans s a x\ntrans s a y\ntrans s b x+y\n",
+        # Discrete, and then two that are not.
+        **{f"random{seed}": gen_random(12, 2, 0.15, seed).serialize() for seed in range(4)},
+        **{f"random{seed}": gen_random(12, 2, 0.12, seed).serialize() for seed in (8, 10)},
+    }
+
+    @staticmethod
+    def checked_relations(nfa):
+        """The forward-stable preorder and three corruptions of it: one pair
+        dropped, every pair reversed, and one pair added."""
+        pairs = cfs_order(nfa)[0].pairs()
+        yield pairs
+        yield pairs[1:]
+        yield [(v, u) for (u, v) in pairs]
+        yield sorted({*pairs, (nfa.n_states - 1, nfa.n_states - 2)})
+
+    def outcomes(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.nfa"
+        path.write_text(self.AUTOMATA[name])
+        nfa = parse_nfa(path.read_text())
+        calls = [[*argv, str(path)] for argv in (
+            ["cfs"], ["width", "--rel", "cfs"], ["analyze"], ["analyze", "--format", "text"],
+            ["quotient"], ["quotient", "--format", "json"], ["quotient", "--format", "dot"])]
+        for i, pairs in enumerate(self.checked_relations(nfa)):
+            rel = tmp_path / f"{name}-{i}.json"
+            rel.write_text(json.dumps(relation_to_json_dict(Relation(nfa.n_states, pairs),
+                                                            nfa.names)))
+            calls.append(["check", str(path), "--relation", str(rel),
+                          "--kind", "wheeler-preorder"])
+        return [run(capsys, *argv) for argv in calls]
+
+    @pytest.mark.parametrize("name", sorted(AUTOMATA))
+    def test_same_bytes_and_exit_codes_as_a_copy(self, capsys, tmp_path, monkeypatch, name):
+        got = self.outcomes(capsys, tmp_path, name)
+        copies = []
+        for module in (cli, colex, relations):
+            monkeypatch.setattr(module, "build_quotient", copying_build_quotient(copies))
+        assert got == self.outcomes(capsys, tmp_path, name)
+        nfa = parse_nfa(self.AUTOMATA[name])
+        assert bool(copies) == (coarsest_fs_partition(nfa).n_blocks == nfa.n_states)
+        assert {code for code, _, _ in got} <= {0, 4}
+
+    def test_both_kinds_of_partition_and_verdict_are_covered(self, capsys, tmp_path):
+        discrete = [coarsest_fs_partition(nfa).n_blocks == nfa.n_states
+                    for nfa in map(parse_nfa, self.AUTOMATA.values())]
+        assert 3 <= sum(discrete) <= len(discrete) - 3
+        codes = [code for code, _, _ in self.outcomes(capsys, tmp_path, "trie")]
+        assert codes.count(0) == 8 and codes.count(4) == 3

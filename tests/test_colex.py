@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nfaindex import (
     EqualPair,
+    InternalInvariantViolation,
     InvalidParameter,
     Nfa,
     PairGraph,
@@ -35,7 +36,7 @@ from nfaindex import (
     width,
 )
 from nfaindex import colex
-from nfaindex.relations import MAX_DENSE_STATES, label_bounds
+from nfaindex.relations import MAX_DENSE_STATES, Relation
 
 # names u1..u6 map to ids 0..5
 SEP6_EXPECTED = {
@@ -117,7 +118,7 @@ class TestMaxColexRelationAtScale:
     def test_matches_pair_graph_bfs_beyond_one_batch(self, seed):
         # 170-190 states: the seeded frontier spans several propagation batches
         nfa = gen_random(200, 2, 0.006, seed)
-        hi, lo = label_bounds(nfa)
+        hi, lo = nfa.label_bounds
         assert (hi[:, None] > lo[None, :]).sum() > colex._CHUNK
         assert set(max_colex_relation(nfa).pairs()) == pair_graph_reference(nfa)
 
@@ -207,7 +208,7 @@ def push_only_reference(nfa):
     targets(u, a) x targets(v, a) through per-label out-edge CSRs, skipping
     in each batch the labels that leave both states of no pair."""
     n = nfa.n_states
-    hi, lo = label_bounds(nfa)
+    hi, lo = nfa.label_bounds
     bad = hi[:, None] > lo[None, :]
     np.fill_diagonal(bad, False)
     flat = bad.reshape(-1)
@@ -242,7 +243,7 @@ def push_only_reference(nfa):
 
 def edge_pair_counts(nfa):
     """The two round-0 costs by scanning every pair of same-label edges."""
-    hi, lo = label_bounds(nfa)
+    hi, lo = nfa.label_bounds
     cells = pushed = 0
     cell_list = []
     for a in nfa.alphabet:
@@ -318,6 +319,22 @@ class TestPushPull:
             tracemalloc.stop()
         assert peak < 16 * n * n
 
+    def test_table_memory_with_one_label_per_edge(self):
+        # About 3100 edges, each on its own label: the (state, label) table
+        # has 3.1M entries of 16 bytes.  Squaring it to count the round-0
+        # candidates, summing it per state for out-degrees and a third
+        # n*sigma temporary for the offsets once took the peak to 99 MB.
+        base = random_automaton(1000, 1, 3, 0)
+        nfa = Nfa(1000, 0, [(u, f"e{i}", v) for i, (u, _, v) in enumerate(base.transitions)])
+        assert len(nfa.alphabet) == len(base.transitions) >= 3000
+        tracemalloc.start()
+        try:
+            max_colex_relation(nfa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70 * 10**6
+
     @pytest.mark.parametrize("seed", range(2))
     def test_fifty_labels(self, seed):
         nfa = random_automaton(300, 50, 4, seed)
@@ -349,7 +366,7 @@ class TestPushPull:
     ])
     def test_round0_costs_and_cells_match_edge_pair_scan(self, make):
         nfa = make()
-        hi, lo = label_bounds(nfa)
+        hi, lo = nfa.label_bounds
         cells, pushed, cell_list = edge_pair_counts(nfa)
         deg, _ = colex._edge_table(nfa)
         assert colex._round0_costs(nfa, hi, lo, deg) == (cells, pushed)
@@ -459,6 +476,37 @@ def cfs_width_table():
     table += [random_automaton(rng.randint(50, 200), rng.randint(2, 4),
                                rng.randint(2, 6), seed) for seed in range(20)]
     return table + [comb(3, 10), comb(5, 40)]
+
+
+class TestOrderOnTheBlocks:
+    """cfs_order, cfs_width and compare_report take the forward-stable
+    order on the blocks from one helper."""
+
+    @pytest.mark.parametrize("fn", [cfs_order, cfs_width, compare_report])
+    @pytest.mark.parametrize("make", [lambda: unary_path(6), lambda: gen_fixture("fig2")],
+                             ids=["discrete", "merging"])
+    def test_is_checked_antisymmetric(self, monkeypatch, fn, make):
+        nfa = make()
+        monkeypatch.setattr(Relation, "is_antisymmetric", lambda rel: False)
+        with pytest.raises(InternalInvariantViolation,
+                           match="forward-stable quotient is not antisymmetric"):
+            fn(nfa)
+
+    def test_discrete_partition_takes_the_automaton_as_its_quotient(self, monkeypatch):
+        calls = []
+        real = colex.max_colex_relation
+
+        def counted(nfa):
+            calls.append(nfa)
+            return real(nfa)
+
+        monkeypatch.setattr(colex, "max_colex_relation", counted)
+        nfa = word_trie(60, 1)
+        rel, qm = cfs_order(nfa)
+        assert qm.quotient is nfa and calls == [nfa]
+        assert rel == real(nfa)
+        cfs_width(nfa)
+        assert calls == [nfa, nfa]
 
 
 class TestCfsWidth:

@@ -369,7 +369,7 @@ class TestSignatureReference:
 
     def test_quotient_equals_set_of_triples(self):
         rng = random.Random(9)
-        valid = invalid = 0
+        valid = invalid = discrete = 0
         for nfa in self.automata():
             for p in random_partitions(rng, nfa):
                 beta = p.block_of
@@ -383,9 +383,13 @@ class TestSignatureReference:
                     assert str(err.value) == f"quotient is not a valid automaton: {exc}"
                     invalid += 1
                 else:
-                    assert build_quotient(nfa, p).quotient == expected
+                    qm = build_quotient(nfa, p)
+                    assert qm.quotient == expected
+                    # The automaton itself, exactly when the partition is discrete.
+                    assert (qm.quotient is nfa) == (p.n_blocks == nfa.n_states)
+                    discrete += qm.quotient is nfa
                     valid += 1
-        assert valid > 100 and invalid > 40
+        assert valid > 100 and invalid > 40 and discrete > 60
 
     def test_quotient_message_for_an_edge_into_the_initial_block(self, fig2):
         with pytest.raises(QuotientInvalid) as err:
