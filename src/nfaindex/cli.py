@@ -37,6 +37,8 @@ from .oracle import (
     brute_width,
 )
 from .relations import (
+    MAX_DENSE_STATES,
+    _require_dense,
     check_colex_order,
     check_colex_relation,
     check_wheeler_order,
@@ -206,14 +208,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise InvalidParameter("--family sep needs --from and --to")
         if args.to_n < args.from_n:
             raise InvalidParameter("--to must be >= --from")
-        instances = [gen_separation_family(k)
-                     for k in range(args.from_n, args.to_n + 1)]
+        sizes = range(args.from_n, args.to_n + 1)
+        # Output waits for every instance, so the first one over the dense limit
+        # fails the run: raise its error before building any (n <= 4 fails first).
+        if sizes[0] > 4 and sizes[-1] > MAX_DENSE_STATES:
+            _require_dense(max(sizes[0], MAX_DENSE_STATES + 1), "the maximum co-lex relation")
+        instances = map(gen_separation_family, sizes)
     elif args.random:
         if args.count < 1:
             raise InvalidParameter("--count must be >= 1")
-        instances = [gen_random(args.states, args.alphabet, args.density,
-                                args.seed + i)
-                     for i in range(args.count)]
+        instances = (gen_random(args.states, args.alphabet, args.density, args.seed + i)
+                     for i in range(args.count))
     else:
         raise InvalidParameter("choose --family sep or --random")
 

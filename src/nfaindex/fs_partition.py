@@ -124,16 +124,6 @@ class FsViolation:
                 f"but not {nfa.names[self.uncovered]}")
 
 
-def _signatures(nfa: Nfa, block_of: Sequence[int]) -> list[set[tuple[int, int]]]:
-    """Each state's set of (predecessor block, label index) pairs; a
-    partition is forward stable exactly when every block's members share
-    one set."""
-    pairs: list[set[tuple[int, int]]] = [set() for _ in range(nfa.n_states)]
-    for u, a, v in zip(nfa.src.tolist(), nfa.lab.tolist(), nfa.dst.tolist()):
-        pairs[v].add((block_of[u], a))
-    return pairs
-
-
 def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation | None]:
     """Check forward stability; on failure also return the first violation.
 
@@ -143,7 +133,9 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
     it as S has; both counts come from sorting the edges' (target,
     predecessor block, label) codes, in O(m log m).  The violation reported
     is the first split in the order source block T ascending, labels in
-    label order, split block S ascending.
+    label order, split block S ascending: the group (S, (T, a)) held by too
+    few members with least (T, a), then least S.  The sorts are stable, so
+    ``covered`` is its first holder; ``uncovered`` is S's least non-holder.
     """
     if partition.n != nfa.n_states:
         raise SizeMismatch(
@@ -160,28 +152,16 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
     blk, key = blk[order], key[order]
     group = _run_starts(blk, key)
     holders = np.bincount(group.cumsum() - 1)
-    if (holders == np.bincount(beta)[blk[group]]).all():
+    short = holders != np.bincount(beta)[blk[group]]
+    if not short.any():
         return True, None
-    return False, _first_violation(nfa, partition)
-
-
-def _first_violation(nfa: Nfa, partition: Partition) -> FsViolation:
-    pairs = _signatures(nfa, partition.block_of)
-    splits = []
-    for s, block in enumerate(partition.blocks):
-        want = pairs[block[0]]
-        for x in block[1:]:
-            if pairs[x] != want:
-                # The pairs some but not all members hold split block s.
-                held = [pairs[y] for y in block]
-                splits.append((min(set.union(*held) - set.intersection(*held)), s))
-                break
-    (t, a), s = min(splits)
-    block = partition.blocks[s]
-    return FsViolation(
-        s_block=s, t_block=t, label=nfa.alphabet[a],
-        covered=next(x for x in block if (t, a) in pairs[x]),
-        uncovered=next(x for x in block if (t, a) not in pairs[x]))
+    # Groups run in (block, key) order: the first of least key is in the least block.
+    g = np.flatnonzero(short)[key[group][short].argmin()]
+    i = np.flatnonzero(group)[g]
+    inside = dst[held][order][i:i + holders[g]].tolist()
+    (t, a), s = divmod(int(key[i]), sigma), int(blk[i])
+    return False, FsViolation(s, t, nfa.alphabet[a], covered=inside[0],
+                              uncovered=min(set(partition.blocks[s]).difference(inside)))
 
 
 def coarsest_fs_partition(nfa: Nfa) -> Partition:

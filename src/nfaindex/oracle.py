@@ -1,15 +1,14 @@
 """Exhaustive reference implementations for cross-checking the fast paths.
 
 Everything here trades time for obviousness and shares no algorithmic
-ideas with the production code but one: partitions are enumerated outright
-and kept when the members of each block share one set of (predecessor
-block, label) pairs, built by the helper behind ``is_forward_stable``,
-which the tests check against an image-by-image scan.  The maximum co-lex
-relation is found by greatest-fixpoint deletion over the pair graph defined
-here, width by scanning all subsets, and reach sets by walking every string
-up to a length bound.  The pair graph and the string walk read edges from
-the list of transitions alone, through no index of the production code.
-Guards raise TooLarge beyond the exhaustive-search bounds.
+ideas with the production code.  Partitions are enumerated outright and
+kept when the members of each block share one set of (predecessor block,
+label) pairs.  The maximum co-lex relation is found by greatest-fixpoint
+deletion over a pair graph, width by scanning all subsets of the classes,
+and reach sets by walking every string up to a length bound.  Edges are
+read from the list of transitions and relations from their matrix alone,
+through no index, product or check of the production code.  Guards raise
+TooLarge beyond the exhaustive-search bounds.
 """
 
 from __future__ import annotations
@@ -18,9 +17,10 @@ from collections import deque
 from typing import Iterator
 
 from .automaton import Nfa, lambda_leq
-from .errors import EqualPair, InternalInvariantViolation, InvalidParameter, TooLarge
-from .fs_partition import Partition, _signatures
-from .relations import Relation, induced_equivalence
+from .errors import (EqualPair, InternalInvariantViolation, InvalidParameter, NotPreorder,
+                     TooLarge)
+from .fs_partition import Partition
+from .relations import Relation
 
 MAX_BRUTE_STATES = 8
 MAX_BRUTE_CLASSES = 15
@@ -51,7 +51,9 @@ def enumerate_fs_partitions(nfa: Nfa) -> list[Partition]:
             f"got {nfa.n_states}")
     found = []
     for rgs in _growth_strings(nfa.n_states):
-        pairs = _signatures(nfa, rgs)
+        pairs: list[set[tuple[int, str]]] = [set() for _ in range(nfa.n_states)]
+        for (u, a, v) in nfa.transitions:
+            pairs[v].add((rgs[u], a))
         head: dict[int, int] = {}  # the first member of each block
         if all(pairs[x] == pairs[head.setdefault(b, x)] for x, b in enumerate(rgs)):
             found.append(Partition.from_block_of(rgs))
@@ -152,17 +154,26 @@ def brute_max_colex_relation(nfa: Nfa) -> Relation:
 
 
 def brute_width(rel: Relation) -> int:
-    """Largest antichain size, by scanning every subset of the classes."""
-    classes = induced_equivalence(rel)
-    m = classes.n_blocks
+    """Largest antichain size, by scanning every subset of the classes.
+    Raises NotPreorder with the first (u, v, w) by u, w, then v, that has
+    (u, v) and (v, w) but not (u, w); that loop suits a few dozen states."""
+    r = rel.bits.tolist()
+    n = len(r)
+    for u in range(n):
+        for w in range(n):
+            vs = [v for v in range(n) if r[u][v] and r[v][w]]
+            if vs and not r[u][w]:
+                raise NotPreorder((u, vs[0], w))
+    # The least member of each class: no earlier state is mutually related.
+    reps = [u for u in range(n) if not any(r[u][x] and r[x][u] for x in range(u))]
+    m = len(reps)
     if m > MAX_BRUTE_CLASSES:
         raise TooLarge(
             f"width search is limited to {MAX_BRUTE_CLASSES} classes, got {m}")
-    reps = [b[0] for b in classes.blocks]
     comp = [0] * m
     for i in range(m):
         for j in range(m):
-            if i != j and (rel.bits[reps[i], reps[j]] or rel.bits[reps[j], reps[i]]):
+            if i != j and (r[reps[i]][reps[j]] or r[reps[j]][reps[i]]):
                 comp[i] |= 1 << j
     best = 0
     for mask in range(1, 1 << m):

@@ -395,11 +395,14 @@ def _axiom2_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | 
     # order the edges are listed, so the first hit is the first witness of
     # a scan over edge pairs.  When it costs less, only the cells whose
     # target pair is related and distinct are visited, for the least hit.
+    # A label with fewer than two edges has no pair with distinct targets.
     bits = rel.bits
     edges = label_edges(nfa)
     mask_cells = sum(len(dst) ** 2 for _, dst in edges)
     related = _related_pairs(bits) if _use_sparse_axiom2(nfa, bits, mask_cells) else None
     for a, (src, dst) in zip(nfa.alphabet, edges):
+        if len(dst) < 2:
+            continue
         if related is not None:
             hit = _sparse_first_edge_pair(bits, src, dst, *related)
         else:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from nfaindex import (
+    InternalInvariantViolation,
     Nfa,
     QuotientMap,
     build_quotient,
@@ -558,6 +559,44 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--family", "sep", "--random",
                          "--from", "5", "--to", "6")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "sep", "--from", "5", "--to", "50"),
+        ("--random", "--count", "40", "--states", "6", "--seed", "1")])
+    def test_instances_are_built_one_at_a_time(self, capsys, monkeypatch, argv):
+        # The first analysis fails, so only the first instance may be built.
+        built = []
+        for name in ("gen_separation_family", "gen_random"):
+            def counted(*args, _real=getattr(cli, name)):
+                built.append(args)
+                return _real(*args)
+            monkeypatch.setattr(cli, name, counted)
+
+        def fail(nfa):
+            raise InternalInvariantViolation("first analysis")
+        monkeypatch.setattr(cli, "compare_report", fail)
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 3 and out == ""
+        assert err == "internal invariant violation: first analysis\n"
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("lo,hi,first", [
+        (5, 5000, MAX_DENSE_STATES + 1), (MAX_DENSE_STATES + 1, 10**6, MAX_DENSE_STATES + 1),
+        (5000, 6000, 5000)])
+    def test_range_over_the_dense_limit_fails_before_building(
+            self, capsys, monkeypatch, lo, hi, first):
+        def never(n):
+            raise AssertionError(f"built sep:{n}")
+        monkeypatch.setattr(cli, "gen_separation_family", never)
+        code, out, err = run(capsys, "sweep", "--family", "sep",
+                             "--from", str(lo), "--to", str(hi))
+        assert code == 1 and out == ""
+        assert err == (f"error: the maximum co-lex relation is stored densely "
+                       f"and is limited to {MAX_DENSE_STATES} states, got {first}\n")
+
+    def test_small_lower_bound_is_named_before_the_dense_limit(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "sep", "--from", "4", "--to", "5000")
+        assert (code, out, err) == (1, "", "error: separation family needs n > 4, got 4\n")
 
     def test_unknown_family_is_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -411,6 +411,23 @@ class TestStabilitySelfCheck:
         assert violation == FsViolation(
             s_block=1, t_block=1, label="a", covered=1, uncovered=3)
 
+    @pytest.mark.parametrize("trans,blocks,expected", [
+        # Block 1, {1, 2}, is split by (1, b); the later block 2, {3, 4},
+        # by the smaller (0, a), so block 2 is reported.
+        ([(0, "b", 1), (0, "b", 2), (1, "b", 1), (0, "a", 3), (2, "a", 4)],
+         [[0], [1, 2], [3, 4]], FsViolation(2, 0, "a", covered=3, uncovered=4)),
+        # Block 1 is split by (0, a), held by 2 and 4, and by (0, b), held
+        # by 1 and 3: the smaller key's least holder is 2, not the block's 1.
+        ([(0, "b", 1), (0, "a", 2), (0, "b", 3), (0, "a", 4)],
+         [[0], [1, 2, 3, 4]], FsViolation(1, 0, "a", covered=2, uncovered=1)),
+    ], ids=["later-block-smaller-key", "least-holder-is-not-least-member"])
+    def test_first_split_tie_breaks(self, trans, blocks, expected):
+        nfa = Nfa(sum(map(len, blocks)), 0, trans)
+        p = Partition(nfa.n_states, blocks)
+        got = is_forward_stable(nfa, p)
+        assert got == (False, expected)
+        assert got == image_scan_forward_stable(nfa, p) == signature_forward_stable(nfa, p)
+
     def test_accepts_stable_partitions(self, fig2):
         assert is_forward_stable(fig2, Partition(7, [[0], [1, 2], [3, 4], [5, 6]])) == (True, None)
         assert is_forward_stable(fig2, Partition(7, [[u] for u in range(7)])) == (True, None)

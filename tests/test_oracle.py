@@ -1,28 +1,33 @@
 """Exhaustive reference implementations and their guards."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfaindex import (
     Nfa,
+    NotPreorder,
     Partition,
     Relation,
     TooLarge,
     brute_coarsest_fs,
     brute_max_colex_relation,
     brute_width,
+    cfs_order,
     coarsest_fs_partition,
     delta_string,
     enumerate_fs_partitions,
     gen_random,
     gen_separation_family,
+    induced_equivalence,
     is_forward_stable,
     max_colex_relation,
     reach_sets,
     width,
 )
-from nfaindex.oracle import _growth_strings
+from nfaindex import fs_partition, relations
+from nfaindex.oracle import MAX_BRUTE_CLASSES, _growth_strings
 
 
 class TestEnumeration:
@@ -144,3 +149,52 @@ class TestReachSets:
         rs = reach_sets(fig2, 0)
         assert rs[0] == frozenset({()})
         assert all(rs[u] == frozenset() for u in range(1, 7))
+
+
+class TestIndependence:
+    """The oracles give their answers with the production code they check
+    broken: the transitivity product, the class partition and the
+    stability test."""
+
+    @staticmethod
+    def break_production(monkeypatch):
+        def broken(*args):
+            raise AssertionError("an oracle ran production code")
+        monkeypatch.setattr(Relation, "_first_gap", broken)
+        monkeypatch.setattr(relations, "induced_equivalence", broken)
+        monkeypatch.setattr(fs_partition, "is_forward_stable", broken)
+
+    def test_enumeration_and_width(self, monkeypatch, fig2, wheeler3, sep6):
+        cases = []
+        for nfa in (fig2, wheeler3, sep6, *(gen_random(6, 2, 0.35, s) for s in range(8))):
+            every = [Partition.from_block_of(rgs) for rgs in _growth_strings(nfa.n_states)]
+            stable = [p for p in every if is_forward_stable(nfa, p)[0]]
+            rels = [max_colex_relation(nfa), cfs_order(nfa)[0]]
+            widths = [width(r).width for r in rels]
+            # Fresh copies: nothing proved about the relations is cached on them.
+            cases.append((nfa, stable, [Relation.from_matrix(r.bits) for r in rels], widths))
+        self.break_production(monkeypatch)
+        for nfa, stable, rels, widths in cases:
+            assert enumerate_fs_partitions(nfa) == stable
+            assert [brute_width(r) for r in rels] == widths
+        assert brute_width(Relation(4)) == 4
+        with pytest.raises(TooLarge):
+            brute_width(Relation(16))
+
+    def test_same_transitivity_witness(self):
+        rng = np.random.default_rng(4)
+        failed = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            bits = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+            rel = Relation.from_matrix(bits)
+            witness = rel.transitivity_witness()
+            if witness is None:
+                if induced_equivalence(rel).n_blocks <= MAX_BRUTE_CLASSES:
+                    assert brute_width(rel) == width(rel).width
+                continue
+            with pytest.raises(NotPreorder) as err:
+                brute_width(rel)
+            assert err.value.witness == witness
+            failed += 1
+        assert failed > 100

@@ -715,6 +715,14 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def labelled_apart(n):
+    """A random automaton of out-degree 3 with one label per edge, except
+    that the first 100 edges share their labels in pairs."""
+    edges = random_automaton(n, 1, 3, 5).transitions
+    return Nfa(n, 0, [(u, f"p{i // 2:02d}" if i < 100 else f"s{i:04d}", v)
+                      for i, (u, _, v) in enumerate(edges)])
+
+
 @pytest.fixture
 def scans(monkeypatch):
     """Names of the axiom-2 scans run, in order, and the counts taken."""
@@ -751,6 +759,27 @@ class TestScanChoice:
         assert set(scans) - {"_sparse_axiom2_cells"} == {"_first_edge_pair"}
         dense, sparse = scan_cells_reference(nfa, rel)
         assert 2 * sparse < dense < 2.2 * sparse  # half the edge pairs, not fewer
+
+    def test_labels_with_one_edge_are_not_scanned(self, scans):
+        nfa = labelled_apart(1000)
+        assert len(nfa.alphabet) > 2900
+        max_colex_relation(nfa)
+        assert scans == ["_first_edge_pair"] * 50
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_labels_with_one_edge_keep_the_first_witness(self, monkeypatch, sparse):
+        forced(monkeypatch, sparse)
+        nfa = labelled_apart(150)
+        rng = np.random.default_rng(6)
+        base = max_colex_relation(nfa)
+        found = 0
+        for rate in (0.01, 0.05, 0.3):
+            for _ in range(4):
+                rel = corrupted(base, rng, rate)
+                got = _axiom2_violation(nfa, rel, "~")
+                assert got == axiom2_reference(nfa, rel, "~")
+                found += got is not None
+        assert found >= 4
 
     @pytest.mark.parametrize("make", [
         lambda: word_trie(271, 3), lambda: word_trie(300, 0, [f"l{i:03d}" for i in range(200)]),
