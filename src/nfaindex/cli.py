@@ -43,6 +43,7 @@ from .relations import (
     check_colex_relation,
     check_wheeler_order,
     check_wheeler_preorder,
+    quotient_to_json_text,
     relation_from_json_dict,
     relation_to_json_text,
     width,
@@ -148,10 +149,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     nfa = _load_automaton(args)
     qm = build_quotient(nfa, coarsest_fs_partition(nfa))
     if args.format == "json":
-        text = _json({
-            "blocks": qm.partition.blocks_by_name(nfa.names),
-            "quotient": qm.quotient.serialize(),
-        })
+        text = quotient_to_json_text(qm, nfa.names)
     elif args.format == "dot":
         text = to_dot(qm.quotient)
     else:

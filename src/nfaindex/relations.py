@@ -21,7 +21,8 @@ distinct pair (u, v), the sum of in_a(u) * in_a(v), and reports the mask
 scan's first witness, the least hit in row-major order; an exact count
 of those cells picks the scan.  The JSON form of a relation is read with
 one name lookup per entry and a single scatter into the matrix, and
-``relation_to_json_text`` writes it without the generic JSON encoder.
+``relation_to_json_text`` writes it without the generic JSON encoder, as
+``quotient_to_json_text`` writes the quotient's blocks and text.
 Inputs are re-scanned one item at a time only to word the error for an
 input that is already rejected.
 """
@@ -44,7 +45,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .fs_partition import Partition, build_quotient, coarsest_fs_partition
+from .fs_partition import Partition, QuotientMap, build_quotient, coarsest_fs_partition
 
 # Most states of an automaton for which an n*n relation is built; the
 # relation and its checks are stored densely.  The README lists the peaks
@@ -209,6 +210,30 @@ def relation_to_json_text(rel: Relation, names: Sequence[str]) -> str:
         return f'{{\n  "n": {rel.n},\n  "pairs": []\n}}'
     body = ",\n".join([head[u] + tail[v] for u, v in zip(us, vs)])
     return f'{{\n  "n": {rel.n},\n  "pairs": [\n{body}\n  ]\n}}'
+
+
+def quotient_to_json_text(qm: QuotientMap, names: Sequence[str]) -> str:
+    """``json.dumps({"blocks": ..., "quotient": ...}, indent=2) + "\\n"``, byte
+    for byte, where "blocks" holds each block's member names and "quotient"
+    the quotient's text.
+
+    Every name is quoted once, by one call of the C encoder with a newline
+    as item separator; encoded strings escape their newlines, so splitting
+    there gives the quoted names.  The blocks are joined at the fixed
+    two-space layout; a discrete partition's block i is (i,), so its quoted
+    names are joined in order.
+    """
+    if len(names) != qm.partition.n:
+        raise SizeMismatch(f"{len(names)} names for a partition of {qm.partition.n}")
+    quoted = json.dumps(list(names), separators=("\n", ":"))[1:-1].split("\n")
+    blocks = qm.partition.blocks
+    if len(blocks) == len(quoted):
+        body = "\n    ],\n    [\n      ".join(quoted)
+    else:
+        body = "\n    ],\n    [\n      ".join(
+            [",\n      ".join([quoted[x] for x in b]) for b in blocks])
+    return (f'{{\n  "blocks": [\n    [\n      {body}\n    ]\n  ],\n'
+            f'  "quotient": {json.dumps(qm.quotient.serialize())}\n}}\n')
 
 
 def relation_from_json_dict(obj, nfa: Nfa) -> Relation:

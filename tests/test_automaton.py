@@ -562,6 +562,15 @@ class TestGenerators:
         with pytest.raises(InvalidParameter):
             gen_random(**kw)
 
+    def test_gen_random_candidate_limit(self):
+        # 1024 states over one label are exactly MAX_RANDOM_CANDIDATES draws.
+        assert automaton.MAX_RANDOM_CANDIDATES == 1024 ** 2
+        assert gen_random(1024, 1, 0.0, 3).n_states == 2
+        with pytest.raises(InvalidParameter, match=r"limited to 1048576, got 1050625$"):
+            gen_random(1025, 1, 0.0, 3)
+        with pytest.raises(InvalidParameter, match=r"limited to 1048576, got 1050426$"):
+            gen_random(201, 26, 0.5, 3)
+
 
 class TestDot:
     def test_deterministic(self, fig2):

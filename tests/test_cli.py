@@ -21,6 +21,7 @@ from nfaindex import (
     width,
 )
 from nfaindex import cli, colex, relations
+from nfaindex.automaton import MAX_RANDOM_CANDIDATES
 from nfaindex.cli import _build_parser, main
 from nfaindex.relations import MAX_DENSE_STATES, Relation
 
@@ -168,6 +169,26 @@ class TestQuotient:
         code, out, _ = run(capsys, "quotient", "--fixture", "fig2",
                            "--format", "dot")
         assert code == 0 and out.startswith("digraph")
+
+    def test_json_skips_the_pure_python_encoder(self, capsys, tmp_path, monkeypatch):
+        # json.dumps(..., indent=2) runs json.encoder._make_iterencode; the
+        # quotient's JSON is laid out directly and must never reach it.
+        cases = []
+        for text in (comb_text(4, 30), "initial s\ntrans s a x\ntrans s a y\ntrans s b x+y\n",
+                     Nfa(50, 0, [(i, "a", i + 1) for i in range(49)]).serialize()):
+            path = tmp_path / f"{len(cases)}.nfa"
+            path.write_text(text)
+            nfa = parse_nfa(text)
+            qm = build_quotient(nfa, coarsest_fs_partition(nfa))
+            expected = json.dumps({"blocks": qm.partition.blocks_by_name(nfa.names),
+                                   "quotient": qm.quotient.serialize()}, indent=2) + "\n"
+            cases.append((str(path), expected))
+
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was called")
+        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+        for path, expected in cases:
+            assert run(capsys, "quotient", path, "--format", "json") == (0, expected, "")
 
 
     def test_above_the_dense_limit_quotient_works_and_maxrel_refuses(
@@ -504,6 +525,18 @@ class TestGen:
     def test_requires_a_source(self, capsys):
         code, _, err = run(capsys, "gen")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--random", "--states", "200000"],
+        ["sweep", "--random", "--states", "200000", "--count", "1"],
+    ])
+    def test_random_generation_over_the_limit_is_refused(self, capsys, argv):
+        # 200000^2 * 2 candidate draws would take hours; refused before the first.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("error: random generation draws states^2 * alphabet_size candidate "
+                       f"transitions and is limited to {MAX_RANDOM_CANDIDATES}, "
+                       "got 80000000000\n")
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.nfa"

@@ -52,6 +52,7 @@ from nfaindex.relations import (
     _sparse_axiom2_cells,
     _totality_violation,
     _validate_certificate,
+    quotient_to_json_text,
 )
 from test_colex import random_automaton, unary_path, word_trie
 
@@ -919,6 +920,55 @@ class TestRelationJsonText:
     def test_names_must_match_size(self):
         with pytest.raises(SizeMismatch):
             relation_to_json_text(Relation(3), ["a", "b"])
+
+
+class TestQuotientJsonText:
+    @staticmethod
+    def expected(nfa):
+        qm = build_quotient(nfa, coarsest_fs_partition(nfa))
+        return qm, json.dumps({"blocks": qm.partition.blocks_by_name(nfa.names),
+                               "quotient": qm.quotient.serialize()}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("names", [
+        ["s", "x", "y", "z"],
+        ["s", "é", "☃", "\U0001d11e"],
+        ["s", '"q"', "a\\b", "'"],
+    ])
+    def test_same_bytes_as_the_json_module(self, names):
+        discrete = Nfa(4, 0, [(0, "a", 1), (0, "b", 2), (2, "a", 3)], names=names)
+        merged = Nfa(4, 0, [(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 3)],
+                     names=names)
+        for nfa, n_blocks in ((discrete, 4), (merged, 3)):
+            qm, expected = self.expected(nfa)
+            assert qm.partition.n_blocks == n_blocks
+            assert quotient_to_json_text(qm, nfa.names) == expected
+
+    def test_random_automata(self):
+        kinds = set()
+        for seed in range(12):
+            nfa = gen_random(40, 2, 0.03, seed)
+            qm, expected = self.expected(nfa)
+            kinds.add(qm.quotient is nfa)
+            assert quotient_to_json_text(qm, nfa.names) == expected, seed
+        assert kinds == {True, False}  # discrete and non-discrete partitions
+
+    def test_colliding_joined_names(self):
+        nfa = Nfa(4, 0, [(0, "a", 1), (0, "a", 2), (0, "b", 3)],
+                  names=["s", "x", "y", "x+y"])
+        qm, expected = self.expected(nfa)
+        assert qm.quotient.names == ("0:s", "1:x+y", "2:x+y")
+        assert quotient_to_json_text(qm, nfa.names) == expected
+
+    def test_one_state(self):
+        nfa = Nfa(1, 0, [], names=["q"])
+        qm, expected = self.expected(nfa)
+        assert quotient_to_json_text(qm, nfa.names) == expected
+        assert expected == '{\n  "blocks": [\n    [\n      "q"\n    ]\n  ],\n  "quotient": "initial q\\n"\n}\n'
+
+    def test_names_must_match_size(self, wheeler3):
+        qm = build_quotient(wheeler3, coarsest_fs_partition(wheeler3))
+        with pytest.raises(SizeMismatch):
+            quotient_to_json_text(qm, ["a", "b"])
 
 
 class TestRelationJsonErrors:
