@@ -51,6 +51,11 @@ _FIXTURE_NAMES = ("fig2", "wheeler3")
 # 260 MB peak for the million edges drawn at density 1 (2-core Xeon).
 MAX_RANDOM_CANDIDATES = 1 << 20
 
+# Most states of gen_separation_family, which builds every name and edge in
+# Python: about 1.1 KB and 8 us per state, so `gen --fixture sep:262144`
+# takes 2.1 s and a 294 MB peak RSS (2-core Xeon).
+MAX_SEPARATION_STATES = 1 << 18
+
 
 def label_key(label: str) -> tuple[int, bytes]:
     """Sort key realizing the label order: HASH first, then bytewise UTF-8."""
@@ -467,10 +472,15 @@ def gen_separation_family(n: int) -> Nfa:
     from u3, and every ui with i > 4 is entered on a from both u2 and u3.
     The maximum co-lex relation is discrete (n classes, width n-4 for
     n > 5) while the coarsest forward-stable construction collapses the
-    sinks into one class and yields a total order (width 1).
+    sinks into one class and yields a total order (width 1).  More than
+    MAX_SEPARATION_STATES states raise InvalidParameter before anything
+    is built.
     """
     if n <= 4:
         raise InvalidParameter(f"separation family needs n > 4, got {n}")
+    if n > MAX_SEPARATION_STATES:
+        raise InvalidParameter(
+            f"separation family is limited to {MAX_SEPARATION_STATES} states, got {n}")
     names = [f"u{i}" for i in range(1, n + 1)]
     trans = [(0, "a", 1), (0, "b", 2), (2, "b", 3)]
     for i in range(5, n + 1):

@@ -8,18 +8,31 @@ two sorts of the edges, in O(m log m).  Forward stability is closed under
 coarsest-common-coarsening, so every NFA has a unique coarsest
 forward-stable partition.
 
-It is computed by the partition refinement of Paige and Tarjan (SIAM J.
-Comput. 1987) on the label-wise reversed edges, with three-way splitting.
-Besides the partition being refined, a coarser partition of compound
-blocks is kept, and the fine partition is stable with respect to every
-compound block.  Each step takes a compound block S holding at least two
+It is computed in two parts.  Forward stability is bisimulation on the
+reversed automaton, so, after the rank-based step of Dovier, Piazza and
+Policriti (TCS 2004), the states with no cycle above them are settled in
+one topological pass (Kahn's algorithm from the initial state): each
+state's block is looked up by its set of (predecessor block, label) pairs,
+its predecessors' blocks being final already, at one hash lookup per state
+and edge.  No such state shares a block with a state below a cycle, and
+none has a predecessor below one.
+
+The states below cycles are refined by the algorithm of Paige and Tarjan
+(SIAM J. Comput. 1987) on the label-wise reversed edges, with three-way
+splitting.  Besides the partition being refined, a coarser partition of
+compound blocks is kept, and the fine partition is stable with respect to
+every compound block.  The states below cycles start as one compound
+block, split by their sets of (settled predecessor block or one value
+for all the others, label) pairs, and each settled block is a compound
+block of its own.  Each step takes a compound block S holding at least two
 fine blocks, makes its smaller block B a compound block of its own, and
 for every label a splits the fine blocks by delta(B, a) and then by
 delta(B, a) minus delta(S - B, a).  The second set holds the states whose
 number of a-predecessors in B equals their number in S; these counts are
 kept per (state, label, compound block).  A state lies in a block taken as
 B at most log2(n) times, and each time only its out-edges are walked, so
-the refinement runs in O(m log n).
+this part runs in O(m log n) for its m edges; it never walks an edge of
+the settled part.
 
 The quotient automaton has one state per block and a block-level edge on a
 whenever some member pair has one; one sort of the edges' (block, label,
@@ -165,11 +178,11 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
 
 
 def coarsest_fs_partition(nfa: Nfa) -> Partition:
-    """Unique coarsest forward-stable partition, by the Paige-Tarjan
-    refinement described in the module docstring, in O(m log n).  It starts
-    from the single-block partition split by which labels enter each state,
-    with one compound block holding everything.  Forward stability of the
-    result is re-verified by is_forward_stable before returning.
+    """Unique coarsest forward-stable partition, as described in the module
+    docstring: a topological pass settles the states with no cycle above
+    them, in O(n + m) hash lookups, and Paige-Tarjan refinement, in
+    O(m log n), splits only the states below cycles.  Forward stability of
+    the result is re-verified by is_forward_stable before returning.
     """
     partition = Partition(nfa.n_states, _refine(nfa))
     ok, viol = is_forward_stable(nfa, partition)
@@ -183,21 +196,87 @@ def coarsest_fs_partition(nfa: Nfa) -> Partition:
 def _refine(nfa: Nfa) -> list[list[int]]:
     # The blocks of the coarsest forward-stable partition, unordered.  Kept
     # apart so that its arrays are freed before the result is built and checked.
-    n = nfa.n_states
+    n, sigma = nfa.n_states, len(nfa.alphabet)
     lab, tgt = nfa.lab.tolist(), nfa.dst.tolist()
     out_start = nfa.out_start.tolist()
 
+    # Kahn's algorithm from the initial state: done lists the states with no
+    # cycle above them, in topological order.  Each gets its final block
+    # from its set of (predecessor block, label) codes, a one-element set
+    # keyed by its code.
+    indeg = np.bincount(nfa.dst, minlength=n).tolist()
+    block = [-1] * n
+    block[nfa.initial] = 0
+    codes: list = [None] * n
+    ids: dict = {}
+    done = [nfa.initial]
+    for u in done:  # the loop reaches the states appended while it runs
+        base = block[u] * sigma
+        for e in range(out_start[u], out_start[u + 1]):
+            v, c = tgt[e], base + lab[e]
+            s = codes[v]
+            if s is None or s == c:
+                codes[v] = c
+            elif s.__class__ is int:
+                codes[v] = {s, c}
+            else:
+                s.add(c)
+            indeg[v] -= 1
+            if not indeg[v]:
+                s = codes[v]
+                block[v] = ids.setdefault(s if s.__class__ is int else frozenset(s),
+                                          len(ids) + 1)
+                done.append(v)
+    finished: list[list[int]] = [[] for _ in range(len(ids) + 1)]
+    for v in done:
+        finished[block[v]].append(v)
+    if len(done) == n:
+        return finished
+
+    # The remaining states lie below a cycle.  They start as one block in one
+    # compound block (each finished block is a compound block of its own),
+    # and that block is split by their sets of (finished predecessor block
+    # or one cyclic value, label) codes.  No finished state has a remaining
+    # predecessor, so the splitters below never walk an edge of the
+    # finished part.
+    beta = np.array(block, np.intp)
+    cyclic = beta < 0
+    beta[cyclic] = len(finished)
+    into = np.flatnonzero(cyclic[nfa.dst])
+    dst, code = nfa.dst[into], beta[nfa.src[into]] * sigma + nfa.lab[into]
+    order = _lex_order(dst, code, n, (len(finished) + 1) * sigma)
+    into, dst, code = into[order], dst[order], code[order]
+    held = _run_starts(dst, code)
+    # cnt[rec[e]] counts the a-predecessors of v in the compound block of u,
+    # for edge e = (u, a, v) leaving a remaining state; all such edges share
+    # one record, their run of (v, cyclic code) in the sorted edges.
+    run = held.cumsum() - 1
+    rec_at = np.zeros(len(tgt), np.intp)
+    rec_at[into] = run
+    rec, cnt = rec_at.tolist(), np.bincount(run).tolist()
+    dst, code = dst[held], code[held]
+    raw, cut = code.tobytes(), (dst.searchsorted(np.arange(n + 1)) * code.itemsize).tolist()
+    rest = np.flatnonzero(cyclic)
+    sig: dict[bytes, int] = {}
+    group = np.array([sig.setdefault(raw[cut[x]:cut[x + 1]], len(sig))
+                      for x in rest.tolist()], np.intp)
+
     # Fine partition as one array: block b is elems[first[b]:end[b]], and
     # its marked members sit at the front, in elems[first[b]:mid[b]].
-    elems = list(range(n))
-    loc = list(range(n))
-    blk = [0] * n
-    first, end, mid = [0], [n], [0]
+    order = np.argsort(group, kind="stable")
+    elems = rest[order].tolist()
+    loc_of, blk_of = np.zeros(n, np.intp), np.zeros(n, np.intp)
+    loc_of[rest[order]] = np.arange(len(rest))
+    blk_of[rest] = group
+    loc, blk = loc_of.tolist(), blk_of.tolist()
+    end = np.bincount(group).cumsum().tolist()
+    first = [0] + end[:-1]
+    mid = first[:]
     touched: list[int] = []
     # Compound blocks: the fine blocks of each, and those holding two or more.
-    cblk = [0]
-    members: list[list[int]] = [[0]]
-    ready: list[int] = []
+    cblk = [0] * len(first)
+    members: list[list[int]] = [list(range(len(first)))]
+    ready: list[int] = [0] if len(first) >= 2 else []
 
     def mark(x: int) -> None:
         b = blk[x]
@@ -232,23 +311,6 @@ def _refine(nfa: Nfa) -> list[list[int]]:
             if len(members[c]) == 2:
                 ready.append(c)
         touched.clear()
-
-    # cnt[rec[e]] counts the a-predecessors of v in the compound block of u,
-    # for edge e = (u, a, v); all such edges share one record.
-    rec_of: dict[tuple[int, int], int] = {}
-    rec = [rec_of.setdefault((v, a), len(rec_of)) for v, a in zip(tgt, lab)]
-    cnt = [0] * len(rec_of)
-    for r in rec:
-        cnt[r] += 1
-
-    # Make the partition stable with respect to the one compound block.
-    entered: list[list[int]] = [[] for _ in nfa.alphabet]
-    for (v, a) in rec_of:
-        entered[a].append(v)
-    for targets in entered:
-        for v in targets:
-            mark(v)
-        split()
 
     while ready:
         s = ready.pop()
@@ -290,7 +352,7 @@ def _refine(nfa: Nfa) -> list[list[int]]:
             for e in edges:
                 rec[e] = new[tgt[e]]
 
-    return [elems[first[b]:end[b]] for b in range(len(first))]
+    return finished + [elems[first[b]:end[b]] for b in range(len(first))]
 
 
 @dataclass(frozen=True)

@@ -571,6 +571,16 @@ class TestGenerators:
         with pytest.raises(InvalidParameter, match=r"limited to 1048576, got 1050426$"):
             gen_random(201, 26, 0.5, 3)
 
+    def test_separation_family_state_limit(self, monkeypatch):
+        assert automaton.MAX_SEPARATION_STATES == 1 << 18
+        with pytest.raises(InvalidParameter, match=r"limited to 262144 states, got 262145$"):
+            gen_separation_family(262145)
+        # The bound is inclusive; a small stand-in keeps the check cheap.
+        monkeypatch.setattr(automaton, "MAX_SEPARATION_STATES", 9)
+        assert gen_separation_family(9).n_states == 9
+        with pytest.raises(InvalidParameter, match=r"limited to 9 states, got 10$"):
+            gen_separation_family(10)
+
 
 class TestDot:
     def test_deterministic(self, fig2):

@@ -21,7 +21,7 @@ from nfaindex import (
     width,
 )
 from nfaindex import cli, colex, relations
-from nfaindex.automaton import MAX_RANDOM_CANDIDATES
+from nfaindex.automaton import MAX_RANDOM_CANDIDATES, MAX_SEPARATION_STATES
 from nfaindex.cli import _build_parser, main
 from nfaindex.relations import MAX_DENSE_STATES, Relation
 
@@ -537,6 +537,14 @@ class TestGen:
         assert err == ("error: random generation draws states^2 * alphabet_size candidate "
                        f"transitions and is limited to {MAX_RANDOM_CANDIDATES}, "
                        "got 80000000000\n")
+
+    @pytest.mark.parametrize("command", [["gen"], ["quotient", "--format", "json"]])
+    def test_separation_family_over_the_limit_is_refused(self, capsys, command):
+        # Its name list alone would exhaust memory; refused before it is built.
+        code, out, err = run(capsys, *command, "--fixture", "sep:99999999999999999999")
+        assert (code, out) == (1, "")
+        assert err == (f"error: separation family is limited to {MAX_SEPARATION_STATES} "
+                       "states, got 99999999999999999999\n")
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.nfa"

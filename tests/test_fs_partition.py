@@ -243,14 +243,20 @@ class TestPaigeTarjan:
         assert p.n_blocks == length + 1
 
     def test_count_split_is_needed(self):
-        # q0 -a-> q1, q0 -a-> q2, q1 -a-> q1.  The first splitter is B = {q0}
-        # out of S = {q0, q1, q2}: delta(B, a) = {q1, q2} splits nothing, and
-        # the remaining compound block {q1, q2} is one block, never a
-        # splitter.  Only delta(B, a) minus delta(S - B, a) = {q2}, found by
-        # comparing q2's a-predecessor counts in B and in S, separates q2
-        # (no predecessor in {q1, q2}) from q1 (its own predecessor).
+        # q0 -a-> q1, q0 -a-> q2, q1 -a-> q1: the topological pass settles
+        # q0 and q2, and q1, below its own loop, is left alone.
         nfa = Nfa(3, 0, [(0, "a", 1), (0, "a", 2), (1, "a", 1)])
         assert coarsest_fs_partition(nfa).blocks == ((0,), (1,), (2,))
+        # The same shape below a loop on h: q0 -b-> h -b-> h, h -a-> q1,
+        # h -a-> q2, q1 -a-> q1.  Every state but q0 remains, and the
+        # initial split keeps {q1, q2} together (both hold only (cyclic,
+        # a)).  The first splitter is B = {h} out of S = {h, q1, q2}:
+        # delta(B, a) = {q1, q2} splits nothing, and the remaining compound
+        # block {q1, q2} is one block, never a splitter.  Only delta(B, a)
+        # minus delta(S - B, a) = {q2}, found by comparing q2's
+        # a-predecessor counts in B and in S, separates q2 from q1.
+        nfa = Nfa(4, 0, [(0, "b", 1), (1, "b", 1), (1, "a", 2), (1, "a", 3), (2, "a", 2)])
+        assert coarsest_fs_partition(nfa).blocks == ((0,), (1,), (2,), (3,))
 
     def test_unary_path_of_four_thousand_states_is_discrete(self):
         assert coarsest_fs_partition(unary_path(4000)).n_blocks == 4000
@@ -260,6 +266,147 @@ class TestPaigeTarjan:
         p = coarsest_fs_partition(nfa)
         assert p.n_blocks == 101
         assert p.blocks[1] == tuple(1 + i * 100 for i in range(30))
+
+
+def random_tree_with_cycles(rng: random.Random) -> Nfa:
+    """A random tree of 2-60 states rooted at state 0 (each parent numbered
+    below its child), random forward edges u -> v with u < v, then 0-5
+    back edges or self-loops u -> v with v <= u, none into state 0."""
+    n, labels = rng.randint(2, 60), "abc"[:rng.randint(1, 3)]
+    edges = {(rng.randrange(v), rng.choice(labels), v) for v in range(1, n)}
+    for _ in range(rng.randrange(n)):
+        v = rng.randrange(1, n)
+        edges.add((rng.randrange(v), rng.choice(labels), v))
+    for _ in range(rng.randint(0, 5)):
+        u = rng.randrange(1, n)
+        edges.add((u, rng.choice(labels), rng.randint(1, u)))
+    return Nfa(n, 0, sorted(edges))
+
+
+def blocks_by_name(text: str) -> list[list[str]]:
+    nfa = parse_nfa(text)
+    return coarsest_fs_partition(nfa).blocks_by_name(nfa.names)
+
+
+class TestTopologicalPass:
+    """The acyclic part settled in topological order, Paige-Tarjan below
+    cycles, against the worklist reference and on pinned shapes."""
+
+    def test_agrees_with_worklist_reference_on_trees_with_cycles(self):
+        rng = random.Random(20)
+        for i in range(1000):
+            nfa = random_tree_with_cycles(rng)
+            assert coarsest_fs_partition(nfa) == worklist_coarsest_fs_partition(nfa), i
+
+    def test_cycle_entered_from_two_finished_blocks_on_one_label(self):
+        # p and p3 are entered on c from both x and y, p2 from x alone.
+        text = "initial s\ntrans s a x\ntrans s b y\n" + "".join(
+            f"trans {u} c {v}\n" for u, v in [
+                ("x", "p"), ("y", "p"), ("p", "q"), ("q", "p"),
+                ("x", "p2"), ("p2", "q2"), ("q2", "p2"),
+                ("x", "p3"), ("y", "p3"), ("p3", "q3"), ("q3", "p3")])
+        assert blocks_by_name(text) == [
+            ["s"], ["x"], ["y"], ["p", "p3"], ["q", "q3"], ["p2"], ["q2"]]
+
+    def test_self_loop_on_a_state_with_finished_predecessors(self):
+        # t and t2 loop on b and are entered on b from the block {x, y}; u
+        # is entered the same way without the loop.
+        text = """initial s
+trans s a x
+trans s a y
+trans x b t
+trans y b t
+trans t b t
+trans y b t2
+trans t2 b t2
+trans x b u
+"""
+        assert blocks_by_name(text) == [["s"], ["x", "y"], ["t", "t2"], ["u"]]
+
+    def test_equal_cycles_entered_from_equal_finished_blocks_merge(self):
+        text = """initial s
+trans s a x1
+trans s a x2
+trans x1 b c1
+trans c1 b d1
+trans d1 b c1
+trans x2 b c2
+trans c2 b d2
+trans d2 b c2
+"""
+        assert blocks_by_name(text) == [["s"], ["x1", "x2"], ["c1", "c2"], ["d1", "d2"]]
+
+    @pytest.mark.parametrize("late", [False, True])
+    def test_repeated_pair_shares_a_block_with_a_single_edge(self, late):
+        # y has two b-predecessors in the block {x1, x2}, so its set of
+        # (predecessor block, label) pairs has one element, as z's does; z
+        # is reached before y, or after it.
+        edges = ["s a x1", "s a x2", "x1 b y", "x2 b y", "x2 b z" if late else "x1 b z"]
+        text = "initial s\n" + "".join(f"trans {e}\n" for e in edges)
+        assert blocks_by_name(text) == [["s"], ["x1", "x2"], ["y", "z"]]
+
+    def test_two_pair_sets_are_keyed_as_sets(self):
+        # y and z hold {(X, a), (X, b)} from different predecessors and in
+        # a different order; w holds only (X, a).
+        text = """initial s
+trans s a x1
+trans s a x2
+trans x1 a y
+trans x2 b y
+trans x1 b z
+trans x2 a z
+trans x1 a w
+"""
+        assert blocks_by_name(text) == [["s"], ["x1", "x2"], ["y", "z"], ["w"]]
+
+
+def words_by_parent_pointers(nfa: Nfa) -> list[tuple[str, ...]]:
+    """The word spelled into each state of an automaton whose non-initial
+    states have one in-edge each, read by walking parent pointers."""
+    parent = {v: (u, a) for (u, a, v) in nfa.transitions}
+    assert len(parent) == nfa.n_states - 1
+    word: dict[int, tuple[str, ...]] = {nfa.initial: ()}
+    for v in range(nfa.n_states):
+        path = []
+        while v not in word:
+            path.append(v)
+            v = parent[v][0]
+        for x in reversed(path):
+            u, a = parent[x]
+            word[x] = word[u] + (a,)
+    return [word[v] for v in range(nfa.n_states)]
+
+
+def random_tree(rng: random.Random, n: int, labels: str, reach: int) -> Nfa:
+    """n states, each but state 0 entered once, from one of the ``reach``
+    states numbered just below it, on a random label; equal labels among
+    siblings are allowed."""
+    return Nfa(n, 0, [(rng.randrange(max(0, v - reach), v), rng.choice(labels), v)
+                      for v in range(1, n)])
+
+
+class TestClosedFormOnTrees:
+    """With in-degree 1 everywhere but the initial state, the coarsest
+    blocks are the sets of states reached by equal words."""
+
+    @staticmethod
+    def assert_blocks_are_words(nfa):
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for v, w in enumerate(words_by_parent_pointers(nfa)):
+            groups.setdefault(w, []).append(v)
+        assert coarsest_fs_partition(nfa) == Partition(nfa.n_states, groups.values())
+
+    @pytest.mark.parametrize("n", [2, 10, 100, 1000, 10000])
+    @pytest.mark.parametrize("labels,reach", [("ab", 10**6), ("abc", 3), ("a", 50)])
+    def test_random_trees(self, n, labels, reach):
+        self.assert_blocks_are_words(random_tree(random.Random(n), n, labels, reach))
+
+    @pytest.mark.parametrize("k,length,pattern", [
+        (1, 5, "a"), (2, 3, "ab"), (3, 7, "aab"), (6, 12, "abbab"), (12, 20, "ba"),
+        (30, 100, "abbaab"),
+    ])
+    def test_combs(self, k, length, pattern):
+        self.assert_blocks_are_words(comb(k, length, pattern))
 
 
 class TestImageScanReference:
