@@ -308,7 +308,7 @@ def _lifted(order: Relation, qm: QuotientMap) -> Relation:
     # discrete partition is the automaton, whose states are the blocks.
     if qm.quotient is qm.source:
         return order
-    beta = np.array(qm.partition.block_of)
+    beta = qm.partition.block_array
     return Relation.from_matrix(order.bits[beta[:, None], beta[None, :]])
 
 

@@ -64,30 +64,45 @@ class Partition:
 
     Canonical form: each block sorted ascending, blocks ordered by their
     smallest element.  Equality and hashing use the canonical form.
+    ``block_array`` is ``block_of`` as a read-only numpy intp array.
     """
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        blks = [tuple(sorted(set(b))) for b in blocks]
+        blks = [tuple(b) for b in blocks]
         if any(not b for b in blks):
             raise ValidationError("partition blocks must be non-empty")
-        blks.sort(key=lambda b: b[0])
-        covered: list[int] = [x for b in blks for x in b]
-        if sorted(covered) != list(range(n)) or len(covered) != n:
-            raise ValidationError(f"blocks do not partition 0..{n - 1}")
-        self.n = n
-        self.blocks: tuple[tuple[int, ...], ...] = tuple(blks)
-        block_of = [0] * n
-        for i, b in enumerate(self.blocks):
+        for b in blks:
             for x in b:
-                block_of[x] = i
-        self.block_of: tuple[int, ...] = tuple(block_of)
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                    raise ValidationError(f"partition member {x!r} is not an integer")
+        owner = {int(x): i for i, b in enumerate(blks) for x in b}
+        if sorted(owner) != list(range(n)) or sum(len(set(b)) for b in blks) != n:
+            raise ValidationError(f"blocks do not partition 0..{n - 1}")
+        vars(self).update(vars(self.from_block_of([owner[x] for x in range(n)])))
 
     @classmethod
     def from_block_of(cls, block_of: Sequence[int]) -> "Partition":
-        groups: dict[int, list[int]] = {}
-        for x, b in enumerate(block_of):
-            groups.setdefault(b, []).append(x)
-        return cls(len(block_of), groups.values())
+        """x and y share a block exactly when block_of[x] == block_of[y].  One
+        stable argsort of the labels lists each block's members in ascending
+        order; the blocks are then numbered by their least member."""
+        label = np.asarray(block_of)
+        partition, n = cls.__new__(cls), len(label)
+        order = label.argsort(kind="stable")
+        ordered = label[order]
+        cut = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        if len(cut) + 1 >= n:  # one block per element, or no element
+            blocks = tuple(zip(range(n)))
+            beta = np.arange(n)
+        else:
+            cut, members = [0, *cut.tolist(), n], order.tolist()
+            groups = [members[i:j] for i, j in zip(cut, cut[1:])]
+            by_least = sorted(range(len(groups)), key=groups.__getitem__)
+            blocks = tuple(tuple(groups[g]) for g in by_least)
+            beta = np.array(by_least).argsort()[ordered[cut[:-1]].searchsorted(label)]
+        beta.flags.writeable = False
+        partition.n, partition.blocks, partition.block_array = n, blocks, beta
+        partition.block_of = tuple(beta.tolist())
+        return partition
 
     @property
     def n_blocks(self) -> int:
@@ -153,7 +168,7 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
     if partition.n != nfa.n_states:
         raise SizeMismatch(
             f"partition over {partition.n} elements, automaton has {nfa.n_states} states")
-    beta = np.array(partition.block_of, np.intp)
+    beta = partition.block_array
     k, sigma = partition.n_blocks, len(nfa.alphabet)
     key = beta[nfa.src] * sigma + nfa.lab
     # The distinct (state, key) pairs, then the (block, key) groups they form.
@@ -184,7 +199,7 @@ def coarsest_fs_partition(nfa: Nfa) -> Partition:
     O(m log n), splits only the states below cycles.  Forward stability of
     the result is re-verified by is_forward_stable before returning.
     """
-    partition = Partition(nfa.n_states, _refine(nfa))
+    partition = Partition.from_block_of(_refine(nfa))
     ok, viol = is_forward_stable(nfa, partition)
     if not ok:
         raise InternalInvariantViolation(
@@ -193,9 +208,11 @@ def coarsest_fs_partition(nfa: Nfa) -> Partition:
     return partition
 
 
-def _refine(nfa: Nfa) -> list[list[int]]:
-    # The blocks of the coarsest forward-stable partition, unordered.  Kept
-    # apart so that its arrays are freed before the result is built and checked.
+def _refine(nfa: Nfa) -> np.ndarray:
+    # A block label per state of the coarsest forward-stable partition: the
+    # settled states' blocks from the topological pass, then Paige-Tarjan's
+    # fine blocks, written in bulk.  Kept apart so that its arrays are freed
+    # before the result is built and checked.
     n, sigma = nfa.n_states, len(nfa.alphabet)
     lab, tgt = nfa.lab.tolist(), nfa.dst.tolist()
     out_start = nfa.out_start.tolist()
@@ -227,11 +244,9 @@ def _refine(nfa: Nfa) -> list[list[int]]:
                 block[v] = ids.setdefault(s if s.__class__ is int else frozenset(s),
                                           len(ids) + 1)
                 done.append(v)
-    finished: list[list[int]] = [[] for _ in range(len(ids) + 1)]
-    for v in done:
-        finished[block[v]].append(v)
+    beta = np.array(block, np.intp)
     if len(done) == n:
-        return finished
+        return beta
 
     # The remaining states lie below a cycle.  They start as one block in one
     # compound block (each finished block is a compound block of its own),
@@ -239,12 +254,12 @@ def _refine(nfa: Nfa) -> list[list[int]]:
     # or one cyclic value, label) codes.  No finished state has a remaining
     # predecessor, so the splitters below never walk an edge of the
     # finished part.
-    beta = np.array(block, np.intp)
+    settled = len(ids) + 1
     cyclic = beta < 0
-    beta[cyclic] = len(finished)
+    beta[cyclic] = settled
     into = np.flatnonzero(cyclic[nfa.dst])
     dst, code = nfa.dst[into], beta[nfa.src[into]] * sigma + nfa.lab[into]
-    order = _lex_order(dst, code, n, (len(finished) + 1) * sigma)
+    order = _lex_order(dst, code, n, (settled + 1) * sigma)
     into, dst, code = into[order], dst[order], code[order]
     held = _run_starts(dst, code)
     # cnt[rec[e]] counts the a-predecessors of v in the compound block of u,
@@ -352,7 +367,8 @@ def _refine(nfa: Nfa) -> list[list[int]]:
             for e in edges:
                 rec[e] = new[tgt[e]]
 
-    return finished + [elems[first[b]:end[b]] for b in range(len(first))]
+    beta[rest] = np.array(blk, np.intp)[rest] + settled
+    return beta
 
 
 @dataclass(frozen=True)
@@ -387,7 +403,7 @@ def build_quotient(nfa: Nfa, partition: Partition) -> QuotientMap:
             f"partition over {partition.n} elements, automaton has {nfa.n_states} states")
     if partition.n_blocks == nfa.n_states:
         return QuotientMap(source=nfa, partition=partition, quotient=nfa)
-    beta = np.array(partition.block_of, np.intp)
+    beta = partition.block_array
     sigma = len(nfa.alphabet)
     # The distinct (block of u, label, block of v) codes of the edges u-a->v.
     head, tail = beta[nfa.src] * sigma + nfa.lab, beta[nfa.dst]

@@ -573,8 +573,7 @@ def induced_equivalence(rel: Relation) -> Partition:
         # In a preorder a state's first mutual partner is its class minimum;
         # argmax raises on the empty axis of a relation over no elements.
         mutual = rel.bits & rel.bits.T
-        rel._partition = Partition.from_block_of(
-            mutual.argmax(axis=1).tolist() if rel.n else [])
+        rel._partition = Partition.from_block_of(mutual.argmax(axis=1) if rel.n else [])
     return rel._partition
 
 

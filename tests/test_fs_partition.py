@@ -1,8 +1,10 @@
 """Forward stability: the checker, the refinement fixpoint, quotients."""
 
 import random
+import re
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,9 +69,51 @@ class TestPartition:
         with pytest.raises(ValidationError):
             Partition(3, blocks)
 
+    @pytest.mark.parametrize("blocks,message", [
+        ([[0, 1]], "blocks do not partition 0..2"),
+        ([[0], [1], [1, 2]], "blocks do not partition 0..2"),
+        ([[0], [], [1, 2]], "partition blocks must be non-empty"),
+        ([[0], [1], [2], [3]], "blocks do not partition 0..2"),
+        ([[0], [1], [-1, 2]], "blocks do not partition 0..2"),
+        ([[0], [1, 9], []], "partition blocks must be non-empty"),
+    ], ids=["missing", "overlap", "empty", "out-of-range", "negative", "empty-before-cover"])
+    def test_non_partition_messages(self, blocks, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Partition(3, blocks)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            reference_partition(3, blocks)
+
+    @pytest.mark.parametrize("blocks,member", [
+        ([[0.0], [1]], "0.0"),
+        ([["0"], [1]], "'0'"),
+        ([[False], [True]], "False"),
+        ([[0], [1, np.float64(2)]], "np.float64(2.0)"),
+        ([[0], [np.bool_(True)]], "np.True_"),
+    ])
+    def test_rejects_members_that_are_not_integers(self, blocks, member):
+        with pytest.raises(ValidationError,
+                           match=f"^partition member {re.escape(member)} is not an integer$"):
+            Partition(len(blocks), blocks)
+
+    def test_numpy_integer_members_are_stored_as_int(self):
+        p = Partition(3, [np.array([2, 0], np.int32), [np.uint8(1)]])
+        assert p.blocks == ((0, 2), (1,)) and p.block_of == (0, 1, 0)
+        assert all(type(x) is int for b in p.blocks for x in b)
+        assert all(type(x) is int for x in p.block_of)
+
+    def test_member_repeated_inside_a_block_counts_once(self):
+        assert Partition(3, [[2, 0, 2, 0], [1, 1]]).blocks == ((0, 2), (1,))
+
     def test_from_block_of(self):
         p = Partition.from_block_of([1, 0, 1])
         assert p.blocks == ((0, 2), (1,))
+
+    def test_block_array_is_a_read_only_copy_of_block_of(self):
+        for p in (Partition(5, [[4, 2], [3], [1, 0]]), Partition.from_block_of([9, 8, 7])):
+            assert p.block_array.dtype == np.intp
+            assert p.block_array.tolist() == list(p.block_of)
+            with pytest.raises(ValueError):
+                p.block_array[0] = 1
 
     def test_refines(self):
         fine = Partition(4, [[0], [1], [2], [3]])
@@ -82,6 +126,110 @@ class TestPartition:
     def test_refines_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             Partition(2, [[0], [1]]).refines(Partition(3, [[0], [1], [2]]))
+
+
+def reference_partition(n, blocks):
+    """Partition(n, blocks) as it was canonicalised block by block before
+    blocks were built from one label array: (blocks, block_of)."""
+    blks = [tuple(sorted(set(b))) for b in blocks]
+    if any(not b for b in blks):
+        raise ValidationError("partition blocks must be non-empty")
+    blks.sort(key=lambda b: b[0])
+    covered = [x for b in blks for x in b]
+    if sorted(covered) != list(range(n)) or len(covered) != n:
+        raise ValidationError(f"blocks do not partition 0..{n - 1}")
+    block_of = [0] * n
+    for i, b in enumerate(blks):
+        for x in b:
+            block_of[x] = i
+    return tuple(blks), tuple(block_of)
+
+
+def reference_from_block_of(block_of):
+    groups = {}
+    for x, b in enumerate(block_of):
+        groups.setdefault(b, []).append(x)
+    return reference_partition(len(block_of), groups.values())
+
+
+class TestCanonicalForm:
+    """Partition and Partition.from_block_of against the block-by-block
+    reference, on random labellings of up to 60 elements."""
+
+    @staticmethod
+    def random_labels(rng, n):
+        k = rng.randint(1, max(n, 1))
+        style = rng.randrange(4)
+        if style == 0:  # dense
+            return [rng.randrange(k) for _ in range(n)]
+        if style == 1:  # negative
+            return [rng.randrange(-k, k) for _ in range(n)]
+        values = [rng.randrange(-10**12, 10**12) for _ in range(k)]
+        labels = [rng.choice(values) for _ in range(n)]  # sparse
+        if style == 3:
+            return np.array(labels, rng.choice([np.int64, np.intp]))
+        return labels
+
+    @staticmethod
+    def listed_blocks(rng, labels):
+        # The blocks of a labelling in random order, members shuffled and
+        # some repeated: a function that lists them afresh as lists, tuples
+        # or generators.
+        groups = {}
+        for x, b in enumerate(labels):
+            groups.setdefault(int(b), []).append(x)
+        blocks = list(groups.values())
+        rng.shuffle(blocks)
+        for b in blocks:
+            rng.shuffle(b)
+            if rng.random() < 0.2:
+                b.append(rng.choice(b))
+        form = rng.choice([list, tuple, iter])
+        if form is iter:
+            return lambda: (iter(b) for b in blocks)
+        return lambda: [form(b) for b in blocks]
+
+    def assert_canonical(self, p, expected):
+        blocks, block_of = expected
+        assert p.blocks == blocks and p.block_of == block_of
+        assert hash(p) == hash((p.n, blocks))
+        assert all(type(x) is int for b in p.blocks for x in b)
+        assert all(type(x) is int for x in p.block_of)
+        assert p.block_array.tolist() == list(block_of)
+
+    def test_agrees_with_reference_on_random_labellings(self):
+        rng = random.Random(5)
+        for _ in range(1500):
+            n = rng.randint(0, 60)
+            labels = self.random_labels(rng, n)
+            by_labels = Partition.from_block_of(labels)
+            self.assert_canonical(by_labels, reference_from_block_of(labels))
+            listing = self.listed_blocks(rng, labels)
+            by_blocks = Partition(n, listing())
+            self.assert_canonical(by_blocks, reference_partition(n, listing()))
+            assert by_blocks == by_labels and hash(by_blocks) == hash(by_labels)
+
+    def test_same_message_as_reference_on_broken_listings(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            n = rng.randint(1, 30)
+            blocks = [list(b) for b in self.listed_blocks(rng, self.random_labels(rng, n))()]
+            fault = rng.randrange(4)
+            if fault == 0:    # a missing element
+                b = rng.choice(blocks)
+                x = b.pop(rng.randrange(len(b)))
+                while x in b:
+                    b.remove(x)
+            elif fault == 1:  # an element in two blocks
+                blocks.append([rng.randrange(n)])
+            elif fault == 2:  # an element out of range
+                rng.choice(blocks).append(rng.choice([-1, n, n + 7]))
+            else:             # an empty block
+                blocks.insert(rng.randrange(len(blocks) + 1), [])
+            with pytest.raises(ValidationError) as expected:
+                reference_partition(n, blocks)
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+                Partition(n, blocks)
 
 
 EXPECTED_FIG2 = [["u0"], ["u1", "u2"], ["u3", "u4"], ["u5", "u6"]]
@@ -580,7 +728,8 @@ class TestStabilitySelfCheck:
         assert is_forward_stable(fig2, Partition(7, [[u] for u in range(7)])) == (True, None)
 
     def test_coarsest_partition_is_checked(self, fig2, monkeypatch):
-        monkeypatch.setattr(fs_partition, "_refine", lambda nfa: [list(range(nfa.n_states))])
+        # One block label for every state: a single block, which fig2 splits.
+        monkeypatch.setattr(fs_partition, "_refine", lambda nfa: [0] * nfa.n_states)
         with pytest.raises(InternalInvariantViolation, match="not forward stable"):
             coarsest_fs_partition(fig2)
 
