@@ -23,6 +23,11 @@ State ids are assigned in order of first appearance of each name, so the
 initial state is always id 0.  Serialization emits the initial line and the
 transitions sorted by (from-id, label, to-id); parsing a serialized
 automaton reproduces it up to that renaming.
+
+``parse_nfa`` splits the text into tokens once and hands ``Nfa`` its
+from-id, label and to-id columns.  An ``Nfa`` stores its transitions as
+arrays and builds per-edge and per-state Python objects only when they
+are first asked for.
 """
 
 from __future__ import annotations
@@ -124,16 +129,30 @@ def _bfs_distances(source: int, start: np.ndarray, dst: np.ndarray) -> list[int]
     return dist
 
 
+def _reaches_all(initial: int, n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether ``initial`` reaches every state u < n over the edges src[i]
+    -> dst[i], tested by following one in-edge back from every state, the
+    one the scatter keeps, by pointer jumping in log2(n) gathers.  True is
+    always right; False is right when no state has two in-edges, as in
+    paths, tries and combs, and otherwise only a search decides."""
+    up = np.arange(n)
+    up[dst] = src
+    up[initial] = initial
+    for _ in range((n - 1).bit_length()):
+        up = up[up]
+    return bool((up == initial).all())
+
+
 def _plain_edges(trans: list, n: int) -> tuple[np.ndarray, tuple[str, ...]] | None:
     """The from-ids followed by the to-ids as one array, and the labels,
     when every item of ``trans`` is a tuple of two int ids in 0..n-1 around
-    a valid str label; else None."""
+    a str label; else None.  The labels are checked as tokens later, once
+    per distinct label."""
     if set(map(type, trans)) != {tuple} or set(map(len, trans)) != {3}:
         return None
     us, labs, vs = zip(*trans)
     ids = us + vs
-    if (set(map(type, ids)) != {int} or set(map(type, labs)) != {str}
-            or not all(map(_is_token, set(labs)))):
+    if set(map(type, ids)) != {int} or set(map(type, labs)) != {str}:
         return None
     try:
         ids = np.array(ids, np.intp)
@@ -168,25 +187,35 @@ def _checked_edges(transitions: Iterable, n: int, names: list[str]) -> list[tupl
     return list(seen)
 
 
+def _check_names(names: list[str]) -> None:
+    # One check of the joined names, and a name by name one to word an error.
+    if not (all(names) and _is_token("".join(names))):
+        for nm in names:
+            _check_token(nm, "state name")
+
+
 class Nfa:
     """Immutable NFA over integer state ids with named states.
 
     Validation happens at construction: duplicate transitions, incoming
     edges on the initial state, unreachable states and unused alphabet
     labels all raise ValidationError naming the offending entity.  The
-    checks run in bulk; duplicates are found by the stable sort that orders
-    the transitions.  Input that fails one, or whose items are not plain
-    (int, str, int) tuples, is re-scanned edge by edge in listed order,
-    which words the first error and converts ids to int.
+    checks run in bulk; labels are checked once per distinct label, and
+    duplicates are found by the stable sort that orders the transitions.
+    Input that fails one, or whose items are not plain (int, str, int)
+    tuples, is re-scanned edge by edge in listed order, which words the
+    first error and converts ids to int.  ``parse_nfa`` hands its id and
+    label columns to the same checks without building triples.
 
-    ``transitions`` holds the (from, label, to) triples sorted by from-id,
-    label order and to-id; ``src``, ``lab`` and ``dst`` hold them in that
-    order as read-only ``np.intp`` arrays, ``lab`` indexing ``alphabet``.
-    These are the only edge storage.  Two read-only indexes sit beside
-    them: the out-edge offsets ``out_start``, which the reachability check
-    builds, and the incoming-label ranks ``label_bounds``, built on first
-    use.  ``targets`` reads ``out_start``, ``sources`` scans all of ``dst``
-    and ``delta_set`` calls ``targets``.
+    ``src``, ``lab`` and ``dst`` hold the transitions sorted by from-id,
+    label order and to-id as read-only ``np.intp`` arrays, ``lab`` indexing
+    ``alphabet``; they are the only edge storage.  The out-edge offsets
+    ``out_start`` sit beside them.  Built from them on first use, and then
+    kept: the (from, label, to) triples ``transitions``, the incoming-label
+    sets ``lambda_sets``, the name-to-id dict ``id_of`` and the
+    incoming-label ranks ``label_bounds``.  ``targets`` reads
+    ``out_start``, ``sources`` scans all of ``dst`` and ``delta_set`` calls
+    ``targets``.
     """
 
     def __init__(
@@ -208,9 +237,7 @@ class Nfa:
         if names is None:
             names = [f"q{i}" for i in range(n_states)]
         names = list(map(str, names))
-        if not (all(names) and _is_token("".join(names))):
-            for nm in names:
-                _check_token(nm, "state name")
+        _check_names(names)
         if len(names) != n_states:
             raise ValidationError(f"got {len(names)} names for {n_states} states")
         if len(set(names)) != n_states:
@@ -228,16 +255,36 @@ class Nfa:
             us, labs, vs = zip(*trans) if trans else ((), (), ())
             columns = np.array(us + vs, np.intp), labs
         ids, labs = columns
-        m = len(labs)
-        src, dst = ids[:m], ids[m:]
+        self._validate(initial, names, ids[:len(labs)], labs, ids[len(labs):], alphabet)
+
+    @classmethod
+    def _from_columns(cls, names: list[str], src: np.ndarray, labs: list[str],
+                      dst: np.ndarray) -> "Nfa":
+        """The automaton with initial state 0, distinct ``names`` and the
+        edges src[i] -labs[i]-> dst[i] in listed order, ids in range: the
+        columns parse_nfa builds, which need no type or range check."""
+        _check_names(names)
+        nfa = cls.__new__(cls)
+        nfa._validate(0, names, src, labs, dst)
+        return nfa
+
+    def _validate(self, initial: int, names: list[str], src: np.ndarray, labs,
+                  dst: np.ndarray, alphabet: Iterable[str] | None = None) -> None:
+        """Sort the listed edges src[i] -labs[i]-> dst[i] into the arrays
+        and run the checks that remain once names and ids are valid."""
+        n_states = len(names)
         used = set(labs)
+        # The labels are checked before label_key encodes them; the first
+        # invalid label or duplicate, in listed order, is the one raised.
+        if not all(map(_is_token, used)):
+            _checked_edges(zip(src.tolist(), labs, dst.tolist()), n_states, names)
         self.alphabet = tuple(sorted(used, key=label_key))
         rank = dict(zip(self.alphabet, range(len(used))))
-        lab = np.fromiter(map(rank.__getitem__, labs), np.intp, m)
+        lab = np.fromiter(map(rank.__getitem__, labs), np.intp, len(labs))
         order = _lex_order(src * len(used) + lab, dst, n_states * len(used), n_states)
         edges = np.stack((src[order], lab[order], dst[order]))
         if not _run_starts(*edges).all():
-            _checked_edges(trans, n_states, names)  # raises on the first duplicate
+            _checked_edges(zip(src.tolist(), labs, dst.tolist()), n_states, names)
         if alphabet is not None:
             alpha = {_check_token(a, "label") for a in alphabet}
             if not used <= alpha:
@@ -251,32 +298,45 @@ class Nfa:
         self.n_states = n_states
         self.initial = initial
         self.names = tuple(names)
-        self.id_of = dict(zip(self.names, range(n_states)))
-        self.transitions = tuple([trans[e] for e in order.tolist()])
         edges.setflags(write=False)
         self.src, self.lab, self.dst = edges
         # The edges leaving u are out_start[u] to out_start[u + 1] - 1.
         self.out_start = self.src.searchsorted(np.arange(n_states + 1))
         self.out_start.setflags(write=False)
 
-        into = np.flatnonzero(self.dst == self.initial)
+        into = np.flatnonzero(self.dst == initial)
         if len(into):
             # In source order, the first edge with the lowest label.
-            u, a, _ = self.transitions[into[self.lab[into].argmin()]]
+            e = into[self.lab[into].argmin()]
             raise ValidationError(
-                f"initial state has incoming transition "
-                f"{self.names[u]} {a} {self.names[self.initial]}")
+                f"initial state has incoming transition {self.names[self.src[e]]} "
+                f"{self.alphabet[self.lab[e]]} {self.names[initial]}")
 
-        dist = _bfs_distances(self.initial, self.out_start, self.dst)
-        if -1 in dist:
-            missing = dist.index(-1)
-            raise ValidationError(f"state {self.names[missing]!r} is unreachable")
+        if not _reaches_all(initial, n_states, self.src, self.dst):
+            dist = _bfs_distances(initial, self.out_start, self.dst)
+            if -1 in dist:
+                missing = dist.index(-1)
+                raise ValidationError(f"state {self.names[missing]!r} is unreachable")
 
-        lam: list[set[str]] = [set() for _ in range(n_states)]
+    @cached_property
+    def transitions(self) -> tuple[tuple[int, str, int], ...]:
+        """The (from, label, to) triples, in the order of the arrays."""
+        return tuple(zip(self.src.tolist(), map(self.alphabet.__getitem__, self.lab.tolist()),
+                         self.dst.tolist()))
+
+    @cached_property
+    def lambda_sets(self) -> tuple[frozenset[str], ...]:
+        """Incoming-label set of each state; {HASH} for the initial state."""
+        lam: list[set[str]] = [set() for _ in range(self.n_states)]
         for (v, a) in zip(self.dst.tolist(), self.lab.tolist()):
             lam[v].add(self.alphabet[a])
         lam[self.initial].add(HASH)
-        self.lambda_sets = tuple(map(frozenset, lam))
+        return tuple(map(frozenset, lam))
+
+    @cached_property
+    def id_of(self) -> dict[str, int]:
+        """Id of each state name."""
+        return dict(zip(self.names, range(self.n_states)))
 
     @cached_property
     def label_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -314,9 +374,11 @@ class Nfa:
         return self.lambda_sets[u]
 
     def serialize(self) -> str:
-        lines = [f"initial {self.names[self.initial]}"]
-        for (u, a, v) in self.transitions:
-            lines.append(f"trans {self.names[u]} {a} {self.names[v]}")
+        names = self.names
+        lines = [f"initial {names[self.initial]}"]
+        lines += map("trans {} {} {}".format, map(names.__getitem__, self.src.tolist()),
+                     map(self.alphabet.__getitem__, self.lab.tolist()),
+                     map(names.__getitem__, self.dst.tolist()))
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other) -> bool:
@@ -332,7 +394,7 @@ class Nfa:
 
     def __repr__(self) -> str:
         return (f"Nfa(n_states={self.n_states}, initial={self.names[self.initial]!r}, "
-                f"alphabet={list(self.alphabet)}, transitions={len(self.transitions)})")
+                f"alphabet={list(self.alphabet)}, transitions={len(self.src)})")
 
 
 def delta_string(nfa: Nfa, source: int | str, word: Iterable[str]) -> frozenset[int]:
@@ -357,26 +419,40 @@ def delta_string(nfa: Nfa, source: int | str, word: Iterable[str]) -> frozenset[
 
 
 def parse_nfa(text: str) -> Nfa:
-    """Parse the line-oriented text format; see the module docstring."""
-    rows = [raw.partition(HASH)[0].split() for raw in text.splitlines()]
-    lines = [tokens for tokens in rows if tokens]
-    body = lines[1:]
-    if not (lines and lines[0][0] == "initial" and len(lines[0]) == 2
-            and set(map(len, body)) <= {4} and {tokens[0] for tokens in body} <= {"trans"}):
-        raise _syntax_error(rows)
-    _, us, labels, vs = zip(*body) if body else ((), (), (), ())
+    """Parse the line-oriented text format; see the module docstring.
+
+    The text, its comments cut off, is split into tokens once; each line
+    gives only its token count, so no per-line token lists are kept.  The
+    names are interned by first appearance, and the id and label columns
+    go to the automaton as they are.
+    """
+    lines = text.splitlines()
+    if HASH in text:
+        lines = [raw.partition(HASH)[0] for raw in lines]
+    counts = list(filter(None, map(len, map(str.split, lines))))
+    tokens = (" ".join(lines) if HASH in text else text).split()
+    del lines
+    if not (counts[:1] == [2] and counts.count(4) == len(counts) - 1
+            and tokens[0] == "initial" and set(tokens[2::4]) <= {"trans"}):
+        raise _syntax_error(text)
     # Names by first appearance: the initial state's, then each edge's ends.
-    ends = [lines[0][1]] * (2 * len(body) + 1)
-    ends[1::2], ends[2::2] = us, vs
+    ends = [tokens[1]] * (len(counts) * 2 - 1)
+    ends[1::2], ends[2::2] = tokens[3::4], tokens[5::4]
+    labels = tokens[4::4]
+    # The tokens hold a "trans" per line and a copy of each name per use:
+    # let them go before the automaton is built.
+    del tokens
     names = list(dict.fromkeys(ends))
     ids = dict(zip(names, range(len(names))))
-    transitions = list(zip(map(ids.__getitem__, us), labels, map(ids.__getitem__, vs)))
-    return Nfa(len(names), 0, transitions, names=names)
+    end_ids = np.fromiter(map(ids.__getitem__, ends), np.intp, len(ends))
+    del ends, ids
+    return Nfa._from_columns(names, end_ids[1::2], labels, end_ids[2::2])
 
 
-def _syntax_error(rows: list[list[str]]) -> NfaSyntaxError:
-    """The first syntax error among the token rows of the lines, which
-    parse_nfa found to hold one."""
+def _syntax_error(text: str) -> NfaSyntaxError:
+    """The first syntax error among the lines of ``text``, which parse_nfa
+    found to hold one."""
+    rows = [raw.partition(HASH)[0].split() for raw in text.splitlines()]
     initial_seen = False
     for line_no, tokens in enumerate(rows, start=1):
         if not tokens:
@@ -434,8 +510,9 @@ def to_dot(nfa: Nfa, partition=None) -> str:
             attrs.append(f'fillcolor="{_PALETTE[b % len(_PALETTE)]}"')
         lines.append(f"  n{u} [{', '.join(attrs)}];")
     lines.append(f"  __start -> n{nfa.initial};")
-    for (u, a, v) in nfa.transitions:
-        lines.append(f"  n{u} -> n{v} [label={_dot_quote(a)}];")
+    quoted = [_dot_quote(a) for a in nfa.alphabet]
+    lines += map("  n{} -> n{} [label={}];".format, nfa.src.tolist(), nfa.dst.tolist(),
+                 map(quoted.__getitem__, nfa.lab.tolist()))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -45,6 +45,7 @@ from .relations import (
     check_wheeler_preorder,
     quotient_to_json_text,
     relation_from_json_dict,
+    relation_from_plain_json,
     relation_to_json_text,
     width,
 )
@@ -167,14 +168,18 @@ def cmd_width(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     nfa = _load_automaton(args)
+    _require_dense(nfa.n_states, "the relation")  # before the file is read
     with open(args.relation, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    rel = relation_from_plain_json(text, nfa)
+    if rel is None:
         try:
-            data = json.load(fh)
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"relation file is not valid JSON: {exc}")
         except RecursionError:
             raise ValidationError("relation file is nested too deeply to read")
-    rel = relation_from_json_dict(data, nfa)
+        rel = relation_from_json_dict(data, nfa)
     ok, violation = _CHECKERS[args.kind](nfa, rel)
     out = {
         "kind": args.kind,

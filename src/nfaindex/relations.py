@@ -19,10 +19,13 @@ block with a gap.  A relation with few related pairs gets a sparse
 axiom-2 scan instead: it visits only the a-edge pairs into a related
 distinct pair (u, v), the sum of in_a(u) * in_a(v), and reports the mask
 scan's first witness, the least hit in row-major order; an exact count
-of those cells picks the scan.  The JSON form of a relation is read with
-one name lookup per entry and a single scatter into the matrix, and
-``relation_to_json_text`` writes it without the generic JSON encoder, as
-``quotient_to_json_text`` writes the quotient's blocks and text.
+of those cells picks the scan.  The JSON form of a relation is read
+without json when its text has one of two plain layouts, by its quotes
+and 8-byte words (``relation_from_plain_json``), and otherwise decoded
+and read with one name lookup per entry; both end in a single scatter
+into the matrix.  ``relation_to_json_text`` writes it without the generic
+JSON encoder, as ``quotient_to_json_text`` writes the quotient's blocks
+and text.
 Inputs are re-scanned one item at a time only to word the error for an
 input that is already rejected.
 """
@@ -259,9 +262,134 @@ def relation_from_json_dict(obj, nfa: Nfa) -> Relation:
         ids = np.array([id_of[nm] for item in items for nm in item], dtype=np.intp)
     except (KeyError, TypeError):
         _raise_first_bad_pair(items, id_of)
-    bits = np.zeros((nfa.n_states, nfa.n_states), dtype=bool)
+    return _relation_of_ids(nfa.n_states, ids)
+
+
+def _relation_of_ids(n: int, ids: np.ndarray) -> Relation:
+    # The relation of the pairs (ids[0], ids[1]), (ids[2], ids[3]), ...
+    bits = np.zeros((n, n), dtype=bool)
     bits[ids[0::2], ids[1::2]] = True
     return Relation.from_matrix(bits)
+
+
+# The two layouts of the JSON form read without json: json.dumps's default
+# one, and the indented one of relation_to_json_text.  Each gives the text
+# up to the first name's opening quote, with the relation's size for {n};
+# the gap between a pair's two quoted names; the gap between two pairs; and
+# the text from the last name's closing quote on.
+_PLAIN_LAYOUTS = (
+    ('{{"n": {n}, "pairs": [["', ', ', '], [', '"]]}'),
+    ('{{\n  "n": {n},\n  "pairs": [\n    [\n      "', ',\n      ',
+     '\n    ],\n    [\n      ', '"\n    ]\n  ]\n}'),
+)
+
+# Masks of the low k bytes of a little-endian 8-byte word, k = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+# Quoted names handled at once by relation_from_plain_json.
+_NAME_BATCH = 16384
+
+
+def relation_from_plain_json(text: str, nfa: Nfa) -> Relation | None:
+    """The relation of ``text`` when it is in one of the two plain layouts,
+    with the automaton's size as "n", an optional final newline, at least
+    one pair, and every name known and at most 8 UTF-8 bytes long; else
+    None, and json must read it.
+
+    Such a text is the layout's fixed pieces around its quoted names, so it
+    is checked by its quotes, found by one byte compare: the gaps between
+    them are compared with the layout's as 8-byte words, and each name,
+    read as one word, is looked up among the words of the automaton's
+    names.  A backslash, which starts an escape, is never read.  The names
+    are taken in batches of _NAME_BATCH, so temporaries stay small.
+    """
+    _require_dense(nfa.n_states, "the relation")
+    # Eight zero bytes after the text let a word be read at any offset in it.
+    data = text.encode("utf-8") + bytes(8)
+    stop = len(data) - 8 - text.endswith("\n")
+    n = nfa.n_states
+    for head, within, between, tail in _PLAIN_LAYOUTS:
+        head, tail = head.format(n=n).encode(), tail.encode()
+        if data.startswith(head) and data.startswith(tail, stop - len(tail)):
+            break
+    else:
+        return None
+    # From the first name's opening quote to the last name's closing one.
+    start, stop = len(head) - 1, stop - len(tail) + 1
+    # A NUL byte would read as the end of a name's word.
+    if stop - start < 6 or data.find(b"\\", start, stop) >= 0 or data.find(b"\0", start, stop) >= 0:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    words = np.ndarray((stop - start + 1,), "<u8", buf, start, (1,))
+    quotes = np.flatnonzero(buf[start:stop] == ord('"'))
+    if len(quotes) % 4:
+        return None
+    names = _NameWords(nfa.names)
+    within, between = within.encode(), between.encode()
+    ids = np.empty(len(quotes) // 2, np.intp)
+    for b in range(0, len(quotes), 2 * _NAME_BATCH):
+        e = b + 2 * _NAME_BATCH
+        opens, closes = quotes[b:e:2] + 1, quotes[b + 1:e:2]
+        size = closes - opens
+        if not (size.min() >= 1 and size.max() <= 8
+                and _gaps_are(words, quotes[b + 1:e:4], quotes[b + 2:e + 1:4], within)
+                and _gaps_are(words, quotes[b + 3:e:4], quotes[b + 4:e + 1:4], between)):
+            return None
+        at = names.lookup(words[opens] & _LOW_BYTES[size])
+        if at is None:
+            return None
+        ids[b // 2:b // 2 + len(opens)] = at
+    return _relation_of_ids(n, ids)
+
+
+def _gaps_are(words: np.ndarray, closes: np.ndarray, opens: np.ndarray, gap: bytes) -> bool:
+    """Whether the bytes between each closing quote and the opening quote
+    after it are ``gap``, compared as words at a stride of 8 bytes."""
+    closes = closes[:len(opens)]
+    if not (opens - closes == len(gap) + 1).all():
+        return False
+    return all(((words[closes + 1 + o] & _LOW_BYTES[len(gap[o:o + 8])])
+                == int.from_bytes(gap[o:o + 8], "little")).all()
+               for o in range(0, len(gap), 8))
+
+
+class _NameWords:
+    """The names of at most 8 UTF-8 bytes as little-endian words, zero
+    padded, and a lookup of such words by hash.
+
+    A name's slot is the top bits of its word times an odd constant; a slot
+    holds one of the names that hash there, and a word whose slot holds
+    another is looked up among the sorted words instead."""
+
+    _MULTIPLIER = 0x9E3779B97F4A7C15
+
+    def __init__(self, names: Sequence[str]):
+        encoded = [nm.encode("utf-8") for nm in names]
+        ids = np.array([i for i, e in enumerate(encoded) if len(e) <= 8], np.intp)
+        words = np.array([encoded[i] for i in ids.tolist()], "S8").view("<u8")
+        order = words.argsort()
+        self.words, self.ids = words[order], ids[order]
+        # At least eight slots per name: 2**16 at the dense limit, whose
+        # 4096 names an int16 slot indexes.
+        self.shift = 64 - max(3, (8 * len(names)).bit_length())
+        self.slots = np.zeros(1 << (64 - self.shift), np.int16)
+        self.slots[self._slot(self.words)] = np.arange(len(self.words))
+
+    def _slot(self, key: np.ndarray) -> np.ndarray:
+        return (key * np.uint64(self._MULTIPLIER)) >> np.uint64(self.shift)
+
+    def lookup(self, key: np.ndarray) -> np.ndarray | None:
+        """The ids of the names whose words are ``key``, or None when some
+        word is no name's."""
+        if not len(self.words):
+            return None
+        at = self.slots[self._slot(key)].astype(np.intp)
+        miss = self.words[at] != key
+        if miss.any():
+            at[miss] = self.words.searchsorted(key[miss]).clip(max=len(self.words) - 1)
+            if not (self.words[at[miss]] == key[miss]).all():
+                return None
+        return self.ids[at]
 
 
 def _raise_first_bad_pair(items, id_of) -> None:

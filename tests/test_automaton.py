@@ -184,6 +184,23 @@ class TestValidationMessages:
         # A duplicate listed before an unreachable state.
         ("initial s\ntrans s a t\ntrans s a t\ntrans x a t\n",
          "duplicate transition s a t"),
+        ("initial s\ntrans s a \x07t\n",
+         "invalid state name '\\x07t': expected a printable token without whitespace or '#'"),
+        ("initial s\ntrans s \x07 t\n",
+         "invalid label '\\x07': expected a printable token without whitespace or '#'"),
+        # A bad label before a duplicate, and after one.
+        ("initial s\ntrans s \x07 t\ntrans s a t\ntrans s a t\n",
+         "invalid label '\\x07': expected a printable token without whitespace or '#'"),
+        ("initial s\ntrans s a t\ntrans s a t\ntrans s \x07 t\n", "duplicate transition s a t"),
+        # A cycle no path from s enters, with CRLF line ends, and a self-loop.
+        ("initial s\r\ntrans s a t\r\ntrans u a v\r\ntrans v a u\r\n",
+         "state 'u' is unreachable"),
+        ("initial s\ntrans s a t\ntrans u a u\n", "state 'u' is unreachable"),
+        # A lone surrogate is checked before the labels are sorted by UTF-8.
+        ("initial s\ntrans s \ud800 t\n",
+         "invalid label '\\ud800': expected a printable token without whitespace or '#'"),
+        ("initial s\ntrans s a t\ntrans s a t\ntrans s \ud800 t\n",
+         "duplicate transition s a t"),
     ])
     def test_parsed(self, text, message):
         with pytest.raises(ValidationError) as err:
@@ -228,6 +245,9 @@ class TestValidationMessages:
         ([(0, "a", 1), (0, "a", 5), (0.0, "a", 1)], None,
          "transition (0, 'a', 5) out of range"),
         ([(0, "a", 1), (0, "a", 1), (0, None, 1)], None, "duplicate transition q0 a q1"),
+        # A lone surrogate is checked before the labels are sorted by UTF-8.
+        ([(0, "\ud800", 1)], None,
+         "invalid label '\\ud800': expected a printable token without whitespace or '#'"),
     ])
     def test_constructed(self, transitions, alphabet, message):
         with pytest.raises(ValidationError) as err:
@@ -347,13 +367,71 @@ class TestBulkParse:
             [f"initial {names[0]}\n"]
             + [f"trans {names[u]} {a} {names[v]}\n" for (u, a, v) in ordered])
         assert parse_nfa(text.replace("\r\n", "\n")) == parsed
-        # Lists instead of tuples take the per-edge path.
-        looped = Nfa(len(names), 0, [list(t) for t in listed], names=names)
-        assert looped == parsed and hash(looped) == hash(parsed)
-        assert looped.lambda_sets == parsed.lambda_sets
-        for x, y in zip((looped.src, looped.lab, looped.dst),
-                        (parsed.src, parsed.lab, parsed.dst)):
-            assert np.array_equal(x, y)
+        # Tuples take the bulk path of the constructor, lists the per-edge one;
+        # parse_nfa hands its columns to the checks without either.
+        for built in (Nfa(len(names), 0, listed, names=names),
+                      Nfa(len(names), 0, [list(t) for t in listed], names=names)):
+            assert built == parsed and hash(built) == hash(parsed)
+            assert built.transitions == parsed.transitions
+            assert built.lambda_sets == parsed.lambda_sets
+            assert built.id_of == parsed.id_of and type(parsed.id_of) is dict
+            assert repr(built) == repr(parsed)
+            assert to_dot(built) == to_dot(parsed)
+            for x, y in zip((*built.label_bounds, built.src, built.lab, built.dst,
+                             built.out_start),
+                            (*parsed.label_bounds, parsed.src, parsed.lab, parsed.dst,
+                             parsed.out_start)):
+                assert x.dtype == y.dtype == np.intp and np.array_equal(x, y)
+        assert [type(x) for t in parsed.transitions for x in t] == [int, str, int] * len(listed)
+
+
+class TestColumnBuild:
+    """parse_nfa's one tokenizer path words every syntax error as the line
+    loop does, and the reachability test by pointer jumping agrees with
+    the search."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: missing 'initial' directive"),
+        ("# c\n", "line 1: missing 'initial' directive"),
+        ("trans a b c\n", "line 1: expected 'initial <name>' before 'trans'"),
+        ("initial s\ninitial t\n", "line 2: duplicate 'initial' directive"),
+        ("initial s\ntrans s a\n", "line 2: expected 'trans <from> <label> <to>'"),
+        ("initial s t\n", "line 1: expected 'initial <name>'"),
+        ("initial s\nfinal t\n", "line 2: unknown directive 'final'"),
+        ("\n\ninitial\n", "line 3: expected 'initial <name>'"),
+        # A comment cuts the fourth token off.
+        ("initial s\n\ntrans s a t\ntrans # x\n", "line 4: expected 'trans <from> <label> <to>'"),
+    ])
+    def test_syntax_messages(self, text, message):
+        with pytest.raises(NfaSyntaxError) as err:
+            parse_nfa(text)
+        assert str(err.value) == message
+
+    def test_every_line_break_of_splitlines_ends_a_line(self):
+        text = "initial s\x0btrans s a t\u2028trans t b u\x85trans u a v\x1c# end"
+        assert parse_nfa(text) == parse_nfa("initial s\ntrans s a t\ntrans t b u\ntrans u a v\n")
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_reachability_by_pointer_jumping(self, seed):
+        # Random digraphs on n states with no edge into state 0: cycles
+        # among the others, self-loops, isolated states, in-degrees above
+        # 1; two in three have a deep spanning tree, one of them alone.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 2 * n)) if n > 1 and seed % 3 != 1 else 0
+        src, dst = rng.integers(0, n, m), rng.integers(1, n, m)
+        if seed % 3:  # a tree of depth about 2n/3, alone or below the edges
+            down = np.arange(1, n)
+            src = np.concatenate([src, down - 1 - (rng.random(n - 1) < 0.5) * (down > 1)])
+            dst = np.concatenate([dst, down])
+        order = np.lexsort((dst, src))
+        src, dst = src[order].astype(np.intp), dst[order].astype(np.intp)
+        start = src.searchsorted(np.arange(n + 1))
+        reached = min(automaton._bfs_distances(0, start, dst)) >= 0
+        fast = automaton._reaches_all(0, n, src, dst)
+        assert not fast or reached
+        if np.bincount(dst, minlength=n).max(initial=0) <= 1:
+            assert fast == reached
 
 
 def dict_reference(nfa):

@@ -1,6 +1,8 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
 import json
+import random
+import re
 
 import pytest
 
@@ -23,7 +25,13 @@ from nfaindex import (
 from nfaindex import cli, colex, relations
 from nfaindex.automaton import MAX_RANDOM_CANDIDATES, MAX_SEPARATION_STATES
 from nfaindex.cli import _build_parser, main
-from nfaindex.relations import MAX_DENSE_STATES, Relation
+from nfaindex.relations import (
+    MAX_DENSE_STATES,
+    Relation,
+    relation_from_json_dict,
+    relation_from_plain_json,
+    relation_to_json_text,
+)
 
 
 def run(capsys, *argv):
@@ -274,14 +282,143 @@ class TestDenseLimit:
         assert nfa.n_states > MAX_DENSE_STATES
         assert out == to_dot(nfa, coarsest_fs_partition(nfa))
 
-    def test_relation_file(self, capsys, tmp_path, comb_path, no_dense_allocation):
-        rel = tmp_path / "rel.json"
-        rel.write_text('{"n": 90001, "pairs": []}')
-        code, out, err = run(capsys, "check", comb_path, "--relation", str(rel),
-                             "--kind", "colex-relation")
-        assert code == 1 and out == ""
-        assert err == (f"error: the relation is stored densely "
-                       f"and is limited to {MAX_DENSE_STATES} states, got 90001\n")
+    def test_relation_file(self, capsys, tmp_path, comb_path, no_dense_allocation,
+                           monkeypatch):
+        # The limit comes before the relation file is opened: a valid, a
+        # malformed and a missing file all give its error.
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", spy, raising=False)
+        (tmp_path / "rel.json").write_text('{"n": 90001, "pairs": []}')
+        (tmp_path / "bad.json").write_text("{not json")
+        for name in ("rel.json", "bad.json", "missing.json"):
+            rel = str(tmp_path / name)
+            code, out, err = run(capsys, "check", comb_path, "--relation", rel,
+                                 "--kind", "colex-relation")
+            assert code == 1 and out == ""
+            assert err == (f"error: the relation is stored densely "
+                           f"and is limited to {MAX_DENSE_STATES} states, got 90001\n")
+            assert opened == [comb_path]
+            opened.clear()
+
+
+def mutated(rng, doc):
+    """``doc`` with one byte flipped, deleted or inserted."""
+    data = bytearray(doc.encode("utf-8"))
+    i = rng.randrange(len(data) + 1)
+    op = rng.randrange(3) if i < len(data) else 2
+    if op == 0:
+        data[i] = rng.choice(b'"\\[]{},: \nstq019')
+    elif op == 1:
+        del data[i]
+    else:
+        data.insert(i, rng.choice(b'"\\[]{},: \nstq019'))
+    return bytes(data)
+
+
+class TestPlainRelationReader:
+    """check reads the two plain relation layouts without json; any other
+    text goes through json as before, with the same output."""
+
+    # Short names, names of 8, 9 and 10 bytes, non-ASCII ones, a name that is
+    # a prefix of another, and names that JSON escapes.
+    NAMES = ["s", "s1", "s12", "t", "abcdefgh", "abcdefghi", "abcdefghij", "\u00e9",
+             "\u00e9\u00e9\u00e9\u00e9", "\u00e9\u00e9\u00e9\u00e9x", 'x"y', "a\\b", "t1", "\u20ac",
+             "\\u0074"]
+
+    @pytest.fixture(scope="class")
+    def nfa_path(self, tmp_path_factory):
+        nfa = Nfa(len(self.NAMES), 0, [(0, "ab"[i % 2], i) for i in range(1, len(self.NAMES))],
+                  names=self.NAMES)
+        path = tmp_path_factory.mktemp("plain") / "star.nfa"
+        path.write_text(nfa.serialize(), encoding="utf-8")
+        return str(path)
+
+    def documents(self, rng):
+        n = len(self.NAMES)
+        unescaped = [nm for nm in self.NAMES if nm.isalnum()]
+        short = [nm for nm in unescaped if len(nm.encode()) <= 8]
+        for r in range(12):
+            pool = (self.NAMES, short, unescaped)[r % 3]
+            pairs = [[rng.choice(pool), rng.choice(pool)] for _ in range(rng.randrange(1, 30))]
+            obj = {"n": n, "pairs": pairs}
+            plain = [json.dumps(obj), json.dumps(obj, ensure_ascii=False),
+                     json.dumps(obj, indent=2), json.dumps(obj, indent=2, ensure_ascii=False)]
+            for doc in plain:
+                yield doc
+                yield doc + "\n"
+                yield doc.replace("\n", "\r\n")
+                yield doc + "\n\n"
+                yield " " + doc
+                yield doc.replace(", ", ",  ", 1)
+                yield doc.replace('"t', '"\\u0074')
+                yield re.sub(r'(\[\s*"[^"]*)"', '\\1\0"', doc, count=1)  # a raw NUL
+                for _ in range(4):
+                    yield mutated(rng, doc)
+            yield json.dumps({"n": n, "pairs": pairs + pairs[:2]})
+            yield json.dumps({"n": n + 1, "pairs": pairs})
+            yield json.dumps({"n": n, "pairs": []})
+            yield json.dumps({"n": n, "pairs": []}, indent=2) + "\n"
+            yield json.dumps({"pairs": pairs, "n": n})
+            yield json.dumps({"n": n, "pairs": pairs + [["s", "nosuch"]]})
+            yield json.dumps({"n": n, "pairs": pairs + [["s", "s123456789"]]})
+
+    def test_same_relation_or_the_json_path(self, capsys, tmp_path, nfa_path, monkeypatch):
+        with open(nfa_path, encoding="utf-8") as fh:
+            nfa = parse_nfa(fh.read())
+        rng = random.Random(3)
+        read_plain = 0
+        for k, doc in enumerate(self.documents(rng)):
+            path = tmp_path / f"rel{k}.json"
+            path.write_bytes(doc if isinstance(doc, bytes) else doc.encode("utf-8"))
+            argv = ["check", nfa_path, "--relation", str(path), "--kind", "colex-relation"]
+            got = run(capsys, *argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "relation_from_plain_json", lambda text, nfa: None)
+                assert run(capsys, *argv) == got, doc
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue
+            rel = relation_from_plain_json(text, nfa)
+            if rel is not None:
+                read_plain += 1
+                assert rel == relation_from_json_dict(json.loads(text), nfa), doc
+        assert read_plain >= 25
+
+    @pytest.mark.parametrize("source", ["trie", "random"])
+    def test_program_output_skips_json(self, capsys, tmp_path, monkeypatch, source):
+        if source == "trie":
+            words = {"".join(random.Random(i).choices("ab", k=1 + i % 7)) for i in range(300)}
+            prefixes = sorted({w[:k] for w in words for k in range(1, len(w) + 1)})
+            node = {"": "t0", **{p: f"t{i + 1}" for i, p in enumerate(prefixes)}}
+            text = "initial t0\n" + "".join(f"trans {node[p[:-1]]} {p[-1]} {node[p]}\n"
+                                            for p in prefixes)
+        else:
+            text = gen_random(60, 2, 0.05, 4).serialize()
+        path = tmp_path / "a.nfa"
+        path.write_text(text)
+        nfa = parse_nfa(text)
+        rel = max_colex_relation(nfa)
+        documents = [relation_to_json_text(rel, nfa.names) + "\n",
+                     json.dumps(relation_to_json_dict(rel, nfa.names)),
+                     json.dumps(relation_to_json_dict(cfs_order(nfa)[0], nfa.names))]
+        assert run(capsys, "maxrel", str(path)) == (0, documents[0], "")
+
+        def no_json(*args, **kwargs):
+            raise AssertionError("the relation file went through json")
+
+        monkeypatch.setattr(json, "loads", no_json)
+        for k, doc in enumerate(documents):
+            rel_path = tmp_path / f"rel{k}.json"
+            rel_path.write_text(doc)
+            code, out, err = run(capsys, "check", str(path), "--relation", str(rel_path),
+                                 "--kind", "colex-relation")
+            assert code == 0 and err == "" and '"valid": true' in out
 
 
 class TestCheck:
