@@ -32,6 +32,7 @@ are first asked for.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from functools import cached_property
@@ -226,6 +227,13 @@ class Nfa:
         names: Iterable[str] | None = None,
         alphabet: Iterable[str] | None = None,
     ):
+        if isinstance(n_states, bool):
+            raise ValidationError(f"number of states {n_states!r} is not an integer")
+        try:
+            n_states = operator.index(n_states)
+        except TypeError:
+            raise ValidationError(
+                f"number of states {n_states!r} is not an integer") from None
         if n_states < 1:
             raise ValidationError("an automaton needs at least one state")
         try:
@@ -259,13 +267,14 @@ class Nfa:
 
     @classmethod
     def _from_columns(cls, names: list[str], src: np.ndarray, labs: list[str],
-                      dst: np.ndarray) -> "Nfa":
-        """The automaton with initial state 0, distinct ``names`` and the
-        edges src[i] -labs[i]-> dst[i] in listed order, ids in range: the
-        columns parse_nfa builds, which need no type or range check."""
+                      dst: np.ndarray, initial: int = 0) -> "Nfa":
+        """The automaton with the given ``initial`` state, distinct ``names``
+        and the edges src[i] -labs[i]-> dst[i] in listed order, ids in
+        range: the columns parse_nfa and build_quotient build, which need
+        no type or range check."""
         _check_names(names)
         nfa = cls.__new__(cls)
-        nfa._validate(0, names, src, labs, dst)
+        nfa._validate(initial, names, src, labs, dst)
         return nfa
 
     def _validate(self, initial: int, names: list[str], src: np.ndarray, labs,
@@ -374,11 +383,10 @@ class Nfa:
         return self.lambda_sets[u]
 
     def serialize(self) -> str:
-        names = self.names
+        names, alphabet = self.names, self.alphabet
         lines = [f"initial {names[self.initial]}"]
-        lines += map("trans {} {} {}".format, map(names.__getitem__, self.src.tolist()),
-                     map(self.alphabet.__getitem__, self.lab.tolist()),
-                     map(names.__getitem__, self.dst.tolist()))
+        lines += [f"trans {names[u]} {alphabet[a]} {names[v]}"
+                  for u, a, v in zip(self.src.tolist(), self.lab.tolist(), self.dst.tolist())]
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other) -> bool:
@@ -423,8 +431,8 @@ def parse_nfa(text: str) -> Nfa:
 
     The text, its comments cut off, is split into tokens once; each line
     gives only its token count, so no per-line token lists are kept.  The
-    names are interned by first appearance, and the id and label columns
-    go to the automaton as they are.
+    names are interned by first appearance in one hash pass, and the id
+    and label columns go to the automaton as they are.
     """
     lines = text.splitlines()
     if HASH in text:
@@ -442,10 +450,14 @@ def parse_nfa(text: str) -> Nfa:
     # The tokens hold a "trans" per line and a copy of each name per use:
     # let them go before the automaton is built.
     del tokens
-    names = list(dict.fromkeys(ends))
-    ids = dict(zip(names, range(len(names))))
-    end_ids = np.fromiter(map(ids.__getitem__, ends), np.intp, len(ends))
-    del ends, ids
+    # Each end's first-use position, in one hash pass; a name's id is the
+    # rank of its first use among those of all names.
+    first: dict[str, int] = {}
+    used_at = np.fromiter(map(first.setdefault, ends, itertools.count()), np.intp, len(ends))
+    del ends
+    names = list(first)
+    end_ids = np.fromiter(first.values(), np.intp, len(names)).searchsorted(used_at)
+    del first, used_at
     return Nfa._from_columns(names, end_ids[1::2], labels, end_ids[2::2])
 
 

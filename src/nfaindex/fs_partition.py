@@ -45,7 +45,9 @@ as QuotientInvalid.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,10 +66,21 @@ class Partition:
 
     Canonical form: each block sorted ascending, blocks ordered by their
     smallest element.  Equality and hashing use the canonical form.
-    ``block_array`` is ``block_of`` as a read-only numpy intp array.
+    ``block_array`` is ``block_of`` as a read-only numpy intp array; with
+    it are kept the members in block order, block b being
+    ``_members[_starts[b]:_starts[b + 1]]``.  The tuples ``blocks`` and
+    ``block_of`` are built from these arrays when first read.
     """
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
+        if isinstance(n, bool):
+            raise ValidationError(f"partition size {n!r} is not an integer")
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValidationError(f"partition size {n!r} is not an integer") from None
+        if n < 0:
+            raise ValidationError(f"partition size {n} is negative")
         blks = [tuple(b) for b in blocks]
         if any(not b for b in blks):
             raise ValidationError("partition blocks must be non-empty")
@@ -83,39 +96,57 @@ class Partition:
     @classmethod
     def from_block_of(cls, block_of: Sequence[int]) -> "Partition":
         """x and y share a block exactly when block_of[x] == block_of[y].  One
-        stable argsort of the labels lists each block's members in ascending
-        order; the blocks are then numbered by their least member."""
+        stable argsort of the labels lists each group's members in ascending
+        order; the groups are then numbered by their least member, counted
+        off in a mask over the elements, and moved to that order."""
         label = np.asarray(block_of)
         partition, n = cls.__new__(cls), len(label)
         order = label.argsort(kind="stable")
         ordered = label[order]
-        cut = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-        if len(cut) + 1 >= n:  # one block per element, or no element
-            blocks = tuple(zip(range(n)))
-            beta = np.arange(n)
+        head = np.ones(n, bool)  # the first, least member of each group
+        head[1:] = ordered[1:] != ordered[:-1]
+        if head.all():  # one block per element, or no element
+            members = beta = np.arange(n)
+            starts = np.arange(n + 1)
         else:
-            cut, members = [0, *cut.tolist(), n], order.tolist()
-            groups = [members[i:j] for i, j in zip(cut, cut[1:])]
-            by_least = sorted(range(len(groups)), key=groups.__getitem__)
-            blocks = tuple(tuple(groups[g]) for g in by_least)
-            beta = np.array(by_least).argsort()[ordered[cut[:-1]].searchsorted(label)]
-        beta.flags.writeable = False
-        partition.n, partition.blocks, partition.block_array = n, blocks, beta
-        partition.block_of = tuple(beta.tolist())
+            group, first = head.cumsum() - 1, np.flatnonzero(head)
+            least = np.empty_like(head)
+            least[order] = head
+            block = (least.cumsum() - 1)[order[first]][group]  # in sorted order
+            beta = np.empty_like(order)
+            beta[order] = block
+            starts = np.arange(len(first) + 1)
+            np.cumsum(np.bincount(block), out=starts[1:])
+            members = np.empty_like(order)
+            members[starts[block] + np.arange(n) - first[group]] = order
+        for a in (beta, members, starts):
+            a.flags.writeable = False
+        partition.n, partition.block_array = n, beta
+        partition._members, partition._starts = members, starts
         return partition
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        if self.n_blocks == self.n:
+            return tuple(zip(range(self.n)))
+        members, starts = self._members.tolist(), self._starts.tolist()
+        return tuple([tuple(members[i:j]) for i, j in zip(starts, starts[1:])])
+
+    @cached_property
+    def block_of(self) -> tuple[int, ...]:
+        return tuple(self.block_array.tolist())
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self._starts) - 1
 
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self lies inside one block of other."""
         if self.n != other.n:
             raise SizeMismatch(f"partitions over {self.n} and {other.n} elements")
-        return all(
-            all(other.block_of[x] == other.block_of[b[0]] for x in b)
-            for b in self.blocks
-        )
+        # Each element lies in other's block of its own block's least member.
+        leader = self._members[self._starts[:-1]][self.block_array]
+        return bool((other.block_array == other.block_array[leader]).all())
 
     def blocks_by_name(self, names: Sequence[str]) -> list[list[str]]:
         return [[names[x] for x in b] for b in self.blocks]
@@ -123,7 +154,7 @@ class Partition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
+        return self.n == other.n and np.array_equal(self.block_array, other.block_array)
 
     def __hash__(self) -> int:
         return hash((self.n, self.blocks))
@@ -164,10 +195,14 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
     label order, split block S ascending: the group (S, (T, a)) held by too
     few members with least (T, a), then least S.  The sorts are stable, so
     ``covered`` is its first holder; ``uncovered`` is S's least non-holder.
+    A partition into singletons is stable without a sort: no block of one
+    state can be split.
     """
     if partition.n != nfa.n_states:
         raise SizeMismatch(
             f"partition over {partition.n} elements, automaton has {nfa.n_states} states")
+    if partition.n_blocks == partition.n:  # no singleton can be split
+        return True, None
     beta = partition.block_array
     k, sigma = partition.n_blocks, len(nfa.alphabet)
     key = beta[nfa.src] * sigma + nfa.lab
@@ -180,7 +215,7 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
     blk, key = blk[order], key[order]
     group = _run_starts(blk, key)
     holders = np.bincount(group.cumsum() - 1)
-    short = holders != np.bincount(beta)[blk[group]]
+    short = holders != np.diff(partition._starts)[blk[group]]
     if not short.any():
         return True, None
     # Groups run in (block, key) order: the first of least key is in the least block.
@@ -188,8 +223,9 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
     i = np.flatnonzero(group)[g]
     inside = dst[held][order][i:i + holders[g]].tolist()
     (t, a), s = divmod(int(key[i]), sigma), int(blk[i])
+    block = partition._members[partition._starts[s]:partition._starts[s + 1]].tolist()
     return False, FsViolation(s, t, nfa.alphabet[a], covered=inside[0],
-                              uncovered=min(set(partition.blocks[s]).difference(inside)))
+                              uncovered=min(set(block).difference(inside)))
 
 
 def coarsest_fs_partition(nfa: Nfa) -> Partition:
@@ -197,7 +233,8 @@ def coarsest_fs_partition(nfa: Nfa) -> Partition:
     docstring: a topological pass settles the states with no cycle above
     them, in O(n + m) hash lookups, and Paige-Tarjan refinement, in
     O(m log n), splits only the states below cycles.  Forward stability of
-    the result is re-verified by is_forward_stable before returning.
+    the result is re-verified by is_forward_stable before returning; a
+    partition into singletons is stable by definition.
     """
     partition = Partition.from_block_of(_refine(nfa))
     ok, viol = is_forward_stable(nfa, partition)
@@ -388,7 +425,8 @@ class QuotientMap:
 def build_quotient(nfa: Nfa, partition: Partition) -> QuotientMap:
     """Quotient automaton under a partition.
 
-    Block names join their member names with '+'.  When two blocks would
+    Block names join their member names with '+', one join per block over
+    the names taken in the partition's member order.  When two blocks would
     get one name, as {x, y} and {x+y} both would, every name is prefixed
     with its block index and ':' instead (0:s, 1:x+y, 2:x+y), which no two
     blocks share.  A discrete partition's block i is {i}, so its quotient
@@ -411,14 +449,17 @@ def build_quotient(nfa: Nfa, partition: Partition) -> QuotientMap:
     head, tail = head[order], tail[order]
     keep = _run_starts(head, tail)
     qsrc, qlab = np.divmod(head[keep], sigma)
-    qtrans = list(zip(qsrc.tolist(), map(nfa.alphabet.__getitem__, qlab.tolist()),
-                      tail[keep].tolist()))
-    qnames = ["+".join(nfa.names[x] for x in b) for b in partition.blocks]
+    alphabet, names = nfa.alphabet, nfa.names
+    qlabs = [alphabet[a] for a in qlab.tolist()]
+    # Block b's name joins names[starts[b]:starts[b + 1]], its members' names.
+    names = [names[x] for x in partition._members.tolist()]
+    starts = partition._starts.tolist()
+    qnames = ["+".join(names[i:j]) for i, j in zip(starts, starts[1:])]
     if len(set(qnames)) < len(qnames):
         qnames = [f"{i}:{nm}" for i, nm in enumerate(qnames)]
     try:
-        quotient = Nfa(partition.n_blocks, partition.block_of[nfa.initial], qtrans,
-                       names=qnames)
+        quotient = Nfa._from_columns(qnames, qsrc, qlabs, tail[keep],
+                                     initial=int(beta[nfa.initial]))
     except ValidationError as exc:
         raise QuotientInvalid(f"quotient is not a valid automaton: {exc}") from exc
     return QuotientMap(source=nfa, partition=partition, quotient=quotient)

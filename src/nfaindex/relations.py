@@ -224,17 +224,20 @@ def quotient_to_json_text(qm: QuotientMap, names: Sequence[str]) -> str:
     as item separator; encoded strings escape their newlines, so splitting
     there gives the quoted names.  The blocks are joined at the fixed
     two-space layout; a discrete partition's block i is (i,), so its quoted
-    names are joined in order.
+    names are joined in order, and otherwise they are taken in the
+    partition's member order and joined a block's slice at a time.
     """
     if len(names) != qm.partition.n:
         raise SizeMismatch(f"{len(names)} names for a partition of {qm.partition.n}")
     quoted = json.dumps(list(names), separators=("\n", ":"))[1:-1].split("\n")
-    blocks = qm.partition.blocks
-    if len(blocks) == len(quoted):
+    partition = qm.partition
+    if partition.n_blocks == len(quoted):
         body = "\n    ],\n    [\n      ".join(quoted)
     else:
+        quoted = [quoted[x] for x in partition._members.tolist()]
+        starts = partition._starts.tolist()
         body = "\n    ],\n    [\n      ".join(
-            [",\n      ".join([quoted[x] for x in b]) for b in blocks])
+            [",\n      ".join(quoted[i:j]) for i, j in zip(starts, starts[1:])])
     return (f'{{\n  "blocks": [\n    [\n      {body}\n    ]\n  ],\n'
             f'  "quotient": {json.dumps(qm.quotient.serialize())}\n}}\n')
 
@@ -721,7 +724,7 @@ def _class_order(rel: Relation, classes: Partition) -> Relation:
     # singleton classes, listed by least state, that is the relation itself.
     if classes.n_blocks == rel.n:
         return rel
-    reps = [b[0] for b in classes.blocks]
+    reps = classes._members[classes._starts[:-1]]
     return Relation.from_matrix(rel.bits[np.ix_(reps, reps)])
 
 

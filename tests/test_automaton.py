@@ -273,6 +273,24 @@ class TestValidationMessages:
         assert nfa == Nfa(2, 0, [(0, "a", 1)])
         assert [type(x) for x in nfa.transitions[0]] == [int, str, int]
 
+    @pytest.mark.parametrize("n_states, message", [
+        (2.5, "number of states 2.5 is not an integer"),
+        ("2", "number of states '2' is not an integer"),
+        (True, "number of states True is not an integer"),
+        (np.float64(2), "number of states np.float64(2.0) is not an integer"),
+        (np.True_, "number of states np.True_ is not an integer"),
+        (None, "number of states None is not an integer"),
+        (-1, "an automaton needs at least one state"),
+    ])
+    def test_state_count_must_be_a_positive_integer(self, n_states, message):
+        with pytest.raises(ValidationError) as err:
+            Nfa(n_states, 0, [(0, "a", 1)])
+        assert str(err.value) == message
+
+    def test_integer_like_state_count_is_stored_as_int(self):
+        nfa = Nfa(np.int64(2), 0, [(0, "a", 1)])
+        assert nfa == Nfa(2, 0, [(0, "a", 1)]) and type(nfa.n_states) is int
+
 
 def line_loop_parse(text):
     """The state names and listed transitions of a valid automaton text,
@@ -337,6 +355,79 @@ def test_lex_order_falls_back_to_lexsort_when_one_key_would_overflow():
     expected = sorted(range(400), key=lambda i: (major[i], minor[i]))
     assert automaton._lex_order(major, minor, 50, 50).tolist() == expected
     assert automaton._lex_order(major, minor, 2**40, 2**40).tolist() == expected
+
+
+def format_serialize(nfa):
+    """The text of an automaton, one str.format call per transition."""
+    names = nfa.names
+    lines = [f"initial {names[nfa.initial]}"]
+    lines += map("trans {} {} {}".format, map(names.__getitem__, nfa.src.tolist()),
+                 map(nfa.alphabet.__getitem__, nfa.lab.tolist()),
+                 map(names.__getitem__, nfa.dst.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def fromkeys_columns(text):
+    """parse_nfa's names and id columns, interned with dict.fromkeys and a
+    lookup per end; the text has no comments and valid lines only."""
+    tokens = text.split()
+    ends = [tokens[1]]
+    for i in range(2, len(tokens), 4):
+        ends += [tokens[i + 1], tokens[i + 3]]
+    names = list(dict.fromkeys(ends))
+    ids = {nm: i for i, nm in enumerate(names)}
+    end_ids = [ids[nm] for nm in ends]
+    return names, end_ids[1::2], tokens[4::4], end_ids[2::2]
+
+
+class TestSerializeAndIntern:
+    """Nfa.serialize against the str.format join, and parse_nfa's names and
+    ids against dict.fromkeys interning."""
+
+    def test_serialize_matches_format_join_on_random_automata(self):
+        rng = random.Random(8)
+        for seed in range(200):
+            nfa = gen_random(rng.randint(1, 25), rng.randint(1, 4), rng.uniform(0.02, 0.3), seed)
+            assert nfa.serialize() == format_serialize(nfa)
+
+    def test_serialize_without_edges(self):
+        nfa = Nfa(1, 0, [], names=["q"])
+        assert nfa.serialize() == format_serialize(nfa) == "initial q\n"
+
+    def test_serialize_of_names_and_labels_with_format_characters(self):
+        names = ["{0}", "}", "{", "%s", '"q"', "a\\b", "é", "中文", "{x}%d"]
+        labels = ["{}", "%", '"', "\\", "ä", "{0}"]
+        trans = [(0, labels[i % len(labels)], i) for i in range(1, len(names))]
+        trans += [(i, labels[(i * 5) % len(labels)], i + 1) for i in range(1, len(names) - 1)]
+        nfa = Nfa(len(names), 0, trans, names=names)
+        text = nfa.serialize()
+        assert text == format_serialize(nfa)
+        assert names_of(parse_nfa(text)) == names_of(nfa)
+
+    def test_ids_match_fromkeys_interning(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            self.assert_ids_match_fromkeys_interning(rng)
+
+    @staticmethod
+    def assert_ids_match_fromkeys_interning(rng):
+        # Random edges among few names, so that the initial name and the
+        # others recur as sources and targets, in any order of first use.
+        names = [f"n{i}" for i in range(rng.randint(2, 12))]
+        rng.shuffle(names)
+        start, rest = names[0], names[1:]
+        edges = {(start, rng.choice("ab"), v) for v in rest}
+        for _ in range(rng.randint(0, 40)):
+            edges.add((rng.choice(names), rng.choice("abc"), rng.choice(rest)))
+        edges = list(edges)
+        rng.shuffle(edges)
+        text = f"initial {start}\n" + "".join(f"trans {u} {a} {v}\n" for u, a, v in edges)
+        names, src, labels, dst = fromkeys_columns(text)
+        nfa = parse_nfa(text)
+        assert nfa.names == tuple(names) and nfa.names[0] == start
+        rank = {a: i for i, a in enumerate(nfa.alphabet)}
+        assert sorted(zip(src, [rank[a] for a in labels], dst)) == list(
+            zip(nfa.src.tolist(), nfa.lab.tolist(), nfa.dst.tolist()))
 
 
 class TestBulkParse:

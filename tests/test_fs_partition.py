@@ -17,6 +17,7 @@ from nfaindex import (
     QuotientInvalid,
     SizeMismatch,
     ValidationError,
+    WidthCertificate,
     brute_coarsest_fs,
     build_quotient,
     coarsest_fs_partition,
@@ -39,9 +40,9 @@ def image_scan_forward_stable(nfa, partition):
     for t_idx, t_blk in enumerate(partition.blocks):
         for a in nfa.alphabet:
             image = nfa.delta_set(t_blk, a)
-            if not image:
-                continue
-            for s_idx, s_set in enumerate(members):
+            # Only the blocks the image meets can be split, ascending.
+            for s_idx in sorted({partition.block_of[x] for x in image}):
+                s_set = members[s_idx]
                 inter = s_set & image
                 if inter and inter != s_set:
                     return False, FsViolation(
@@ -127,6 +128,23 @@ class TestPartition:
         with pytest.raises(SizeMismatch):
             Partition(2, [[0], [1]]).refines(Partition(3, [[0], [1], [2]]))
 
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "partition size 2.5 is not an integer"),
+        ("2", "partition size '2' is not an integer"),
+        (True, "partition size True is not an integer"),
+        (np.float64(2), "partition size np.float64(2.0) is not an integer"),
+        (None, "partition size None is not an integer"),
+        (-1, "partition size -1 is negative"),
+    ])
+    def test_size_must_be_a_non_negative_integer(self, n, message):
+        for blocks in ([], [[0], [1]]):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                Partition(n, blocks)
+
+    def test_integer_like_size_is_stored_as_int(self):
+        p = Partition(np.int64(2), [[1], [0]])
+        assert p == Partition(2, [[0], [1]]) and type(p.n) is int
+
 
 def reference_partition(n, blocks):
     """Partition(n, blocks) as it was canonicalised block by block before
@@ -197,14 +215,65 @@ class TestCanonicalForm:
         assert all(type(x) is int for x in p.block_of)
         assert p.block_array.tolist() == list(block_of)
 
+    @staticmethod
+    def lazy_reads(rng, expected, make):
+        """Checks of ==, hash, n_blocks, refines, blocks_by_name and
+        WidthCertificate.spliced against the reference, for partitions from
+        ``make`` that read neither blocks nor block_of beforehand."""
+        blocks, block_of = expected
+        n, k = len(block_of), len(blocks)
+        names = [f"s{x}" for x in range(n)]
+        other_labels = [rng.randrange(max(1, k // 2)) if rng.random() < 0.5 else block_of[x]
+                        for x in range(n)]
+        other_blocks, other_of = reference_from_block_of(other_labels)
+        refines = all(len({other_of[x] for x in b}) == 1 for b in blocks)
+        refined = all(len({block_of[x] for x in b}) == 1 for b in other_blocks)
+        order = list(range(k))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, k), rng.randint(0, k - 1))) if k > 1 else []
+        chains = tuple(tuple(order[i:j]) for i, j in zip([0, *cuts], [*cuts, k]) if i < j)
+        antichain = tuple(sorted(rng.sample(range(k), min(k, 3))))
+        cert = WidthCertificate(width=len(chains), antichain=antichain, chains=chains)
+        spliced = WidthCertificate(
+            width=len(chains), antichain=tuple(blocks[c][0] for c in antichain),
+            chains=tuple(tuple(x for c in chain for x in blocks[c]) for chain in chains))
+
+        def other():
+            return Partition.from_block_of(other_labels)
+
+        def spliced_ok(p):
+            got = cert.spliced(p)
+            return got == spliced and all(
+                type(x) is int for x in (*got.antichain, *(y for c in got.chains for y in c)))
+
+        return [
+            lambda p: p == make() and not p != make(),
+            lambda p: (p == other()) == (other_blocks == blocks),
+            lambda p: hash(p) == hash((n, blocks)),
+            lambda p: p.n_blocks == k and type(p.n_blocks) is int,
+            lambda p: p.refines(other()) == refines and other().refines(p) == refined,
+            lambda p: p.blocks_by_name(names) == [[names[x] for x in b] for b in blocks],
+            spliced_ok,
+        ]
+
     def test_agrees_with_reference_on_random_labellings(self):
         rng = random.Random(5)
         for _ in range(1500):
             n = rng.randint(0, 60)
             labels = self.random_labels(rng, n)
+            expected = reference_from_block_of(labels)
+            # Each read first on a fresh partition, then the tuples.
+            for read in self.lazy_reads(rng, expected, lambda: Partition.from_block_of(labels)):
+                p = Partition.from_block_of(labels)
+                assert read(p)
+                self.assert_canonical(p, expected)
             by_labels = Partition.from_block_of(labels)
-            self.assert_canonical(by_labels, reference_from_block_of(labels))
+            self.assert_canonical(by_labels, expected)
             listing = self.listed_blocks(rng, labels)
+            for read in self.lazy_reads(rng, expected, lambda: Partition(n, listing())):
+                p = Partition(n, listing())
+                assert read(p)
+                self.assert_canonical(p, expected)
             by_blocks = Partition(n, listing())
             self.assert_canonical(by_blocks, reference_partition(n, listing()))
             assert by_blocks == by_labels and hash(by_blocks) == hash(by_labels)
@@ -592,6 +661,13 @@ class TestImageScanReference:
                 for block_of in candidates:
                     p = Partition.from_block_of(block_of)
                     assert is_forward_stable(nfa, p) == image_scan_forward_stable(nfa, p)
+
+    def test_discrete_partitions(self):
+        # Stable by definition; the image scan agrees.
+        for nfa in (unary_path(4000),
+                    *(gen_random(30, 1 + seed % 3, 0.08, seed) for seed in range(50))):
+            p = Partition.from_block_of(range(nfa.n_states))
+            assert is_forward_stable(nfa, p) == image_scan_forward_stable(nfa, p) == (True, None)
 
     def test_unary_path_of_four_thousand_states(self):
         nfa = unary_path(4000)
