@@ -17,22 +17,30 @@ its predecessors' blocks being final already, at one hash lookup per state
 and edge.  No such state shares a block with a state below a cycle, and
 none has a predecessor below one.
 
-The states below cycles are refined by the algorithm of Paige and Tarjan
+The states below cycles are first split in rounds of signature
+refinement (Blom and Orzan, 2005): each round groups them by their sets
+of (predecessor block, label) pairs, a settled predecessor's block being
+final and the others' their blocks of the round before, the first round
+starting from one block.  Each round refines the one before it, and
+rounds go on while each at least doubles the number of blocks, so there
+are at most log2(n) + 1 of them, each one sort of the m edges into
+those states.  They are then refined by the algorithm of Paige and Tarjan
 (SIAM J. Comput. 1987) on the label-wise reversed edges, with three-way
 splitting.  Besides the partition being refined, a coarser partition of
 compound blocks is kept, and the fine partition is stable with respect to
-every compound block.  The states below cycles start as one compound
-block, split by their sets of (settled predecessor block or one value
-for all the others, label) pairs, and each settled block is a compound
-block of its own.  Each step takes a compound block S holding at least two
+every compound block.  The last round's blocks are the fine partition,
+the blocks its pairs were taken over are the compound blocks, and each
+settled block is a compound block of its own; when the last round split
+nothing, no compound block holds two fine blocks and the partition is
+final.  Each step takes a compound block S holding at least two
 fine blocks, makes its smaller block B a compound block of its own, and
 for every label a splits the fine blocks by delta(B, a) and then by
 delta(B, a) minus delta(S - B, a).  The second set holds the states whose
 number of a-predecessors in B equals their number in S; these counts are
 kept per (state, label, compound block).  A state lies in a block taken as
 B at most log2(n) times, and each time only its out-edges are walked, so
-this part runs in O(m log n) for its m edges; it never walks an edge of
-the settled part.
+this part runs in O(m log n) for its m edges.  Neither the rounds nor
+the splitting walk an edge between two settled states.
 
 The quotient automaton has one state per block and a block-level edge on a
 whenever some member pair has one; one sort of the edges' (block, label,
@@ -231,10 +239,12 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
 def coarsest_fs_partition(nfa: Nfa) -> Partition:
     """Unique coarsest forward-stable partition, as described in the module
     docstring: a topological pass settles the states with no cycle above
-    them, in O(n + m) hash lookups, and Paige-Tarjan refinement, in
-    O(m log n), splits only the states below cycles.  Forward stability of
-    the result is re-verified by is_forward_stable before returning; a
-    partition into singletons is stable by definition.
+    them, in O(n + m) hash lookups.  The states below cycles are split by
+    rounds of signature refinement while each round at least doubles the
+    blocks, at most log2(n) + 1 rounds of O(m log m), and Paige-Tarjan
+    refinement, in O(m log n), starts from the last two rounds' partitions.
+    Forward stability of the result is re-verified by is_forward_stable
+    before returning; a partition into singletons is stable by definition.
     """
     partition = Partition.from_block_of(_refine(nfa))
     ok, viol = is_forward_stable(nfa, partition)
@@ -243,6 +253,18 @@ def coarsest_fs_partition(nfa: Nfa) -> Partition:
             f"coarsest forward-stable partition is not forward stable: "
             f"{viol.describe(nfa)}")
     return partition
+
+
+def _group_runs(key: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, int]:
+    """Number the runs of equal key, in order, by their sequences of codes,
+    compared as bytes: equal sequences share a number, counted from 0 in
+    order of first appearance.  Also returns how many numbers there are."""
+    raw = code.tobytes()
+    cut = (np.append(np.flatnonzero(_run_starts(key)), len(key)) * code.itemsize).tolist()
+    sig: dict[bytes, int] = {}
+    group = np.array([sig.setdefault(raw[i:j], len(sig)) for i, j in zip(cut, cut[1:])],
+                     np.intp)
+    return group, len(sig)
 
 
 def _refine(nfa: Nfa) -> np.ndarray:
@@ -285,50 +307,67 @@ def _refine(nfa: Nfa) -> np.ndarray:
     if len(done) == n:
         return beta
 
-    # The remaining states lie below a cycle.  They start as one block in one
-    # compound block (each finished block is a compound block of its own),
-    # and that block is split by their sets of (finished predecessor block
-    # or one cyclic value, label) codes.  No finished state has a remaining
-    # predecessor, so the splitters below never walk an edge of the
-    # finished part.
+    # The remaining states lie below a cycle.  Round by round they are split
+    # by their sets of (predecessor block, label) codes, where a finished
+    # predecessor's block is final and a remaining one's is its block of the
+    # round before; the first round starts from one block.  Equal codes over
+    # finer blocks stay equal over coarser ones, so each round refines the
+    # one before it.  Rounds go on while each at least doubles the number of
+    # blocks, at most log2(n) + 1 of them.  No finished state has a remaining
+    # predecessor, so the splitters below never walk an edge of the finished
+    # part.
     settled = len(ids) + 1
-    cyclic = beta < 0
-    beta[cyclic] = settled
-    into = np.flatnonzero(cyclic[nfa.dst])
-    dst, code = nfa.dst[into], beta[nfa.src[into]] * sigma + nfa.lab[into]
-    order = _lex_order(dst, code, n, (settled + 1) * sigma)
-    into, dst, code = into[order], dst[order], code[order]
-    held = _run_starts(dst, code)
-    # cnt[rec[e]] counts the a-predecessors of v in the compound block of u,
-    # for edge e = (u, a, v) leaving a remaining state; all such edges share
-    # one record, their run of (v, cyclic code) in the sorted edges.
+    rest = np.flatnonzero(beta < 0)
+    into = np.flatnonzero(beta[nfa.dst] < 0)
+    into_src, into_dst, into_lab = nfa.src[into], nfa.dst[into], nfa.lab[into]
+    group, k = np.zeros(len(rest), np.intp), 1
+    while True:
+        beta[rest] = settled + group
+        code = beta[into_src] * sigma + into_lab
+        order = _lex_order(into_dst, code, n, (settled + k) * sigma)
+        dst, code = into_dst[order], code[order]
+        held = _run_starts(dst, code)
+        # Each remaining state has an in-edge, all of them in into, so the
+        # distinct codes of the x-th remaining state are the x-th run of dst.
+        fine, k_fine = _group_runs(dst[held], code[held])
+        if k_fine < 2 * k:
+            break
+        group, k = fine, k_fine
+
+    # Paige-Tarjan starts from the last two rounds: the last round's blocks
+    # are the fine partition, and the blocks its codes were taken over are
+    # the compound blocks (each finished block is a compound block of its
+    # own).  The fine blocks' members share their sets of (compound block,
+    # label) codes, so the fine partition is stable with respect to every
+    # compound block.  cnt[rec[e]] counts the a-predecessors of v in the
+    # compound block of u, for edge e = (u, a, v) leaving a remaining state;
+    # all such edges share one record, their run of (v, code) in the last
+    # round's sorted edges.
     run = held.cumsum() - 1
     rec_at = np.zeros(len(tgt), np.intp)
-    rec_at[into] = run
+    rec_at[into[order]] = run
     rec, cnt = rec_at.tolist(), np.bincount(run).tolist()
-    dst, code = dst[held], code[held]
-    raw, cut = code.tobytes(), (dst.searchsorted(np.arange(n + 1)) * code.itemsize).tolist()
-    rest = np.flatnonzero(cyclic)
-    sig: dict[bytes, int] = {}
-    group = np.array([sig.setdefault(raw[cut[x]:cut[x + 1]], len(sig))
-                      for x in rest.tolist()], np.intp)
 
     # Fine partition as one array: block b is elems[first[b]:end[b]], and
     # its marked members sit at the front, in elems[first[b]:mid[b]].
-    order = np.argsort(group, kind="stable")
+    order = np.argsort(fine, kind="stable")
     elems = rest[order].tolist()
     loc_of, blk_of = np.zeros(n, np.intp), np.zeros(n, np.intp)
     loc_of[rest[order]] = np.arange(len(rest))
-    blk_of[rest] = group
+    blk_of[rest] = fine
     loc, blk = loc_of.tolist(), blk_of.tolist()
-    end = np.bincount(group).cumsum().tolist()
+    end = np.bincount(fine).cumsum().tolist()
     first = [0] + end[:-1]
     mid = first[:]
     touched: list[int] = []
     # Compound blocks: the fine blocks of each, and those holding two or more.
-    cblk = [0] * len(first)
-    members: list[list[int]] = [list(range(len(first)))]
-    ready: list[int] = [0] if len(first) >= 2 else []
+    cblk_of = np.zeros(len(first), np.intp)
+    cblk_of[fine] = group
+    cblk = cblk_of.tolist()
+    members: list[list[int]] = [[] for _ in range(k)]
+    for b, c in enumerate(cblk):
+        members[c].append(b)
+    ready = [c for c in range(k) if len(members[c]) >= 2]
 
     def mark(x: int) -> None:
         b = blk[x]

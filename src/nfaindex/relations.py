@@ -201,17 +201,25 @@ def relation_to_json_text(rel: Relation, names: Sequence[str]) -> str:
 
     Each name is encoded once and the fixed two-space layout is joined
     directly; with ``indent`` the json module falls back to its pure-Python
-    encoder, which costs several times more on large relations.
+    encoder, which costs several times more on large relations.  A row's
+    pairs share their head, so its targets' quoted tails are picked from an
+    object array by the row of the matrix, its diagonal cleared, and joined
+    with the head between them.
     """
     if len(names) != rel.n:
         raise SizeMismatch(f"{len(names)} names for a relation over {rel.n}")
     quoted = [json.dumps(nm) for nm in names]
-    head = [f"    [\n      {q},\n      " for q in quoted]
-    tail = [f"{q}\n    ]" for q in quoted]
-    us, vs = (a.tolist() for a in _related_pairs(rel.bits))
-    if not us:
+    tail = np.array([f"{q}\n    ]" for q in quoted], object)
+    rows = []
+    for u, q in enumerate(quoted):
+        row = rel.bits[u].copy()
+        row[u] = False
+        if row.any():
+            head = f"    [\n      {q},\n      "
+            rows.append(head + (",\n" + head).join(tail[row].tolist()))
+    if not rows:
         return f'{{\n  "n": {rel.n},\n  "pairs": []\n}}'
-    body = ",\n".join([head[u] + tail[v] for u, v in zip(us, vs)])
+    body = ",\n".join(rows)
     return f'{{\n  "n": {rel.n},\n  "pairs": [\n{body}\n  ]\n}}'
 
 

@@ -464,16 +464,21 @@ class TestPaigeTarjan:
         # q0 and q2, and q1, below its own loop, is left alone.
         nfa = Nfa(3, 0, [(0, "a", 1), (0, "a", 2), (1, "a", 1)])
         assert coarsest_fs_partition(nfa).blocks == ((0,), (1,), (2,))
-        # The same shape below a loop on h: q0 -b-> h -b-> h, h -a-> q1,
-        # h -a-> q2, q1 -a-> q1.  Every state but q0 remains, and the
-        # initial split keeps {q1, q2} together (both hold only (cyclic,
-        # a)).  The first splitter is B = {h} out of S = {h, q1, q2}:
-        # delta(B, a) = {q1, q2} splits nothing, and the remaining compound
-        # block {q1, q2} is one block, never a splitter.  Only delta(B, a)
-        # minus delta(S - B, a) = {q2}, found by comparing q2's
-        # a-predecessor counts in B and in S, separates q2 from q1.
-        nfa = Nfa(4, 0, [(0, "b", 1), (1, "b", 1), (1, "a", 2), (1, "a", 3), (2, "a", 2)])
-        assert coarsest_fs_partition(nfa).blocks == ((0,), (1,), (2,), (3,))
+        # The same shape one step below a loop on h: q0 -a-> h -a-> h,
+        # h -a-> x, x -a-> q1, x -a-> q2, q2 -a-> q2.  Every state but q0
+        # remains.  Round 1 splits off h (entered from q0), round 2 splits
+        # off x (entered from h); it finds three blocks {h}, {x}, {q1, q2}
+        # over the two {h}, {x, q1, q2} of round 1, less than double, so the
+        # rounds stop with q1 and q2 together (both hold only ({x, q1, q2},
+        # a)).  The one splitter is B = {x} out of S = {x, q1, q2}:
+        # delta(B, a) = {q1, q2} splits nothing, and the compound block
+        # {q1, q2} left behind is one block, never a splitter.  Only
+        # delta(B, a) minus delta(S - B, a) = {q1}, found by comparing q1's
+        # a-predecessor counts in B and in S, separates q1 from q2.
+        nfa = Nfa(5, 0, [(0, "a", 1), (1, "a", 1), (1, "a", 2), (2, "a", 3), (2, "a", 4),
+                         (4, "a", 4)])
+        assert signature_rounds(nfa) == [2, 3]
+        assert coarsest_fs_partition(nfa).blocks == ((0,), (1,), (2,), (3,), (4,))
 
     def test_unary_path_of_four_thousand_states_is_discrete(self):
         assert coarsest_fs_partition(unary_path(4000)).n_blocks == 4000
@@ -575,6 +580,117 @@ trans x2 a z
 trans x1 a w
 """
         assert blocks_by_name(text) == [["s"], ["x1", "x2"], ["y", "z"], ["w"]]
+
+
+def below_cycles(nfa: Nfa) -> list[int]:
+    """The states with a cycle above them, that the topological pass from
+    the initial state never reaches, ascending."""
+    indeg = [0] * nfa.n_states
+    succ: dict[int, list[int]] = {}
+    for (u, _, v) in nfa.transitions:
+        indeg[v] += 1
+        succ.setdefault(u, []).append(v)
+    settled = [nfa.initial]
+    for u in settled:  # the loop reaches the states appended while it runs
+        for v in succ.get(u, []):
+            indeg[v] -= 1
+            if not indeg[v]:
+                settled.append(v)
+    return sorted(set(range(nfa.n_states)).difference(settled))
+
+
+def signature_rounds(nfa: Nfa) -> list[int]:
+    """Block counts of the states below cycles after each signature round.
+
+    The other states are settled in their coarsest blocks.  The states
+    below cycles start as one block, and each round splits them by their
+    sets of (predecessor block, label) pairs, a predecessor below a cycle
+    having its block of the round before.  The last count is that of the
+    first round that less than doubles the count before it."""
+    coarse = worklist_coarsest_fs_partition(nfa).block_of
+    rest = below_cycles(nfa)
+    block = {v: 0 for v in rest}
+    counts = [1]
+    while len(counts) == 1 or counts[-1] >= 2 * counts[-2]:
+        pairs: dict[int, set] = {v: set() for v in rest}
+        for (u, a, v) in nfa.transitions:
+            if v in pairs:
+                pairs[v].add((("cyclic", block[u]) if u in block else coarse[u], a))
+        ids: dict[frozenset, int] = {}
+        block = {v: ids.setdefault(frozenset(pairs[v]), len(ids)) for v in rest}
+        counts.append(len(ids))
+    return counts[1:]
+
+
+def lasso(n: int, j: int, labels: str = "a") -> Nfa:
+    """The path q0 -> ... -> q(n-1) with the back edge q(n-1) -> qj, its
+    i-th edge on labels[i % len(labels)]: every state from q1 lies below
+    the cycle qj ... q(n-1), entered from the tail q1 ... q(j-1)."""
+    edges = [(i, labels[i % len(labels)], i + 1) for i in range(n - 1)]
+    return Nfa(n, 0, edges + [(n - 1, labels[(n - 1) % len(labels)], j)])
+
+
+def cycle_with_branching_tails(rng: random.Random) -> Nfa:
+    """The path q0 -> q1 -> ... -> qL, L of 1-5, with a back edge from qL
+    to a random qr, r >= 1, then 1-12 states, each entered from a random
+    earlier state other than q0; over a alone or a and b."""
+    length, labels = rng.randint(1, 5), "ab"[:rng.randint(1, 2)]
+    edges = {(i, rng.choice(labels), i + 1) for i in range(length)}
+    edges.add((length, rng.choice(labels), rng.randint(1, length)))
+    n = length + 1
+    for _ in range(rng.randint(1, 12)):
+        edges.add((rng.randrange(1, n), rng.choice(labels), n))
+        n += 1
+    return Nfa(n, 0, sorted(edges))
+
+
+class TestSignatureRounds:
+    """Below the topological pass, signature rounds split the remaining
+    states while each at least doubles the blocks, and Paige-Tarjan starts
+    from the last two rounds' partitions."""
+
+    @pytest.mark.parametrize("edges,counts,final", [
+        # One state on a self-loop, and two on a cycle entered alike: round 1
+        # keeps one block.
+        ([(0, "a", 1), (1, "a", 1)], [1], 1),
+        ([(0, "a", 1), (0, "a", 2), (1, "a", 2), (2, "a", 1)], [1], 1),
+        # A lasso of three states settles in round 2 ...
+        ([(0, "a", 1), (1, "a", 2), (2, "a", 1)], [2, 2], 2),
+        # ... one of five stops there with splitter work left.
+        ([(0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 4), (4, "a", 1)], [2, 3], 4),
+        # Three rounds, 3, 6 and then 7 blocks of 8.
+        ([(0, "a", 1), (1, "a", 2), (1, "b", 1), (1, "b", 5), (2, "b", 3), (3, "b", 4),
+          (4, "b", 7), (5, "a", 6), (7, "b", 8)], [3, 6, 7], 8),
+    ])
+    def test_stopping_points(self, edges, counts, final):
+        nfa = Nfa(1 + max(v for (_, _, v) in edges), 0, edges)
+        assert signature_rounds(nfa) == counts
+        p = coarsest_fs_partition(nfa)
+        assert p == worklist_coarsest_fs_partition(nfa)
+        if nfa.n_states <= 7:
+            assert p == brute_coarsest_fs(nfa)
+        assert len({p.block_of[v] for v in below_cycles(nfa)}) == final
+
+    @pytest.mark.parametrize("labels", ["a", "ab", "aab"])
+    def test_agrees_with_worklist_reference_on_lassos_and_rho_shapes(self, labels):
+        for n in range(2, 31):
+            for j in range(1, n):
+                nfa = lasso(n, j, labels)
+                assert coarsest_fs_partition(nfa) == worklist_coarsest_fs_partition(nfa), (n, j)
+
+    def test_agrees_with_worklist_reference_on_cycles_with_branching_tails(self):
+        rng = random.Random(5)
+        stops = set()
+        for i in range(600):
+            nfa = cycle_with_branching_tails(rng)
+            p = coarsest_fs_partition(nfa)
+            assert p == worklist_coarsest_fs_partition(nfa), i
+            counts = signature_rounds(nfa)
+            left = len({p.block_of[v] for v in below_cycles(nfa)}) > counts[-1]
+            stops.add((min(len(counts), 3), left))
+        # Every stopping point, with splitter work left after two rounds and
+        # after three or more.
+        assert {(1, False), (2, False), (2, True), (3, False), (3, True)} <= stops
 
 
 def words_by_parent_pointers(nfa: Nfa) -> list[tuple[str, ...]]:

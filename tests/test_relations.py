@@ -917,6 +917,21 @@ class TestRelationJsonText:
         assert (relation_to_json_text(rel, nfa.names)
                 == json.dumps(relation_to_json_dict(rel, nfa.names), indent=2))
 
+    @pytest.mark.parametrize("names", [
+        [f"q{i}" for i in range(7)],
+        ['"', "\\", "é", "\x00", "\n\t", "\x1f\x7f", 'a"b\\c'],
+    ])
+    def test_rows_with_and_without_pairs(self, names):
+        # No pair besides the reflexive ones, which are not listed; pairs in
+        # rows 1, 4 and 6 only; a dense total order, both ways; every pair.
+        some = np.zeros((7, 7), bool)
+        some[[1, 1, 4, 6], [0, 5, 4, 2]] = True
+        total = np.triu(np.ones((7, 7), bool))
+        for matrix in (np.zeros((7, 7)), some, total, total.T, np.ones((7, 7))):
+            rel = Relation.from_matrix(matrix)
+            expected = json.dumps(relation_to_json_dict(rel, names), indent=2)
+            assert relation_to_json_text(rel, names) == expected
+
     def test_names_must_match_size(self):
         with pytest.raises(SizeMismatch):
             relation_to_json_text(Relation(3), ["a", "b"])
