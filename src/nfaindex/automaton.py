@@ -330,7 +330,8 @@ class Nfa:
     @cached_property
     def transitions(self) -> tuple[tuple[int, str, int], ...]:
         """The (from, label, to) triples, in the order of the arrays."""
-        return tuple(zip(self.src.tolist(), map(self.alphabet.__getitem__, self.lab.tolist()),
+        labels = list(self.alphabet)  # a list's __getitem__ maps faster than a tuple's
+        return tuple(zip(self.src.tolist(), map(labels.__getitem__, self.lab.tolist()),
                          self.dst.tolist()))
 
     @cached_property
@@ -625,5 +626,4 @@ def gen_random(states: int, alphabet_size: int, density: float, seed: int) -> Nf
     new_id = {old: i for i, old in enumerate(keep)}
     edges = [(new_id[u], a, new_id[v]) for (u, a, v) in edges if u in new_id]
     names = [f"q{i}" for i in range(len(keep))]
-    return Nfa(len(keep), 0, sorted(set(edges), key=lambda t: (t[0], t[1], t[2])),
-               names=names)
+    return Nfa(len(keep), 0, sorted(set(edges)), names=names)

@@ -177,6 +177,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"relation file is not valid JSON: {exc}")
+        except ValueError:  # int() refuses numbers of more than 4300 digits
+            raise ValidationError("relation file holds an integer too long to read")
         except RecursionError:
             raise ValidationError("relation file is nested too deeply to read")
         rel = relation_from_json_dict(data, nfa)

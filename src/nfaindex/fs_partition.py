@@ -37,10 +37,15 @@ fine blocks, makes its smaller block B a compound block of its own, and
 for every label a splits the fine blocks by delta(B, a) and then by
 delta(B, a) minus delta(S - B, a).  The second set holds the states whose
 number of a-predecessors in B equals their number in S; these counts are
-kept per (state, label, compound block).  A state lies in a block taken as
-B at most log2(n) times, and each time only its out-edges are walked, so
-this part runs in O(m log n) for its m edges.  Neither the rounds nor
-the splitting walk an edge between two settled states.
+kept per (state, label, compound block).  Each state carries the label
+of its fine block and each fine block a count of its states and a tuple
+of them; a split relabels the states it moves, and a tuple that still
+lists states which have left is cut down when its block is walked as B
+or holds over twice its count, so the tuples hold at most 2n states.  A
+state lies in a block taken as B at most log2(n) times, and each time
+only its out-edges are walked, so this part runs in O(m log n) for its m
+edges.  Neither the rounds nor the splitting walk an edge between two
+settled states.
 
 The quotient automaton has one state per block and a block-level edge on a
 whenever some member pair has one; one sort of the edges' (block, label,
@@ -56,6 +61,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, pairwise
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -348,20 +354,20 @@ def _refine(nfa: Nfa) -> np.ndarray:
     rec_at[into[order]] = run
     rec, cnt = rec_at.tolist(), np.bincount(run).tolist()
 
-    # Fine partition as one array: block b is elems[first[b]:end[b]], and
-    # its marked members sit at the front, in elems[first[b]:mid[b]].
-    order = np.argsort(fine, kind="stable")
-    elems = rest[order].tolist()
-    loc_of, blk_of = np.zeros(n, np.intp), np.zeros(n, np.intp)
-    loc_of[rest[order]] = np.arange(len(rest))
+    # Fine blocks: a state x is in block b while blk[x] == b, and size[b]
+    # counts those states.  The tuple listed[b] holds them, and may still
+    # hold states that have left b since; it is cut down to the live ones
+    # when b is walked as a splitter, and when a split leaves it more than
+    # twice b's size, so that the tuples hold at most 2n states in all.
+    blk_of = np.zeros(n, np.intp)
     blk_of[rest] = fine
-    loc, blk = loc_of.tolist(), blk_of.tolist()
-    end = np.bincount(fine).cumsum().tolist()
-    first = [0] + end[:-1]
-    mid = first[:]
-    touched: list[int] = []
+    blk = blk_of.tolist()
+    size = np.bincount(fine).tolist()
+    flat = tuple(rest[np.argsort(fine, kind="stable")].tolist())
+    listed = [flat[i:j] for i, j in pairwise(accumulate(size, initial=0))]
+    del flat
     # Compound blocks: the fine blocks of each, and those holding two or more.
-    cblk_of = np.zeros(len(first), np.intp)
+    cblk_of = np.zeros(len(size), np.intp)
     cblk_of[fine] = group
     cblk = cblk_of.tolist()
     members: list[list[int]] = [[] for _ in range(k)]
@@ -369,39 +375,28 @@ def _refine(nfa: Nfa) -> np.ndarray:
         members[c].append(b)
     ready = [c for c in range(k) if len(members[c]) >= 2]
 
-    def mark(x: int) -> None:
-        b = blk[x]
-        m = mid[b]
-        i = loc[x]
-        if i >= m:
-            if m == first[b]:
-                touched.append(b)
-            y = elems[m]
-            elems[i], loc[y] = y, i
-            elems[m], loc[x] = x, m
-            mid[b] = m + 1
-
-    def split() -> None:
-        # The marked part of each partly marked block becomes a new block
-        # in the same compound block.
-        for b in touched:
-            m, start = mid[b], first[b]
-            mid[b] = start
-            if m == end[b]:
+    def split(states: Iterable[int]) -> None:
+        # The given states of each block they do not fill become a new
+        # block in the same compound block.
+        parts: dict[int, list[int]] = {}
+        for x in states:
+            parts.setdefault(blk[x], []).append(x)
+        for b, part in parts.items():
+            if len(part) == size[b]:
                 continue
-            nb = len(first)
-            first.append(start)
-            end.append(m)
-            mid.append(start)
-            first[b] = mid[b] = m
-            for i in range(start, m):
-                blk[elems[i]] = nb
+            nb = len(size)
+            for x in part:
+                blk[x] = nb
+            size[b] -= len(part)
+            size.append(len(part))
+            if len(listed[b]) > 2 * size[b]:
+                listed[b] = tuple([x for x in listed[b] if blk[x] == b])
+            listed.append(tuple(part))
             c = cblk[b]
             cblk.append(c)
             members[c].append(nb)
             if len(members[c]) == 2:
                 ready.append(c)
-        touched.clear()
 
     while ready:
         s = ready.pop()
@@ -409,7 +404,7 @@ def _refine(nfa: Nfa) -> np.ndarray:
             continue
         # B, the smaller of two blocks of S, leaves S as a compound block.
         b, other = members[s].pop(), members[s].pop()
-        if end[b] - first[b] > end[other] - first[other]:
+        if size[b] > size[other]:
             b, other = other, b
         members[s].append(other)
         if len(members[s]) >= 2:
@@ -418,8 +413,10 @@ def _refine(nfa: Nfa) -> np.ndarray:
         members.append([b])
 
         # Out-edges of B by label, collected before B itself may split.
+        if len(listed[b]) > size[b]:
+            listed[b] = tuple([x for x in listed[b] if blk[x] == b])
         by_label: dict[int, list[int]] = {}
-        for x in elems[first[b]:end[b]]:
+        for x in listed[b]:
             for e in range(out_start[x], out_start[x + 1]):
                 by_label.setdefault(lab[e], []).append(e)
         for edges in by_label.values():
@@ -427,14 +424,13 @@ def _refine(nfa: Nfa) -> np.ndarray:
             for e in edges:
                 v = tgt[e]
                 hits[v] = hits.get(v, 0) + 1
-            for v in hits:
-                mark(v)
-            split()
+            split(hits)
             old = {tgt[e]: rec[e] for e in edges}
+            marked = []
             for v, k in hits.items():
                 if k == cnt[old[v]]:
-                    mark(v)
-            split()
+                    marked.append(v)
+            split(marked)
             new: dict[int, int] = {}
             for v, k in hits.items():
                 cnt[old[v]] -= k
@@ -443,7 +439,13 @@ def _refine(nfa: Nfa) -> np.ndarray:
             for e in edges:
                 rec[e] = new[tgt[e]]
 
-    beta[rest] = np.array(blk, np.intp)[rest] + settled
+    # Each block's live states, counted off blk, must number its size, and
+    # its tuple must hold at most twice as many.
+    live = np.array(blk, np.intp)[rest]
+    if (np.bincount(live, minlength=len(size)).tolist() != size
+            or any(len(entries) > 2 * count for entries, count in zip(listed, size))):
+        raise InternalInvariantViolation("Paige-Tarjan's block sizes disagree with its blocks")
+    beta[rest] = live + settled
     return beta
 
 

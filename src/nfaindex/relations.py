@@ -196,19 +196,28 @@ def relation_to_json_dict(rel: Relation, names: Sequence[str]) -> dict:
     return {"n": rel.n, "pairs": [[names[u], names[v]] for (u, v) in rel.pairs()]}
 
 
+def _json_quoted(names: Sequence[str]) -> list[str]:
+    """Each name as json.dumps quotes it, from one call of the C encoder
+    with a newline as item separator; encoded strings escape their
+    newlines, so splitting there gives the quoted names."""
+    if not names:
+        return []
+    return json.dumps(list(names), separators=("\n", ":"))[1:-1].split("\n")
+
+
 def relation_to_json_text(rel: Relation, names: Sequence[str]) -> str:
     """``json.dumps(relation_to_json_dict(rel, names), indent=2)``, byte for byte.
 
-    Each name is encoded once and the fixed two-space layout is joined
-    directly; with ``indent`` the json module falls back to its pure-Python
-    encoder, which costs several times more on large relations.  A row's
-    pairs share their head, so its targets' quoted tails are picked from an
-    object array by the row of the matrix, its diagonal cleared, and joined
-    with the head between them.
+    Each name is quoted once, by ``_json_quoted``, and the fixed two-space
+    layout is joined directly; with ``indent`` the json module falls back
+    to its pure-Python encoder, which costs several times more on large
+    relations.  A row's pairs share their head, so its targets' quoted tails
+    are picked from an object array by the row of the matrix, its diagonal
+    cleared, and joined with the head between them.
     """
     if len(names) != rel.n:
         raise SizeMismatch(f"{len(names)} names for a relation over {rel.n}")
-    quoted = [json.dumps(nm) for nm in names]
+    quoted = _json_quoted(names)
     tail = np.array([f"{q}\n    ]" for q in quoted], object)
     rows = []
     for u, q in enumerate(quoted):
@@ -228,16 +237,14 @@ def quotient_to_json_text(qm: QuotientMap, names: Sequence[str]) -> str:
     for byte, where "blocks" holds each block's member names and "quotient"
     the quotient's text.
 
-    Every name is quoted once, by one call of the C encoder with a newline
-    as item separator; encoded strings escape their newlines, so splitting
-    there gives the quoted names.  The blocks are joined at the fixed
-    two-space layout; a discrete partition's block i is (i,), so its quoted
-    names are joined in order, and otherwise they are taken in the
-    partition's member order and joined a block's slice at a time.
+    Every name is quoted once, by ``_json_quoted``.  The blocks are joined
+    at the fixed two-space layout; a discrete partition's block i is (i,),
+    so its quoted names are joined in order, and otherwise they are taken
+    in the partition's member order and joined a block's slice at a time.
     """
     if len(names) != qm.partition.n:
         raise SizeMismatch(f"{len(names)} names for a partition of {qm.partition.n}")
-    quoted = json.dumps(list(names), separators=("\n", ":"))[1:-1].split("\n")
+    quoted = _json_quoted(names)
     partition = qm.partition
     if partition.n_blocks == len(quoted):
         body = "\n    ],\n    [\n      ".join(quoted)

@@ -524,6 +524,20 @@ class TestCheck:
         assert code == 1 and out == ""
         assert err == "error: relation file is nested too deeply to read\n"
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 1' + "0" * 5000 + ', "pairs": []}',
+        '{"n": 1, "pairs": [["q", 1' + "0" * 4300 + ']]}',
+    ], ids=["n", "pair"])
+    def test_over_long_integer_in_relation_is_input_error(self, capsys, tmp_path, text):
+        # Python's int() refuses to read more than 4300 decimal digits.
+        (tmp_path / "q.nfa").write_text("initial q\n")
+        path = tmp_path / "rel.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(tmp_path / "q.nfa"),
+                             "--relation", str(path), "--kind", "colex-relation")
+        assert code == 1 and out == ""
+        assert err == "error: relation file holds an integer too long to read\n"
+
 
 class TestZeroTransitions:
     """A file holding only its initial state, through every command."""

@@ -480,6 +480,22 @@ class TestPaigeTarjan:
         assert signature_rounds(nfa) == [2, 3]
         assert coarsest_fs_partition(nfa).blocks == ((0,), (1,), (2,), (3,), (4,))
 
+    def test_block_bookkeeping(self):
+        # Unary; every state but q0 lies below a cycle.  The rounds stop at
+        # the fine blocks {q1, q2, q4, q6, q7}, {q3}, {q5}.  B = {q3} moves
+        # q1 and q4 out of the first, then q1 alone out of {q1, q4}; B = {q1}
+        # moves q2 and q6 out, which leaves {q7} with a tuple of five states,
+        # cut down to (q7,).  {q1, q4} is then walked as a splitter while its
+        # tuple still holds q1: walking q1's edges as well would leave q2 and
+        # q6 together, in a partition that is not forward stable.  A split
+        # that does not shrink the block it leaves, or a tuple left over
+        # twice its block's size, fails the refinement's own check.
+        nfa = Nfa(8, 0, [(0, "a", 5), (1, "a", 2), (1, "a", 6), (2, "a", 2), (2, "a", 4),
+                         (2, "a", 7), (3, "a", 1), (3, "a", 4), (4, "a", 2), (4, "a", 5),
+                         (5, "a", 3), (6, "a", 6)])
+        assert signature_rounds(nfa) == [2, 3]
+        assert coarsest_fs_partition(nfa).blocks == tuple((v,) for v in range(8))
+
     def test_unary_path_of_four_thousand_states_is_discrete(self):
         assert coarsest_fs_partition(unary_path(4000)).n_blocks == 4000
 

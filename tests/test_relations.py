@@ -936,6 +936,10 @@ class TestRelationJsonText:
         with pytest.raises(SizeMismatch):
             relation_to_json_text(Relation(3), ["a", "b"])
 
+    def test_relation_over_no_elements(self):
+        expected = json.dumps({"n": 0, "pairs": []}, indent=2)
+        assert relation_to_json_text(Relation(0), []) == expected
+
 
 class TestQuotientJsonText:
     @staticmethod
