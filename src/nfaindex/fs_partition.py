@@ -24,11 +24,13 @@ final and the others' their blocks of the round before, the first round
 starting from one block.  Each round refines the one before it, and
 rounds go on while each at least doubles the number of blocks, so there
 are at most log2(n) + 1 of them, each one sort of the m edges into
-those states.  They are then refined by the algorithm of Paige and Tarjan
-(SIAM J. Comput. 1987) on the label-wise reversed edges, with three-way
-splitting.  Besides the partition being refined, a coarser partition of
-compound blocks is kept, and the fine partition is stable with respect to
-every compound block.  The last round's blocks are the fine partition,
+those states.  The coarsest partition refines every round's, so a round
+that leaves each of those states alone ends the refinement.  Otherwise
+they are refined by the algorithm of Paige and Tarjan (SIAM J. Comput.
+1987) on the label-wise reversed edges, with three-way splitting.
+Besides the partition being refined, a coarser partition of compound
+blocks is kept, and the fine partition is stable with respect to every
+compound block.  The last round's blocks are the fine partition,
 the blocks its pairs were taken over are the compound blocks, and each
 settled block is a compound block of its own; when the last round split
 nothing, no compound block holds two fine blocks and the partition is
@@ -248,7 +250,8 @@ def coarsest_fs_partition(nfa: Nfa) -> Partition:
     them, in O(n + m) hash lookups.  The states below cycles are split by
     rounds of signature refinement while each round at least doubles the
     blocks, at most log2(n) + 1 rounds of O(m log m), and Paige-Tarjan
-    refinement, in O(m log n), starts from the last two rounds' partitions.
+    refinement, in O(m log n), starts from the last two rounds' partitions;
+    a round that leaves each of those states alone is the last step.
     Forward stability of the result is re-verified by is_forward_stable
     before returning; a partition into singletons is stable by definition.
     """
@@ -319,7 +322,9 @@ def _refine(nfa: Nfa) -> np.ndarray:
     # round before; the first round starts from one block.  Equal codes over
     # finer blocks stay equal over coarser ones, so each round refines the
     # one before it.  Rounds go on while each at least doubles the number of
-    # blocks, at most log2(n) + 1 of them.  No finished state has a remaining
+    # blocks, at most log2(n) + 1 of them, and end when a round leaves every
+    # remaining state alone: the coarsest partition refines each round's, so
+    # it keeps them apart too.  No finished state has a remaining
     # predecessor, so the splitters below never walk an edge of the finished
     # part.
     settled = len(ids) + 1
@@ -336,6 +341,9 @@ def _refine(nfa: Nfa) -> np.ndarray:
         # Each remaining state has an in-edge, all of them in into, so the
         # distinct codes of the x-th remaining state are the x-th run of dst.
         fine, k_fine = _group_runs(dst[held], code[held])
+        if k_fine == len(rest):
+            beta[rest] = settled + fine
+            return beta
         if k_fine < 2 * k:
             break
         group, k = fine, k_fine
@@ -420,12 +428,14 @@ def _refine(nfa: Nfa) -> np.ndarray:
             for e in range(out_start[x], out_start[x + 1]):
                 by_label.setdefault(lab[e], []).append(e)
         for edges in by_label.values():
+            # The edges from B into v share their record, old[v].
             hits: dict[int, int] = {}
+            old: dict[int, int] = {}
             for e in edges:
                 v = tgt[e]
                 hits[v] = hits.get(v, 0) + 1
+                old[v] = rec[e]
             split(hits)
-            old = {tgt[e]: rec[e] for e in edges}
             marked = []
             for v, k in hits.items():
                 if k == cnt[old[v]]:

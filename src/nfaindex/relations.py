@@ -17,9 +17,11 @@ over edge pairs in listed order would find.  Transitivity is the float32
 product R @ R in row blocks, n^3 multiply-adds, stopping at the first
 block with a gap.  A relation with few related pairs gets a sparse
 axiom-2 scan instead: it visits only the a-edge pairs into a related
-distinct pair (u, v), the sum of in_a(u) * in_a(v), and reports the mask
-scan's first witness, the least hit in row-major order; an exact count
-of those cells picks the scan.  The JSON form of a relation is read
+distinct pair (u, v), the sum of in_a(u) * in_a(v), for all labels in one
+pass over the edges listed label by label, with the in-edges looked up by
+(label, target), and reports the mask scans' first witness, the least hit
+in row-major order of the first label with one; an exact count of those
+cells picks the scan.  The JSON form of a relation is read
 without json when its text has one of two plain layouts, by its quotes
 and 8-byte words (``relation_from_plain_json``), and otherwise decoded
 and read with one name lookup per entry; both end in a single scatter
@@ -446,12 +448,21 @@ def _check_size(nfa: Nfa, rel: Relation) -> None:
 _EDGE_PAIR_CELLS = 1 << 14
 
 
+def _label_major(nfa: Nfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The edges' sources, labels and targets, label by label in alphabet
+    order and each label's sorted by source, then target, with the offsets
+    where each label's edges start and, last, their number."""
+    order = np.argsort(nfa.lab, kind="stable")
+    lab = nfa.lab[order]
+    ends = np.searchsorted(lab, np.arange(len(nfa.alphabet) + 1)).tolist()
+    return nfa.src[order], lab, nfa.dst[order], ends
+
+
 def label_edges(nfa: Nfa) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per label in alphabet order, its edges as (sources, targets) arrays
     sorted by source, then target."""
-    order = np.argsort(nfa.lab, kind="stable")
-    ends = np.searchsorted(nfa.lab[order], np.arange(len(nfa.alphabet) + 1)).tolist()
-    return [(nfa.src[order[b:e]], nfa.dst[order[b:e]]) for b, e in zip(ends, ends[1:])]
+    src, _, dst, ends = _label_major(nfa)
+    return [(src[b:e], dst[b:e]) for b, e in zip(ends, ends[1:])]
 
 
 def _first_hit(mask: np.ndarray) -> tuple[int, int] | None:
@@ -527,33 +538,46 @@ def _use_sparse_axiom2(nfa: Nfa, bits: np.ndarray, mask_cells: int) -> bool:
 
 
 def _sparse_first_edge_pair(bits: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                            us: np.ndarray, vs: np.ndarray) -> tuple[int, int] | None:
-    """The first hit of a label's axiom-2 mask, visiting only the edge
-    pairs whose targets are a related distinct pair (us[k], vs[k]).  Row i
-    of the mask, for the edge into u, is visited as the edges into each v
-    related to u.  Rows are taken in order, in groups of at most about
-    _EDGE_PAIR_CELLS cells (or one row), and the first group with a hit
-    holds the least one."""
+                            lab: np.ndarray, us: np.ndarray,
+                            vs: np.ndarray) -> tuple[int, int] | None:
+    """The first hit of the axiom-2 masks of all labels, in one pass that
+    visits only the same-label edge pairs whose targets are a related
+    distinct pair (us[k], vs[k]).  The m edges are listed label by label, so
+    the least hit (g, h), by g * m + h, is the first hit of the first label
+    with one, as a scan of each label's mask in turn finds it.  Row g, for
+    the edge into u on label a, is visited as the a-edges into each v
+    related to u, looked up by (label, target): one item per (g, v) and
+    one cell per item and such edge.  Rows are taken in order, in groups of
+    at most about _EDGE_PAIR_CELLS items and cells (or one row), and the
+    first group with a hit holds the least one."""
     m, n = len(dst), len(bits)
-    by_dst = np.argsort(dst, kind="stable")
-    into = np.bincount(dst, minlength=n)
-    keep = into[vs] > 0
-    us, vs = us[keep], vs[keep]
+    base = lab * n
+    key = base + dst
+    by_key = np.argsort(key, kind="stable")
+    into = np.bincount(key, minlength=(int(lab.max(initial=0)) + 1) * n)
     row = np.bincount(us, minlength=n)
     start, first = np.cumsum(row) - row, np.cumsum(into) - into
-    # Cells up to and including each row of the mask.
-    ends = np.cumsum(np.bincount(us, into[vs], n).astype(np.int64)[dst])
+    # cells[a * n + u], the a-edges into the states related to u: each
+    # related pair (u, v) adds into[a * n + v], for every label a, taken
+    # for _EDGE_PAIR_CELLS (pair, label) entries at a time.
+    label_at = np.arange(0, len(into), n)[:, None]
+    cells = np.zeros(len(into))
+    step = max(1, _EDGE_PAIR_CELLS // len(label_at))
+    for r in range(0, len(us), step):
+        cells += np.bincount((label_at + us[r:r + step]).ravel(),
+                             into[label_at + vs[r:r + step]].ravel(), len(into))
+    # Items and cells up to and including each row.
+    ends = np.cumsum(row[dst] + cells[key])
     i0 = 0
     while i0 < m:
         done = int(ends[i0 - 1]) if i0 else 0
         i1 = max(i0 + 1, int(ends.searchsorted(done + _EDGE_PAIR_CELLS, side="right")))
-        # One item per row i and state v related to its target, then one
-        # cell per item and edge into v.
         d = dst[i0:i1]
         cnt = row[d]
-        v = vs[_spread(start[d], cnt)]
-        i = np.arange(i0, i1).repeat(cnt).repeat(into[v])
-        j = by_dst[_spread(first[v], into[v])]
+        k = base[i0:i1].repeat(cnt) + vs[_spread(start[d], cnt)]
+        per = into[k]
+        i = np.arange(i0, i1).repeat(cnt).repeat(per)
+        j = by_key[_spread(first[k], per)]
         hit = ~bits[src[i], src[j]]
         if hit.any():
             return divmod(int((i[hit] * m + j[hit]).min()), m)
@@ -565,32 +589,38 @@ def _axiom2_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | 
     # Cell (i, j) of a label's mask pairs its i-th and j-th edge, in the
     # order the edges are listed, so the first hit is the first witness of
     # a scan over edge pairs.  When it costs less, only the cells whose
-    # target pair is related and distinct are visited, for the least hit.
-    # A label with fewer than two edges has no pair with distinct targets.
+    # target pair is related and distinct are visited, for all labels in
+    # one pass.  A label with fewer than two edges has no pair with
+    # distinct targets.  Hits are (i, j) over all edges, label by label.
     bits = rel.bits
-    edges = label_edges(nfa)
-    mask_cells = sum(len(dst) ** 2 for _, dst in edges)
-    related = _related_pairs(bits) if _use_sparse_axiom2(nfa, bits, mask_cells) else None
-    for a, (src, dst) in zip(nfa.alphabet, edges):
-        if len(dst) < 2:
-            continue
-        if related is not None:
-            hit = _sparse_first_edge_pair(bits, src, dst, *related)
-        else:
+    src, lab, dst, ends = _label_major(nfa)
+    mask_cells = sum((e - b) ** 2 for b, e in zip(ends, ends[1:]))
+    hit = None
+    if _use_sparse_axiom2(nfa, bits, mask_cells):
+        hit = _sparse_first_edge_pair(bits, src, dst, lab, *_related_pairs(bits))
+    else:
+        for b, e in zip(ends, ends[1:]):
+            if e - b < 2:
+                continue
+            s_a, d_a = src[b:e], dst[b:e]
+
             def mask_rows(r0, r1):
-                s, d = src[r0:r1, None], dst[r0:r1, None]
-                return bits[d, dst] & (d != dst) & ~bits[s, src]
-            hit = _first_edge_pair(len(dst), mask_rows)
-        if hit is None:
-            continue
-        i, j = hit
-        up, u, vp, v = int(src[i]), int(dst[i]), int(src[j]), int(dst[j])
-        return Violation(
-            "predecessors-unrelated", (u, v, up, vp, a),
-            f"{nfa.names[u]} {strict_name} {nfa.names[v]} via "
-            f"{a!r}-edges from {nfa.names[up]}, {nfa.names[vp]} "
-            f"but ({nfa.names[up]}, {nfa.names[vp]}) is not related")
-    return None
+                s, d = s_a[r0:r1, None], d_a[r0:r1, None]
+                return bits[d, d_a] & (d != d_a) & ~bits[s, s_a]
+            hit = _first_edge_pair(e - b, mask_rows)
+            if hit is not None:
+                hit = hit[0] + b, hit[1] + b
+                break
+    if hit is None:
+        return None
+    i, j = hit
+    up, u, vp, v = int(src[i]), int(dst[i]), int(src[j]), int(dst[j])
+    a = nfa.alphabet[int(lab[i])]
+    return Violation(
+        "predecessors-unrelated", (u, v, up, vp, a),
+        f"{nfa.names[u]} {strict_name} {nfa.names[v]} via "
+        f"{a!r}-edges from {nfa.names[up]}, {nfa.names[vp]} "
+        f"but ({nfa.names[up]}, {nfa.names[vp]}) is not related")
 
 
 def check_colex_relation(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | None]:
@@ -760,7 +790,10 @@ class WidthCertificate:
         """This certificate over block indices, over the blocks' states: the
         antichain takes each block's first state, and a chain its blocks'
         states in chain order.  Blocks are listed by least state, so the
-        antichain stays sorted and the chains ordered by first element."""
+        antichain stays sorted and the chains ordered by first element.  A
+        discrete partition's block i is {i}: the certificate is returned."""
+        if partition.n_blocks == partition.n:
+            return self
         blocks = partition.blocks
         return WidthCertificate(
             width=self.width,

@@ -28,6 +28,7 @@ from nfaindex import (
 )
 from nfaindex import fs_partition
 from nfaindex.oracle import _growth_strings
+from test_colex import random_automaton
 
 
 def image_scan_forward_stable(nfa, partition):
@@ -622,12 +623,13 @@ def signature_rounds(nfa: Nfa) -> list[int]:
     below cycles start as one block, and each round splits them by their
     sets of (predecessor block, label) pairs, a predecessor below a cycle
     having its block of the round before.  The last count is that of the
-    first round that less than doubles the count before it."""
+    first round that leaves each of those states alone or less than
+    doubles the count before it."""
     coarse = worklist_coarsest_fs_partition(nfa).block_of
     rest = below_cycles(nfa)
     block = {v: 0 for v in rest}
     counts = [1]
-    while len(counts) == 1 or counts[-1] >= 2 * counts[-2]:
+    while len(counts) == 1 or len(rest) > counts[-1] >= 2 * counts[-2]:
         pairs: dict[int, set] = {v: set() for v in rest}
         for (u, a, v) in nfa.transitions:
             if v in pairs:
@@ -660,32 +662,68 @@ def cycle_with_branching_tails(rng: random.Random) -> Nfa:
     return Nfa(n, 0, sorted(edges))
 
 
+@pytest.fixture
+def rounds(monkeypatch):
+    """Block counts of the signature rounds that coarsest_fs_partition
+    runs, read off each call of fs_partition._group_runs."""
+    counts = []
+
+    def record(*args, _real=fs_partition._group_runs):
+        group, k = _real(*args)
+        counts.append(k)
+        return group, k
+    monkeypatch.setattr(fs_partition, "_group_runs", record)
+    return counts
+
+
 class TestSignatureRounds:
     """Below the topological pass, signature rounds split the remaining
     states while each at least doubles the blocks, and Paige-Tarjan starts
-    from the last two rounds' partitions."""
+    from the last two rounds' partitions; a round that leaves each
+    remaining state alone is the last step."""
 
     @pytest.mark.parametrize("edges,counts,final", [
         # One state on a self-loop, and two on a cycle entered alike: round 1
         # keeps one block.
         ([(0, "a", 1), (1, "a", 1)], [1], 1),
         ([(0, "a", 1), (0, "a", 2), (1, "a", 2), (2, "a", 1)], [1], 1),
-        # A lasso of three states settles in round 2 ...
-        ([(0, "a", 1), (1, "a", 2), (2, "a", 1)], [2, 2], 2),
-        # ... one of five stops there with splitter work left.
+        # A lasso of three states leaves both below its cycle alone in
+        # round 1 ...
+        ([(0, "a", 1), (1, "a", 2), (2, "a", 1)], [2], 2),
+        # ... one of five stops in round 2 with splitter work left.
         ([(0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 4), (4, "a", 1)], [2, 3], 4),
         # Three rounds, 3, 6 and then 7 blocks of 8.
         ([(0, "a", 1), (1, "a", 2), (1, "b", 1), (1, "b", 5), (2, "b", 3), (3, "b", 4),
           (4, "b", 7), (5, "a", 6), (7, "b", 8)], [3, 6, 7], 8),
+        # The settled block {1, 2} holds two states, so the result is not
+        # discrete and its stability is still checked; the cycle 3 <-> 4
+        # is entered on b and on c, which round 1 tells apart.
+        ([(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "c", 4), (3, "b", 4), (4, "b", 3)],
+         [2], 2),
+        # One state below a cycle, under settled blocks of two states.
+        ([(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 3), (2, "b", 4), (1, "b", 4),
+          (4, "c", 5), (5, "c", 5)], [1], 1),
     ])
-    def test_stopping_points(self, edges, counts, final):
+    def test_stopping_points(self, rounds, edges, counts, final):
         nfa = Nfa(1 + max(v for (_, _, v) in edges), 0, edges)
         assert signature_rounds(nfa) == counts
         p = coarsest_fs_partition(nfa)
+        assert rounds == counts
         assert p == worklist_coarsest_fs_partition(nfa)
-        if nfa.n_states <= 7:
+        if nfa.n_states <= 8:
             assert p == brute_coarsest_fs(nfa)
         assert len({p.block_of[v] for v in below_cycles(nfa)}) == final
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_discrete_random_automata_end_after_the_rounds(self, rounds, seed):
+        # Random automata of 141 states over 4 labels, out-degree 6: every
+        # state below a cycle is alone after round 2 or 3.
+        nfa = random_automaton(141, 4, 6, seed)
+        p = coarsest_fs_partition(nfa)
+        assert p.n_blocks == nfa.n_states
+        assert rounds == signature_rounds(nfa)
+        assert rounds[-1] == len(below_cycles(nfa)) and len(rounds) in (2, 3)
+        assert p == worklist_coarsest_fs_partition(nfa)
 
     @pytest.mark.parametrize("labels", ["a", "ab", "aab"])
     def test_agrees_with_worklist_reference_on_lassos_and_rho_shapes(self, labels):

@@ -265,6 +265,9 @@ class TestWidth:
         on_blocks = WidthCertificate(2, (1, 2), ((0, 2), (1,)))
         assert on_blocks.spliced(blocks) == WidthCertificate(
             2, (1, 2), ((0, 3, 2, 4, 5), (1,)))
+        # Block i of a discrete partition is {i}: the certificate stands as it is.
+        on_states = WidthCertificate(2, (1, 2), ((0, 2), (1,)))
+        assert on_states.spliced(Partition(3, [[0], [1], [2]])) is on_states
 
     def test_chain_has_width_one(self):
         cert = width(closure(5, [(i, i + 1) for i in range(4)]))
@@ -634,12 +637,30 @@ def scan_table(family):
         nfa = word_trie(80, 4)
         for i in (0, 1, 40, 57, nfa.n_states - 2):
             yield nfa, swapped_order(nfa, i)
+    elif family == "labels":
+        yield later_label_witness()
+        for seed in range(3):
+            nfa = random_automaton(80, 12, 5, seed)
+            base = max_colex_relation(nfa).bits
+            for density in (0.01, 0.1):
+                yield nfa, Relation.from_matrix(base | (rng.random(base.shape) < density))
     else:
         for n in (7, 60, 300):
             nfa = gen_separation_family(n) if family == "sep" else unary_path(n)
             base = max_colex_relation(nfa)
             for rate in (0.001, 0.01, 0.1):
                 yield nfa, corrupted(base, rng, rate)
+
+
+def later_label_witness():
+    """An automaton over 12 labels and a relation with axiom-2 witnesses on
+    l05, from states 3 and 4, and on l09, from the lower states 1 and 2; the
+    edges of l02 out of 15 and 16 have none.  The first witness is l05's,
+    though l09's edges come first in listed order."""
+    edges = [(0, f"l{i:02d}", 1 + i) for i in range(12)]
+    edges += [(1, "l09", 13), (2, "l09", 14), (3, "l05", 15), (4, "l05", 16),
+              (15, "l02", 17), (16, "l02", 18)]
+    return Nfa(19, 0, edges), Relation(19, [(13, 14), (15, 16)])
 
 
 def forced(monkeypatch, sparse):
@@ -649,7 +670,7 @@ def forced(monkeypatch, sparse):
 
 class TestSparseScanMatchesMasks:
     @pytest.mark.parametrize("batch", [relations._EDGE_PAIR_CELLS, 61, 1])
-    @pytest.mark.parametrize("family", ["random", "trie-swap", "sep", "path"])
+    @pytest.mark.parametrize("family", ["random", "labels", "trie-swap", "sep", "path"])
     def test_same_first_witness(self, monkeypatch, family, batch):
         monkeypatch.setattr(relations, "_EDGE_PAIR_CELLS", batch)
         found = 0
@@ -668,11 +689,19 @@ class TestSparseScanMatchesMasks:
 
     def test_first_witness_matches_the_loop(self, monkeypatch):
         forced(monkeypatch, sparse=True)
-        for family in ("random", "sep", "path"):
+        for family in ("random", "labels", "sep", "path"):
             for nfa, rel in scan_table(family):
-                if nfa.n_states <= 60:
+                if nfa.n_states <= 80:
                     assert (_axiom2_violation(nfa, rel, "<")
                             == axiom2_reference(nfa, rel, "<"))
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_first_witness_is_in_the_first_label_with_one(self, monkeypatch, sparse):
+        forced(monkeypatch, sparse)
+        nfa, rel = later_label_witness()
+        got = _axiom2_violation(nfa, rel, "~")
+        assert got.witness == (15, 16, 3, 4, "l05")
+        assert got == axiom2_reference(nfa, rel, "~")
 
     def test_gap_with_256_middles(self):
         nfa, rel = wide_middle_star(256)
@@ -704,6 +733,23 @@ class TestSparseScanMatchesMasks:
         monkeypatch.setattr(relations, "_EDGE_PAIR_CELLS", 1 << 30)
         with_one_group = traced_peak(lambda: _axiom2_violation(nfa, rel, "<"))
         assert peak < 6 * 1024 * 1024 and 10 * peak < with_one_group
+
+    def test_memory_is_bounded_when_related_states_lack_the_label(self, monkeypatch):
+        # The automaton above with each edge labelled by its target modulo
+        # 3, and a tenth of the pairs of states of different labels related:
+        # no v related to an edge's target has an in-edge on its label, so
+        # the scan visits about 0.4M (row, v) items and no cell.  Groups are
+        # cut on items and cells, so they stay small.
+        forced(monkeypatch, sparse=True)
+        edges = random_automaton(1024, 1, 6, 2).transitions
+        nfa = Nfa(1024, 0, [(u, "abc"[v % 3], v) for (u, _, v) in edges])
+        rng = np.random.default_rng(3)
+        label = np.arange(1024) % 3
+        rel = Relation.from_matrix((label[:, None] != label) & (rng.random((1024, 1024)) < 0.1))
+        peak = traced_peak(lambda: _axiom2_violation(nfa, rel, "<"))
+        monkeypatch.setattr(relations, "_EDGE_PAIR_CELLS", 1 << 30)
+        with_one_group = traced_peak(lambda: _axiom2_violation(nfa, rel, "<"))
+        assert peak < 6 * 1024 * 1024 and 4 * peak < with_one_group
 
 
 def traced_peak(call):
