@@ -236,6 +236,8 @@ class Nfa:
                 f"number of states {n_states!r} is not an integer") from None
         if n_states < 1:
             raise ValidationError("an automaton needs at least one state")
+        if isinstance(initial, bool):
+            raise ValidationError(f"initial state {initial!r} is not an integer id")
         try:
             initial = operator.index(initial)
         except TypeError:

@@ -20,8 +20,9 @@ axiom-2 scan instead: it visits only the a-edge pairs into a related
 distinct pair (u, v), the sum of in_a(u) * in_a(v), for all labels in one
 pass over the edges listed label by label, with the in-edges looked up by
 (label, target), and reports the mask scans' first witness, the least hit
-in row-major order of the first label with one; an exact count of those
-cells picks the scan.  The JSON form of a relation is read
+in row-major order of the first label with one.  It hands the check to
+the masks as soon as its own count of its work shows that they cost
+less.  The JSON form of a relation is read
 without json when its text has one of two plain layouts, by its quotes
 and 8-byte words (``relation_from_plain_json``), and otherwise decoded
 and read with one name lookup per entry; both end in a single scatter
@@ -73,11 +74,16 @@ class Relation:
     at most once per relation.
     """
 
-    _partition: Partition | None = None  # set by induced_equivalence
-
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
+        if n < 0:
+            raise ValidationError(f"relation size {n} is negative")
         pairs = list(pairs)
-        ids = np.array(pairs)
+        try:
+            ids = np.array(pairs)
+        except ValueError:  # items of different lengths
+            ids = None
+        if ids is None or ids.shape not in ((0,), (len(pairs), 2)):
+            raise ValidationError("relation items must be (u, v) pairs of states")
         if ids.size and ids.dtype.kind not in "biu":  # numpy would truncate or parse
             raise TypeError(f"relation pairs must hold integers, got {ids.dtype}")
         ids = ids.astype(np.intp).reshape(len(pairs), 2)
@@ -155,6 +161,16 @@ class Relation:
                 return hit[0] + r, hit[1]
         return None
 
+    @cached_property
+    def _partition(self) -> Partition:
+        w = self.transitivity_witness()
+        if w is not None:
+            raise NotPreorder(w)
+        # In a preorder a state's first mutual partner is its class minimum;
+        # argmax raises on the empty axis of a relation over no elements.
+        mutual = self.bits & self.bits.T
+        return Partition.from_block_of(mutual.argmax(axis=1) if self.n else [])
+
     def is_transitive(self) -> bool:
         return self.transitivity_witness() is None
 
@@ -171,7 +187,7 @@ class Relation:
 
 
 # Cells of an n-column row block of a relation's matrix that the
-# transitivity product or the axiom-2 count takes at once.
+# transitivity product takes at once.
 _BLOCK_CELLS = 1 << 22
 
 
@@ -501,61 +517,44 @@ def _first_edge_pair(m: int, mask_rows) -> tuple[int, int] | None:
     return None
 
 
-# Measured costs, in cells of an edge-pair mask: a cell of the sparse
-# axiom-2 scan costs about 8 (6-7 on full scans of unary paths, more on
-# small trie orders, where each label's fixed work weighs more), and an
-# operation of its exact count 1/50 or less.  The count runs only when it
-# costs at most a tenth of the mask scan, and the sparse scan only when its
-# cells cost less than the mask's.
+# Measured cost, in cells of an edge-pair mask, of a (row, v) item or a
+# cell of the sparse axiom-2 scan: about 8 (6-7 on full scans of unary
+# paths, more on small trie orders, where each label's fixed work weighs
+# more).  The scan declines, before it lists the related pairs, when they
+# times the labels (its count's entries) or its items at this cost exceed
+# the masks' cells, and after, when its items and cells at this cost do.
 _SPARSE_AXIOM2_COST = 8
-_COUNT_ADDS_PER_CELL = 5
-
-
-def _sparse_axiom2_cells(nfa: Nfa, bits: np.ndarray) -> int:
-    """Edge pairs the sparse axiom-2 scan visits: the sum over related
-    distinct (u, v) and labels a of in_a(u) * in_a(v).  With in_a the
-    columns of an n x sigma matrix C, that is sum(C * (R @ C)) less the
-    diagonal's sum(C * C), taken in row blocks: n*n*(sigma + 1) operations
-    with the cast.  An entry of R @ C is at most |E_a| <= n*n, so float32
-    holds it exactly up to the dense limit."""
-    n, sigma = nfa.n_states, len(nfa.alphabet)
-    into = np.bincount(nfa.dst * sigma + nfa.lab, minlength=n * sigma).reshape(n, sigma)
-    c = into.astype(np.float32)
-    cells = -int(np.square(into).sum())
-    rows = max(1, _BLOCK_CELLS // max(1, n))
-    for r in range(0, n, rows):
-        cells += int(((bits[r:r + rows] @ c).astype(np.int64) * into[r:r + rows]).sum())
-    return cells
-
-
-def _use_sparse_axiom2(nfa: Nfa, bits: np.ndarray, mask_cells: int) -> bool:
-    """Whether the sparse axiom-2 scan costs less than the masks' cells;
-    False, uncounted, when the count would cost too much (see above)."""
-    n, sigma = nfa.n_states, len(nfa.alphabet)
-    if n * n * (sigma + 1) > _COUNT_ADDS_PER_CELL * mask_cells:
-        return False
-    return _SPARSE_AXIOM2_COST * _sparse_axiom2_cells(nfa, bits) < mask_cells
 
 
 def _sparse_first_edge_pair(bits: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                            lab: np.ndarray, us: np.ndarray,
-                            vs: np.ndarray) -> tuple[int, int] | None:
+                            lab: np.ndarray, mask_cells: int) -> tuple[int, int] | None | bool:
     """The first hit of the axiom-2 masks of all labels, in one pass that
     visits only the same-label edge pairs whose targets are a related
-    distinct pair (us[k], vs[k]).  The m edges are listed label by label, so
-    the least hit (g, h), by g * m + h, is the first hit of the first label
-    with one, as a scan of each label's mask in turn finds it.  Row g, for
-    the edge into u on label a, is visited as the a-edges into each v
-    related to u, looked up by (label, target): one item per (g, v) and
-    one cell per item and such edge.  Rows are taken in order, in groups of
-    at most about _EDGE_PAIR_CELLS items and cells (or one row), and the
-    first group with a hit holds the least one."""
+    distinct pair (u, v); False, with nothing scanned, when that costs more
+    than the masks' ``mask_cells`` (see above).  The m edges are listed
+    label by label, so the least hit (g, h), by g * m + h, is the first hit
+    of the first label with one, as a scan of each label's mask in turn
+    finds it.  Row g, for the edge into u on label a, is visited as the
+    a-edges into each v related to u, looked up by (label, target): one
+    item per (g, v) and one cell per item and such edge.  Rows are taken
+    in order, in groups of at most about _EDGE_PAIR_CELLS items and cells
+    (or one row), and the first group with a hit holds the least one."""
     m, n = len(dst), len(bits)
+    sigma = int(lab[-1]) + 1 if m else 1  # the labels are sorted
+    # The related pairs of the first rows, a lower bound read first, settle
+    # most declines on large relations; the diagonal is set.
+    for part in (bits[:_EDGE_PAIR_CELLS // max(1, n)], bits):
+        if (np.count_nonzero(part) - len(part)) * sigma > mask_cells:
+            return False
+    row = bits.sum(axis=1, dtype=np.int32) - 1  # twice as fast as in intp
+    items = row[dst]
+    if _SPARSE_AXIOM2_COST * int(items.sum()) > mask_cells:
+        return False
+    us, vs = _related_pairs(bits)
     base = lab * n
     key = base + dst
     by_key = np.argsort(key, kind="stable")
-    into = np.bincount(key, minlength=(int(lab.max(initial=0)) + 1) * n)
-    row = np.bincount(us, minlength=n)
+    into = np.bincount(key, minlength=sigma * n)
     start, first = np.cumsum(row) - row, np.cumsum(into) - into
     # cells[a * n + u], the a-edges into the states related to u: each
     # related pair (u, v) adds into[a * n + v], for every label a, taken
@@ -567,7 +566,9 @@ def _sparse_first_edge_pair(bits: np.ndarray, src: np.ndarray, dst: np.ndarray,
         cells += np.bincount((label_at + us[r:r + step]).ravel(),
                              into[label_at + vs[r:r + step]].ravel(), len(into))
     # Items and cells up to and including each row.
-    ends = np.cumsum(row[dst] + cells[key])
+    ends = np.cumsum(items + cells[key])
+    if m and _SPARSE_AXIOM2_COST * ends[-1] > mask_cells:
+        return False
     i0 = 0
     while i0 < m:
         done = int(ends[i0 - 1]) if i0 else 0
@@ -595,10 +596,8 @@ def _axiom2_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | 
     bits = rel.bits
     src, lab, dst, ends = _label_major(nfa)
     mask_cells = sum((e - b) ** 2 for b, e in zip(ends, ends[1:]))
-    hit = None
-    if _use_sparse_axiom2(nfa, bits, mask_cells):
-        hit = _sparse_first_edge_pair(bits, src, dst, lab, *_related_pairs(bits))
-    else:
+    hit = _sparse_first_edge_pair(bits, src, dst, lab, mask_cells)
+    if hit is False:
         for b, e in zip(ends, ends[1:]):
             if e - b < 2:
                 continue
@@ -611,7 +610,7 @@ def _axiom2_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | 
             if hit is not None:
                 hit = hit[0] + b, hit[1] + b
                 break
-    if hit is None:
+    if not hit:
         return None
     i, j = hit
     up, u, vp, v = int(src[i]), int(dst[i]), int(src[j]), int(dst[j])
@@ -742,14 +741,6 @@ def check_wheeler_preorder(nfa: Nfa, rel: Relation) -> tuple[bool, Violation | N
 
 def induced_equivalence(rel: Relation) -> Partition:
     """Classes of mutually related states.  Requires a preorder."""
-    if rel._partition is None:
-        w = rel.transitivity_witness()
-        if w is not None:
-            raise NotPreorder(w)
-        # In a preorder a state's first mutual partner is its class minimum;
-        # argmax raises on the empty axis of a relation over no elements.
-        mutual = rel.bits & rel.bits.T
-        rel._partition = Partition.from_block_of(mutual.argmax(axis=1) if rel.n else [])
     return rel._partition
 
 

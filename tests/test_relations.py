@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -49,7 +50,7 @@ from nfaindex.relations import (
     _class_order,
     _max_matching,
     _partial_order_violation,
-    _sparse_axiom2_cells,
+    _sparse_first_edge_pair,
     _totality_violation,
     _validate_certificate,
     quotient_to_json_text,
@@ -83,6 +84,18 @@ class TestRelation:
     def test_out_of_range_pair(self):
         with pytest.raises(SizeMismatch):
             Relation(2, [(0, 5)])
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 1, 2)], [(0, 1), (1, 2, 0)], [0, 1], [(0, 1), (0, (1, 2))], [[]], [[(0, 1)]]])
+    def test_item_that_is_not_a_pair(self, pairs):
+        with pytest.raises(ValidationError) as err:
+            Relation(3, pairs)
+        assert str(err.value) == "relation items must be (u, v) pairs of states"
+
+    def test_negative_size(self):
+        with pytest.raises(ValidationError) as err:
+            Relation(-1)
+        assert str(err.value) == "relation size -1 is negative"
 
     def test_from_matrix_requires_square(self):
         with pytest.raises(SizeMismatch):
@@ -613,6 +626,12 @@ def scan_cells_reference(nfa, rel):
     return dense, sparse
 
 
+def scan_items_reference(nfa, rel):
+    """The sparse scan's (row, v) items by a loop: for each edge, the
+    states related to its target, other than the target."""
+    return sum(int(rel.bits[u].sum()) - 1 for (_, _, u) in nfa.transitions)
+
+
 def swapped_order(nfa, i):
     """The maximum co-lex relation of a trie, a total order, with the
     elements at positions i and i + 1 of the order swapped."""
@@ -664,8 +683,11 @@ def later_label_witness():
 
 
 def forced(monkeypatch, sparse):
-    """Make the axiom-2 check take the sparse scan, or the masks."""
-    monkeypatch.setattr(relations, "_use_sparse_axiom2", lambda *args: sparse)
+    """Make the axiom-2 check take the sparse scan, with no bound on its
+    cost, or the masks, as when the sparse scan declines."""
+    scan = relations._sparse_first_edge_pair
+    monkeypatch.setattr(relations, "_sparse_first_edge_pair",
+                        lambda *args: sparse and scan(*args[:-1], math.inf))
 
 
 class TestSparseScanMatchesMasks:
@@ -709,14 +731,22 @@ class TestSparseScanMatchesMasks:
         assert not ok and violation.rule == "not-transitive"
         assert violation.witness == (1, 2, 258)
 
-    def test_cell_counts_match_the_loop(self):
+    def test_cell_counts_match_the_loop(self, monkeypatch):
+        # The scan runs at a budget of its cost times its items and cells,
+        # and declines one below: it counts them exactly.  The cost is large,
+        # so the declines before the count leave such a budget alone.
+        cost = 10 ** 6
+        monkeypatch.setattr(relations, "_SPARSE_AXIOM2_COST", cost)
         rng = np.random.default_rng(5)
         for nfa in [gen_fixture("fig2"), gen_separation_family(9),
                     random_automaton(30, 3, 4, 1), word_trie(40, 2)]:
+            src, lab, dst, _ = relations._label_major(nfa)
             base = max_colex_relation(nfa)
             for rel in (base, corrupted(base, rng, 0.2), Relation(nfa.n_states)):
-                assert (_sparse_axiom2_cells(nfa, rel.bits)
-                        == scan_cells_reference(nfa, rel)[1])
+                own = scan_items_reference(nfa, rel) + scan_cells_reference(nfa, rel)[1]
+                budget = cost * own
+                assert _sparse_first_edge_pair(rel.bits, src, dst, lab, budget) is not False
+                assert _sparse_first_edge_pair(rel.bits, src, dst, lab, budget - 1) is False
 
     def test_memory_is_bounded_on_a_dense_user_relation(self, monkeypatch):
         # A relation with a tenth of the pairs related on a one-label
@@ -772,12 +802,16 @@ def labelled_apart(n):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Names of the axiom-2 scans run, in order, and the counts taken."""
+    """Names of the axiom-2 scans run, in order, and of the sparse scan's
+    index built (``_related_pairs``); a sparse scan that declines is not
+    named."""
     ran = []
-    for name in ("_sparse_first_edge_pair", "_first_edge_pair", "_sparse_axiom2_cells"):
+    for name in ("_sparse_first_edge_pair", "_first_edge_pair", "_related_pairs"):
         def record(*args, _real=getattr(relations, name), _name=name):
-            ran.append(_name)
-            return _real(*args)
+            got = _real(*args)
+            if got is not False:
+                ran.append(_name)
+            return got
         monkeypatch.setattr(relations, name, record)
     return ran
 
@@ -787,14 +821,14 @@ class TestScanChoice:
         (50, 3, 4), (71, 2, 3), (100, 2, 2), (141, 4, 6), (200, 2, 2)])
     def test_sparse_on_random_automata(self, scans, n, sigma, degree):
         max_colex_relation(random_automaton(n, sigma, degree, 3))
-        assert set(scans) == {"_sparse_axiom2_cells", "_sparse_first_edge_pair"}
+        assert set(scans) == {"_related_pairs", "_sparse_first_edge_pair"}
 
     def test_sparse_at_a_thousand_states(self, scans):
         nfa = random_automaton(1000, 3, 6, 1)
         rel = max_colex_relation(nfa)
-        assert set(scans) == {"_sparse_axiom2_cells", "_sparse_first_edge_pair"}
-        mask_cells = scan_cells_reference(nfa, rel)[0]
-        assert _SPARSE_AXIOM2_COST * _sparse_axiom2_cells(nfa, rel.bits) * 100 < mask_cells
+        assert set(scans) == {"_related_pairs", "_sparse_first_edge_pair"}
+        mask_cells, cells = scan_cells_reference(nfa, rel)
+        assert _SPARSE_AXIOM2_COST * (scan_items_reference(nfa, rel) + cells) * 100 < mask_cells
 
     @pytest.mark.parametrize("make", [
         lambda: word_trie(271, 3), lambda: word_trie(271, 4, "abcd"),
@@ -803,7 +837,7 @@ class TestScanChoice:
         nfa = make()
         rel = max_colex_relation(nfa)
         assert rel.is_total()
-        assert set(scans) - {"_sparse_axiom2_cells"} == {"_first_edge_pair"}
+        assert set(scans) == {"_first_edge_pair"}
         dense, sparse = scan_cells_reference(nfa, rel)
         assert 2 * sparse < dense < 2.2 * sparse  # half the edge pairs, not fewer
 
@@ -834,6 +868,41 @@ class TestScanChoice:
         ids=["trie271", "trie-200-letters", "random-50-letters"])
     def test_no_count_where_it_costs_more_than_it_can_save(self, scans, make):
         max_colex_relation(make())
+        assert set(scans) == {"_first_edge_pair"}
+
+    @pytest.mark.parametrize("share, chosen", [
+        (1.0, {"_first_edge_pair"}), (0.1, {"_related_pairs", "_sparse_first_edge_pair"})])
+    def test_items_without_cells(self, scans, share, chosen):
+        # States 1..119 have four in-edges, all labelled by the state's
+        # parity, and a share of the pairs of states of different parity
+        # is related: no related pair has a common in-label, so the sparse
+        # scan has items and no cell.  Its items alone decide: with every
+        # such pair related they cost twice the masks' cells, and it
+        # declines before listing the pairs; with a tenth, it runs.
+        rng = np.random.default_rng(4)
+        edges = [(int(u), "ab"[v % 2], v) for v in range(1, 120)
+                 for u in rng.choice(v, size=min(v, 4), replace=False)]
+        nfa = Nfa(120, 0, edges)
+        parity = np.arange(120) % 2
+        rel = Relation.from_matrix((parity[:, None] != parity) & (rng.random((120, 120)) < share))
+        assert scan_cells_reference(nfa, rel)[1] == 0
+        assert _axiom2_violation(nfa, rel, "~") is None
+        assert set(scans) == chosen
+
+    def test_pairs_times_labels_decide(self, scans):
+        # A 300-state path on "a" with 99 one-edge labels beside it, and a
+        # twentieth of the path's pairs related: the sparse scan's items and
+        # cells cost less than the masks' 89500 cells, but its count of
+        # cells would take the pairs times 100 labels, and it declines
+        # before listing the pairs.
+        edges = [(i, "a", i + 1) for i in range(299)]
+        edges += [(0, f"l{i:02d}", 300 + i) for i in range(99)]
+        nfa = Nfa(399, 0, edges)
+        rng = np.random.default_rng(8)
+        bits = np.zeros((399, 399), bool)
+        bits[:300, :300] = rng.random((300, 300)) < 0.05
+        rel = Relation.from_matrix(bits)
+        assert _axiom2_violation(nfa, rel, "<") == axiom2_reference(nfa, rel, "<")
         assert set(scans) == {"_first_edge_pair"}
 
 
