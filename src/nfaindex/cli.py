@@ -21,7 +21,13 @@ from .automaton import (
     parse_nfa,
     to_dot,
 )
-from .colex import cfs_order, cfs_width, compare_report, max_colex_relation
+from .colex import (
+    cfs_order,
+    cfs_width,
+    compare_report,
+    max_colex_relation,
+    max_colex_relation_from_quotient,
+)
 from .errors import (
     InternalInvariantViolation,
     InvalidParameter,
@@ -104,13 +110,20 @@ def _oracle_check(nfa: Nfa) -> None:
     # beyond their size guards.
     if nfa.n_states > MAX_BRUTE_STATES:
         return
-    if brute_coarsest_fs(nfa) != coarsest_fs_partition(nfa):
+    partition = coarsest_fs_partition(nfa)
+    if brute_coarsest_fs(nfa) != partition:
         raise InternalInvariantViolation(
             "coarsest forward-stable partition disagrees with exhaustive search")
     rel = max_colex_relation(nfa)
-    if brute_max_colex_relation(nfa) != rel:
+    brute = brute_max_colex_relation(nfa)
+    if brute != rel:
         raise InternalInvariantViolation(
             "maximum co-lex relation disagrees with exhaustive search")
+    # analyze derives the relation from the quotient's order when the
+    # partition merges states; a discrete one's quotient is the automaton.
+    if partition.n_blocks < nfa.n_states and brute != max_colex_relation_from_quotient(nfa):
+        raise InternalInvariantViolation(
+            "maximum co-lex relation from the quotient disagrees with exhaustive search")
     if brute_width(rel) != width(rel).width:
         raise InternalInvariantViolation("relation width disagrees with exhaustive search")
     if brute_width(cfs_order(nfa)[0]) != cfs_width(nfa).width:

@@ -50,8 +50,42 @@ contains the maximum co-lex relation, has at most its width, and never
 has more classes; ``compare_report`` cross-checks those guarantees,
 raising InternalInvariantViolation on any discrepancy.  When the partition
 is discrete the quotient is the automaton itself, so the order on the
-blocks is the maximum co-lex relation (reused when already computed) and
-its own lift; whenever the two relations are equal the width is reused.
+blocks is the maximum co-lex relation and its own lift; whenever the two
+relations are equal the width is reused.
+
+``compare_report`` (and ``max_colex_relation_from_quotient``) run the
+propagation once, on the quotient Q, and derive the automaton's maximum
+co-lex relation from Q's order by the quotient route: the mark matrix
+starts as the complement of the lift L of that order, every distinct pair
+of states in one block with two or more (predecessor block, label) codes
+is marked too, and push rounds run from those within-block pairs alone.
+Every member of a forward-stable block holds all of the block's codes, so
+a block's codes are its in-edges in Q.  The result is the maximum co-lex
+relation, by three facts about the marked pairs M of the automaton:
+
+1. Every pair outside L is marked, as L contains the maximum co-lex
+   relation; such a pair lies in two blocks.  The members of a block
+   share their incoming labels, so an axiom-1 seed in two blocks projects
+   onto a seed of Q and lies outside L.  An a-successor pair (x, y) in two
+   blocks of a pair (u, v) outside L lies outside L too: were (beta(x),
+   beta(y)) in Q's order, Q's axiom 2 would put (beta(u), beta(v)) there.
+2. Every distinct pair (x, y) of a block with two codes is marked.  With
+   two labels it is an axiom-1 seed, the highest label into x being above
+   the lowest into y.  With codes (B, a) and (C, a), B != C, x and y each
+   have a-predecessors in both B and C, and one of (B, C) and (C, B) lies
+   outside the antisymmetric order, so one of x's and y's predecessor
+   pairs lies outside L and is marked by fact 1.  An a-successor (x, y),
+   in one block, of a pair (u, v) in two blocks gives that block the two
+   codes (beta(u), a) and (beta(v), a): it is seeded too.
+3. A pair in a block with one code (B, a) has all its predecessor pairs
+   inside B, so it is marked exactly when one of them is; the push carries
+   those marks.  With no block of two codes nothing inside a block is
+   marked, and the relation is L itself.
+
+So the marked set holds every axiom-1 seed and is closed under
+successors, and each of its pairs is marked in the automaton: it is M,
+and a pair in two blocks is marked exactly when it lies outside L.  The
+result gets the self-check of ``max_colex_relation``.
 """
 
 from __future__ import annotations
@@ -86,6 +120,9 @@ _CHUNK = 1 << 12
 # Running count of out-edges of the frontier pairs' first states at which a
 # push batch is cut; a pair whose first state has more makes its batch.
 _FANOUT = 1 << 16
+# Cells of the quotient route's seed matrix handed to one push: at the
+# dense limit their indices take at most half the push's n*n int32 array.
+_SEED_CELLS = 1 << 22
 
 
 def _edge_table(nfa: Nfa) -> tuple[np.ndarray, np.ndarray]:
@@ -244,6 +281,12 @@ def max_colex_relation(nfa: Nfa) -> Relation:
 
     rel = Relation.from_matrix(~bad)
     del bad, flat, deg, ptr
+    return _checked(nfa, rel)
+
+
+def _checked(nfa: Nfa, rel: Relation) -> Relation:
+    """``rel``, found transitive and to satisfy both co-lex axioms: the
+    self-check of either route to the maximum co-lex relation."""
     witness = rel.transitivity_witness()
     if witness is not None:
         raise InternalInvariantViolation(
@@ -253,6 +296,40 @@ def max_colex_relation(nfa: Nfa) -> Relation:
         raise InternalInvariantViolation(
             f"maximum co-lex relation fails its own axioms: {viol}")
     return rel
+
+
+def _from_quotient(nfa: Nfa, qm: QuotientMap, lifted: Relation) -> Relation:
+    """The maximum co-lex relation of ``nfa`` from ``lifted``, the order of
+    the forward-stable quotient lifted to the states, by the quotient route
+    of the module docstring, self-checked."""
+    partition = qm.partition
+    beta, k = partition.block_array, partition.n_blocks
+    split = (np.bincount(qm.quotient.dst, minlength=k) > 1)[beta]
+    if not split.any():  # fact 3 alone: no pair inside a block is marked
+        return _checked(nfa, lifted)
+    n = nfa.n_states
+    # The states of a block with two codes share its number as key; every
+    # other state has a key of its own.
+    key = np.where(split, beta, np.arange(k, k + n))
+    seed = key[:, None] == key[None, :]
+    np.fill_diagonal(seed, False)
+    bad = seed | ~lifted.bits
+    # A pair pushes nothing unless both of its states have out-edges.
+    out = np.diff(nfa.out_start) > 0
+    seed &= out[:, None]
+    seed &= out[None, :]
+    # The fixpoint is unique, so the seeds may be pushed a row block at a
+    # time; each block's 8-byte pair indices stay small.  The push marks
+    # ``bad`` through this flat view: were ``bad`` column-major, reshape
+    # would return a copy and the marks would be lost.
+    flat = bad.reshape(-1)
+    assert flat.base is bad
+    deg, ptr = _edge_table(nfa)
+    rows = max(1, _SEED_CELLS // n)
+    for r in range(0, n, rows):
+        _push(nfa, flat, np.flatnonzero(seed[r:r + rows]) + r * n, deg, ptr)
+    del seed, flat, deg, ptr
+    return _checked(nfa, Relation.from_matrix(np.logical_not(bad, out=bad)))
 
 
 def max_colex_order(nfa: Nfa) -> Relation | None:
@@ -291,16 +368,14 @@ def cfs_width(nfa: Nfa) -> WidthCertificate:
     return width(_fs_order(qm)).spliced(qm.partition)
 
 
-def _fs_order(qm: QuotientMap, rel_r: Relation | None = None) -> Relation:
+def _fs_order(qm: QuotientMap) -> Relation:
     """The forward-stable preorder on the blocks of ``qm``, checked
-    antisymmetric: the maximum co-lex relation of the quotient, or ``rel_r``
-    when given and the quotient is the automaton itself."""
-    if rel_r is None or qm.quotient is not qm.source:
-        rel_r = max_colex_relation(qm.quotient)
-    if not rel_r.is_antisymmetric():
+    antisymmetric: the maximum co-lex relation of the quotient."""
+    order = max_colex_relation(qm.quotient)
+    if not order.is_antisymmetric():
         raise InternalInvariantViolation(
             "maximum co-lex relation of the forward-stable quotient is not antisymmetric")
-    return rel_r
+    return order
 
 
 def _lifted(order: Relation, qm: QuotientMap) -> Relation:
@@ -309,7 +384,7 @@ def _lifted(order: Relation, qm: QuotientMap) -> Relation:
     if qm.quotient is qm.source:
         return order
     beta = qm.partition.block_array
-    return Relation.from_matrix(order.bits[beta[:, None], beta[None, :]])
+    return Relation.from_matrix(order.bits[beta][:, beta])
 
 
 def _quasi_wheeler(nfa: Nfa, rel_fs: Relation) -> bool:
@@ -351,25 +426,44 @@ class CompareReport:
         return asdict(self)
 
 
+def _quotient_route(nfa: Nfa) -> tuple[QuotientMap, Relation, Relation, Relation]:
+    """The forward-stable quotient map, the order on its blocks, that order
+    lifted to the states, and the maximum co-lex relation derived from it.
+    Raises TooLarge, before the partition is refined, above MAX_DENSE_STATES
+    states."""
+    _require_dense(nfa.n_states, "the maximum co-lex relation")
+    qm = build_quotient(nfa, coarsest_fs_partition(nfa))
+    order = _fs_order(qm)
+    lifted = _lifted(order, qm)
+    rel_r = lifted if qm.quotient is nfa else _from_quotient(nfa, qm, lifted)
+    return qm, order, lifted, rel_r
+
+
+def max_colex_relation_from_quotient(nfa: Nfa) -> Relation:
+    """``max_colex_relation(nfa)`` by the quotient route of the module
+    docstring: the propagation runs on the forward-stable quotient alone,
+    and the result gets max_colex_relation's self-check."""
+    return _quotient_route(nfa)[3]
+
+
 def compare_report(nfa: Nfa) -> CompareReport:
     """Evaluate both constructions and cross-check the guaranteed inequalities.
 
-    The lifted forward-stable preorder must contain the maximum co-lex
-    relation, have no more classes and no larger width, and coincide with
-    it exactly when the two class partitions coincide.  Any failed
-    guarantee raises InternalInvariantViolation.
+    The maximum co-lex relation is derived from the quotient's order by the
+    quotient route of the module docstring, so the propagation runs once,
+    on the quotient.  The lifted forward-stable preorder must contain the
+    maximum co-lex relation, have no more classes and no larger width, and
+    coincide with it exactly when the two class partitions coincide.  Any
+    failed guarantee raises InternalInvariantViolation.
     """
-    rel_r = max_colex_relation(nfa)
-    qm = build_quotient(nfa, coarsest_fs_partition(nfa))
+    qm, order, lifted, rel_r = _quotient_route(nfa)
     partition = qm.partition
-    order = _fs_order(qm, rel_r)
-    lifted = _lifted(order, qm).bits
     classes_r = induced_equivalence(rel_r)
     width_r = width(rel_r).width
-    same = bool(np.array_equal(rel_r.bits, lifted))
+    same = bool(np.array_equal(rel_r.bits, lifted.bits))
     # The preorder's classes are the blocks: its width is width(order).
     width_fs = width_r if same else width(order).width
-    superset = not (rel_r.bits & ~lifted).any()
+    superset = not (rel_r.bits & ~lifted.bits).any()
     report = CompareReport(
         n_states=nfa.n_states,
         classes_R=classes_r.n_blocks,

@@ -36,6 +36,7 @@ input that is already rejected.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -75,6 +76,12 @@ class Relation:
     """
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
+        if isinstance(n, bool):
+            raise ValidationError(f"relation size {n!r} is not an integer")
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValidationError(f"relation size {n!r} is not an integer") from None
         if n < 0:
             raise ValidationError(f"relation size {n} is negative")
         pairs = list(pairs)
@@ -86,6 +93,9 @@ class Relation:
             raise ValidationError("relation items must be (u, v) pairs of states")
         if ids.size and ids.dtype.kind not in "biu":  # numpy would truncate or parse
             raise TypeError(f"relation pairs must hold integers, got {ids.dtype}")
+        for x in (x for pair in pairs for x in pair):  # numpy reads a bool as 0 or 1
+            if isinstance(x, (bool, np.bool_)):
+                raise ValidationError(f"relation member {x!r} is not an integer")
         ids = ids.astype(np.intp).reshape(len(pairs), 2)
         outside = ((ids < 0) | (ids >= n)).any(axis=1)
         if outside.any():
@@ -100,7 +110,9 @@ class Relation:
 
     @classmethod
     def from_matrix(cls, bits: np.ndarray) -> "Relation":
-        m = np.array(bits, dtype=bool)
+        # Row-major whatever the input's layout, so that a flat view of the
+        # matrix, or of an array computed from it, needs no copy.
+        m = np.array(bits, dtype=bool, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SizeMismatch(f"expected a square matrix, got shape {m.shape}")
         np.fill_diagonal(m, True)

@@ -81,6 +81,35 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "--fixture", "wheeler3", "--oracle")
         assert code == 0
 
+    @pytest.mark.parametrize("fixture", ["fig2", "sep:8", "wheeler3"])
+    def test_oracle_checks_the_relation_from_the_quotient(self, capsys, monkeypatch, fixture):
+        # The relation analyze prints is derived from the quotient's order
+        # when the partition merges states: the oracle compares that one too.
+        seen = []
+
+        def wrong(nfa):
+            seen.append(nfa.n_states)
+            return Relation(nfa.n_states)
+
+        monkeypatch.setattr(cli, "max_colex_relation_from_quotient", wrong)
+        code, out, err = run(capsys, "analyze", "--fixture", fixture, "--oracle")
+        assert code == 3 and out == ""
+        assert err == ("internal invariant violation: maximum co-lex relation "
+                       "from the quotient disagrees with exhaustive search\n")
+        assert len(seen) == 1
+
+    def test_oracle_skips_the_quotient_route_of_a_discrete_partition(
+            self, capsys, monkeypatch, tmp_path):
+        def never(nfa):
+            raise AssertionError("quotient route on a discrete partition")
+
+        monkeypatch.setattr(cli, "max_colex_relation_from_quotient", never)
+        path = tmp_path / "path.nfa"
+        path.write_text(Nfa(6, 0, [(i, "a", i + 1) for i in range(5)]).serialize())
+        code, out, err = run(capsys, "analyze", str(path), "--oracle")
+        assert code == 0 and err == ""
+        assert json.loads(out)["classes_FS"] == 6
+
     def test_missing_file_is_io_error(self, capsys):
         code, out, err = run(capsys, "analyze", "missing.nfa")
         assert code == 2 and out == "" and "i/o error" in err
@@ -243,6 +272,14 @@ class TestDenseLimit:
         code, out, err = run(capsys, "cfs", comb_path)
         assert code == 1 and out == ""
         assert err == (f"error: the forward-stable preorder is stored densely "
+                       f"and is limited to {MAX_DENSE_STATES} states, got 90001\n")
+
+    def test_analyze(self, capsys, comb_path, no_dense_allocation):
+        # The quotient route refines the partition before any relation is
+        # built: the limit is checked first.
+        code, out, err = run(capsys, "analyze", comb_path)
+        assert code == 1 and out == ""
+        assert err == (f"error: the maximum co-lex relation is stored densely "
                        f"and is limited to {MAX_DENSE_STATES} states, got 90001\n")
 
     def test_width_of_forward_stable_order_is_taken_on_the_quotient(

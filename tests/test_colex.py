@@ -22,6 +22,7 @@ from nfaindex import (
     check_colex_order,
     check_colex_relation,
     check_wheeler_preorder,
+    coarsest_fs_partition,
     compare_report,
     gen_fixture,
     gen_random,
@@ -569,6 +570,179 @@ class TestSourceDistances:
                             assert phi[up] == phi[u] - 1
 
 
+def quotient_route(nfa):
+    """The quotient map, the lifted order and the relation derived from it,
+    with the number of (predecessor block, label) codes of each block."""
+    qm, _, lifted, rel = colex._quotient_route(nfa)
+    codes = np.bincount(qm.quotient.dst, minlength=qm.partition.n_blocks)
+    return qm, lifted, rel, codes.tolist()
+
+
+def quotient_route_table():
+    """Automata whose forward-stable partition merges states: seeded
+    gen_random and random_automaton shapes, sep:5 .. sep:120 and combs."""
+    table = [gen_random(n, sigma, density, seed)
+             for n in (6, 10, 15, 30, 60) for sigma in (1, 2, 3)
+             for density in (0.05, 0.15) for seed in range(8)]
+    rng = random.Random(11)
+    table += [random_automaton(rng.randint(10, 200), 1 + seed % 4, 1 + seed % 3, seed)
+              for seed in range(150)]
+    table += [gen_separation_family(n) for n in range(5, 121)]
+    table += [comb(k, length) for k in (2, 3, 7) for length in (1, 4, 25)]
+    return [nfa for nfa in table
+            if coarsest_fs_partition(nfa).n_blocks < nfa.n_states]
+
+
+class TestQuotientRoute:
+    """The maximum co-lex relation derived from the forward-stable
+    quotient's order: the lift, within-block seeds of the blocks with two
+    codes, and a push from those seeds alone."""
+
+    def test_matches_the_propagation_on_the_automaton(self):
+        table = quotient_route_table()
+        assert len(table) >= 250
+        split = 0
+        for nfa in table:
+            _, lifted, rel, codes = quotient_route(nfa)
+            assert rel == max_colex_relation(nfa), nfa
+            split += max(codes) > 1
+            if max(codes) < 2:
+                assert rel is lifted
+        assert split >= 150
+
+    def test_small_automata_match_exhaustive_search(self):
+        merged = split = 0
+        for seed in range(600):
+            n = 3 + seed % 6
+            if seed % 3:
+                nfa = random_automaton(n, 1 + seed % 3, 1 + seed % 5 // 4, seed)
+            else:
+                nfa = gen_random(n, 1 + seed % 2, 0.15 + 0.05 * (seed % 4), seed)
+            if coarsest_fs_partition(nfa).n_blocks == nfa.n_states:
+                continue
+            _, _, rel, codes = quotient_route(nfa)
+            assert rel == brute_max_colex_relation(nfa), seed
+            merged += 1
+            split += max(codes) > 1
+        assert merged >= 60 and split >= 20
+
+    def test_block_with_two_labels(self):
+        # x and y are both entered on a and on b from s: each pair is an
+        # axiom-1 seed inside the block.
+        nfa = Nfa(3, 0, [(0, "a", 1), (0, "b", 1), (0, "a", 2), (0, "b", 2)],
+                  names=["s", "x", "y"])
+        qm, lifted, rel, codes = quotient_route(nfa)
+        assert qm.partition.blocks == ((0,), (1, 2)) and codes == [0, 2]
+        assert lifted.contains(1, 2) and lifted.contains(2, 1)
+        assert not rel.contains(1, 2) and not rel.contains(2, 1)
+        assert rel == brute_max_colex_relation(nfa)
+
+    def test_block_with_two_predecessor_blocks(self):
+        # x and y are entered on a from both p < q: (q, p) lies outside the
+        # order, so each of (x, y) and (y, x) has a predecessor pair outside
+        # the lift.
+        nfa = Nfa(5, 0, [(0, "a", 1), (0, "b", 2), (1, "a", 3), (2, "a", 3),
+                         (1, "a", 4), (2, "a", 4)], names=["s", "p", "q", "x", "y"])
+        qm, lifted, rel, codes = quotient_route(nfa)
+        assert qm.partition.blocks == ((0,), (1,), (2,), (3, 4)) and codes == [0, 1, 1, 2]
+        assert nfa.lambda_set(3) == nfa.lambda_set(4) == {"a"}
+        assert not rel.contains(3, 4) and not rel.contains(4, 3)
+        assert rel.contains(1, 2) and rel.contains(1, 3)
+        assert rel == brute_max_colex_relation(nfa)
+
+    def test_block_marked_only_through_the_push(self, monkeypatch):
+        # x2 and y2 have the one code (block of x and y, c); their pairs are
+        # marked because (x, y) and (y, x) are, which the push carries.
+        nfa = Nfa(5, 0, [(0, "a", 1), (0, "b", 1), (0, "a", 2), (0, "b", 2),
+                         (1, "c", 3), (2, "c", 4)], names=["s", "x", "y", "x2", "y2"])
+        qm, lifted, rel, codes = quotient_route(nfa)
+        assert qm.partition.blocks == ((0,), (1, 2), (3, 4)) and codes == [0, 2, 1]
+        assert not rel.contains(3, 4) and not rel.contains(4, 3)
+        assert rel == brute_max_colex_relation(nfa)
+        monkeypatch.setattr(colex, "_push", lambda *args: None)
+        with pytest.raises(InternalInvariantViolation, match="fails its own axioms"):
+            colex.max_colex_relation_from_quotient(nfa)
+
+    def test_blocks_whose_pairs_stay_related(self, branches):
+        # {x, y} and {z, w} each have one code whose predecessor block holds
+        # no marked pair; {p, q} has two labels.  Only its own pairs are
+        # marked, and the push from them finds nothing.
+        nfa = Nfa(7, 0, [(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 4),
+                         (0, "c", 5), (0, "d", 5), (0, "c", 6), (0, "d", 6)],
+                  names=["s", "x", "y", "z", "w", "p", "q"])
+        qm, lifted, rel, codes = quotient_route(nfa)
+        assert qm.partition.blocks == ((0,), (1, 2), (3, 4), (5, 6))
+        assert codes == [0, 1, 1, 2]
+        assert all(rel.contains(u, v) for u, v in [(1, 2), (2, 1), (3, 4), (4, 3)])
+        assert not rel.contains(5, 6) and not rel.contains(6, 5)
+        assert len(branches["pushed"]) == 2  # the quotient's, then the seeds'
+        assert branches["pushed"][1] == 0
+        assert rel == brute_max_colex_relation(nfa)
+
+    @pytest.mark.parametrize("k", [3, 1000])
+    def test_push_from_a_large_block(self, k):
+        # p < q both enter k middles on a, and each middle has a c-edge to a
+        # leaf of its own: the leaves' pairs are marked only by the push from
+        # the middles' pairs.  At 2003 states the lift's gathered matrix was
+        # column-major, and the push marked a copy of the mark matrix.
+        edges = [(0, "a", 1), (0, "b", 2)]
+        for i in range(k):
+            edges += [(1, "a", 3 + i), (2, "a", 3 + i), (3 + i, "c", 3 + k + i)]
+        nfa = Nfa(3 + 2 * k, 0, edges)
+        qm, lifted, rel, codes = quotient_route(nfa)
+        assert codes == [0, 1, 1, 2, 1]
+        assert rel.bits.flags.c_contiguous and lifted.bits.flags.c_contiguous
+        assert rel == max_colex_relation(nfa)
+        leaves = rel.bits[3 + k:, 3 + k:]
+        assert leaves.sum() == k  # the diagonal alone
+
+    @pytest.mark.parametrize("cells", [1, 50])
+    def test_seeds_pushed_a_few_rows_at_a_time(self, monkeypatch, cells):
+        monkeypatch.setattr(colex, "_SEED_CELLS", cells)
+        for nfa in quotient_route_table()[::4]:
+            assert quotient_route(nfa)[2] == max_colex_relation(nfa)
+
+    def test_without_a_block_of_two_codes_the_lift_is_the_relation(self, branches):
+        # A comb's chains merge depth by depth, each block with one code:
+        # nothing inside a block is marked or pushed.
+        nfa = comb(4, 6)
+        qm, lifted, rel, codes = quotient_route(nfa)
+        assert qm.partition.n_blocks == 7 and codes == [0] + [1] * 6
+        assert rel is lifted and len(branches["pushed"]) == 1
+        assert rel == max_colex_relation(nfa)
+
+    def test_sinks_of_the_separation_family_are_not_pushed(self, branches):
+        # sep:n's n - 4 sinks form one block entered on a from u2 and u3:
+        # all their pairs are marked, and none has an out-edge to push.
+        nfa = gen_separation_family(1024)
+        qm, lifted, rel, codes = quotient_route(nfa)
+        assert codes == [0, 1, 1, 1, 2]
+        assert branches["pushed"] == [branches["pushed"][0], 0]
+        assert rel == max_colex_relation(nfa)
+
+    def test_is_self_checked(self, monkeypatch):
+        # sep:8's quotient has 5 states: only the derived relation is broken.
+        nfa = gen_separation_family(8)
+        real = Relation.transitivity_witness
+        monkeypatch.setattr(Relation, "transitivity_witness",
+                            lambda rel: (0, 1, 2) if rel.n == 8 else real(rel))
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"maximum co-lex relation is not transitive, witness \(0, 1, 2\)"):
+            colex.max_colex_relation_from_quotient(nfa)
+        monkeypatch.undo()
+        monkeypatch.setattr(colex, "check_colex_relation", lambda _, rel: (rel.n < 8, "broken"))
+        with pytest.raises(InternalInvariantViolation,
+                           match="maximum co-lex relation fails its own axioms: broken"):
+            colex.max_colex_relation_from_quotient(nfa)
+
+    def test_state_limit_is_checked_before_refinement(self, no_dense_allocation):
+        limit = MAX_DENSE_STATES
+        path = Nfa(limit + 1, 0, [(i, "a", i + 1) for i in range(limit)])
+        for fn in (compare_report, colex.max_colex_relation_from_quotient):
+            with pytest.raises(TooLarge, match=f"maximum co-lex relation .* got {limit + 1}"):
+                fn(path)
+
+
 class TestCompareReport:
     def test_separation_ten(self):
         rep = compare_report(gen_separation_family(10)).to_json_dict()
@@ -621,8 +795,10 @@ class TestCompareReport:
         assert (rep.classes_R, rep.classes_FS, rep.width_R, rep.width_FS) == (6, 6, 1, 1)
         assert rep.max_order_exists and rep.quasi_wheeler
         calls.clear()
+        # fig2 merges into a 4-state quotient; the automaton's relation is
+        # derived from the quotient's order
         compare_report(gen_fixture("fig2"))
-        assert calls == [7, 4]  # fig2 merges into a 4-state quotient
+        assert calls == [4]
 
     def test_transitivity_is_checked_once_per_max_relation(self, products):
         nfa = gen_random(60, 3, 0.02, 4)
@@ -631,9 +807,10 @@ class TestCompareReport:
         assert products == [nfa.n_states]
         products.clear()
         compare_report(gen_fixture("fig2"))
-        # the automaton's and the quotient's relation; the width of the
-        # forward-stable preorder is taken on the quotient's order
-        assert products == [7, 4]
+        # the quotient's relation, then the automaton's, derived from it;
+        # the width of the forward-stable preorder is taken on the
+        # quotient's order
+        assert products == [4, 7]
 
     def test_equal_relations_share_one_width(self, products):
         # A width taken of a lifted order would check its transitivity:
@@ -641,17 +818,17 @@ class TestCompareReport:
         # wheeler3 merges u2 and u3, and both orders relate them alike
         rep = compare_report(gen_fixture("wheeler3"))
         assert (rep.classes_R, rep.classes_FS) == (2, 2)
-        assert products == [3, 2]
+        assert products == [2, 3]
         nfa = random_automaton(100, 2, 2, 1)
         rel_fs, qm = cfs_order(nfa)
         assert qm.partition.n_blocks < nfa.n_states
         assert rel_fs == max_colex_relation(nfa)
         products.clear()
         compare_report(nfa)
-        assert products == [100, qm.partition.n_blocks]
+        assert products == [qm.partition.n_blocks, 100]
         products.clear()
         compare_report(gen_fixture("fig2"))  # 6 classes against 4 blocks
-        assert products == [7, 4]
+        assert products == [4, 7]
 
     @given(seed=st.integers(0, 400))
     @settings(max_examples=60, deadline=None)

@@ -97,6 +97,25 @@ class TestRelation:
             Relation(-1)
         assert str(err.value) == "relation size -1 is negative"
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ValidationError) as err:
+            Relation(n)
+        assert str(err.value) == f"relation size {n!r} is not an integer"
+
+    @pytest.mark.parametrize("pairs,member", [
+        ([(True, 1)], "True"), ([(0, 1), (1, False)], "False"),
+        ([(True, False)], "True"), ([(np.True_, 1)], "np.True_")])
+    def test_bool_member(self, pairs, member):
+        # numpy would read (True, 1) as the pair (1, 1)
+        with pytest.raises(ValidationError) as err:
+            Relation(2, pairs)
+        assert str(err.value) == f"relation member {member} is not an integer"
+
+    def test_integer_like_size(self):
+        rel = Relation(np.int64(3), [(np.int64(0), 2)])
+        assert rel.n == 3 and type(rel.n) is int and rel.pairs() == [(0, 2)]
+
     def test_from_matrix_requires_square(self):
         with pytest.raises(SizeMismatch):
             Relation.from_matrix(np.zeros((2, 3), dtype=bool))
