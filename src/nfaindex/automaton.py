@@ -97,6 +97,17 @@ def _check_token(tok: str, what: str) -> str:
     return tok
 
 
+def _integer(x, message: str) -> int:
+    """``x`` as an int; a bool, or a value with no integer meaning, raises
+    ValidationError(message.format(x))."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValidationError(message.format(x))
+
+
 def _lex_order(major: np.ndarray, minor: np.ndarray, major_span: int, span: int) -> np.ndarray:
     """Stable order of the pairs (major[i], minor[i]), 0 <= major <
     major_span and 0 <= minor < span, by one int64 key when it fits."""
@@ -227,21 +238,10 @@ class Nfa:
         names: Iterable[str] | None = None,
         alphabet: Iterable[str] | None = None,
     ):
-        if isinstance(n_states, bool):
-            raise ValidationError(f"number of states {n_states!r} is not an integer")
-        try:
-            n_states = operator.index(n_states)
-        except TypeError:
-            raise ValidationError(
-                f"number of states {n_states!r} is not an integer") from None
+        n_states = _integer(n_states, "number of states {!r} is not an integer")
         if n_states < 1:
             raise ValidationError("an automaton needs at least one state")
-        if isinstance(initial, bool):
-            raise ValidationError(f"initial state {initial!r} is not an integer id")
-        try:
-            initial = operator.index(initial)
-        except TypeError:
-            raise ValidationError(f"initial state {initial!r} is not an integer id") from None
+        initial = _integer(initial, "initial state {!r} is not an integer id")
         if not 0 <= initial < n_states:
             raise ValidationError(f"initial state {initial} out of range")
         if names is None:

@@ -26,37 +26,44 @@ cell whose source pair is marked, then drops the cells whose target pair
 is now marked.  The seed leaves a pair (x, y) of a-successors unmarked only
 when a is both the highest label into x and the lowest into y, so the list
 is built from those edges alone, in time proportional to its length.
-Before anything is built, exact counts of these cells and of the candidates
-a push of the seed would expand, O(m log m) each for m edges, choose the
-first round: a pull only when the cells are fewer.  Pulling goes on while
-the list is shorter than the push candidates of the pairs the last round
-marked; once a round pushes, the list is dropped and every later round
-pushes.  A dense seed, where most pairs are out of order, is thus settled
-by looking at the few unmarked pairs' incoming edges instead of the many
-marked pairs' outgoing ones, while sparse seeds (unary paths, tries,
-combs) never build the list.  The fixpoint is unique, so the direction
-never changes the result.  Memory is the n*n mark matrix, the push's n*n
-int32 index array, the table (16 bytes per state and label; every other
-count is taken per edge), 8 bytes per cell, 4 bytes per frontier pair and
-batches cut on the running count of frontier pairs, of their first states'
-out-edges and of candidates.
+Before anything is built, exact counts of these cells, S0, and of the P0
+candidates a push of the seed would expand, O(m log m) each for m edges,
+choose the first round: a pull only when S0 < P0.  Pulling goes on while
+each round leaves at most half of the list, and ends when a round drops
+no cell, having marked nothing; a round that leaves more hands off: the
+pairs it marked, sorted once, are pushed from then on and the list is
+dropped.  The rounds thus look at fewer than 2*S0 cells in all, below
+2*P0 (the geometric bound of the partition refinement's doubling rounds),
+so no shape is bounded worse than by pushing alone.  A dense seed, where
+most pairs are out of order, is settled by looking at the few unmarked
+pairs' incoming edges instead of the many marked pairs' outgoing ones,
+while sparse seeds (unary paths, tries, combs) never build the list.  The
+fixpoint is unique, so the direction never changes the result.  Memory is
+the n*n mark matrix, the push's n*n int32 index array, the table (16 bytes
+per state and label; every other count is taken per edge), 8 bytes per
+cell, 4 bytes per frontier pair and batches cut on the running count of
+frontier pairs, of their first states' out-edges and of candidates.
 
 ``cfs_order`` is the maximum co-lex order of the quotient by the coarsest
 forward-stable partition, lifted to the states: a preorder whose classes
 are the blocks.  ``cfs_order``, ``cfs_width`` and ``compare_report`` take
 the order on the blocks from one helper; ``cfs_width`` splices the blocks
-into its certificate, the other two lift it to n*n.  The preorder always
-contains the maximum co-lex relation, has at most its width, and never
-has more classes; ``compare_report`` cross-checks those guarantees,
-raising InternalInvariantViolation on any discrepancy.  When the partition
-is discrete the quotient is the automaton itself, so the order on the
-blocks is the maximum co-lex relation and its own lift; whenever the two
-relations are equal the width is reused.
+into its certificate and ``cfs_order`` lifts it to n*n.  The preorder
+always contains the maximum co-lex relation, has at most its width, and
+never has more classes.  ``compare_report`` takes containment and
+equality from the quotient route below, which marks pairs out of the lift
+and returns the lift itself exactly when the two are equal; it
+cross-checks the classes and widths, raising InternalInvariantViolation on
+any discrepancy.  When the partition is discrete the quotient is the
+automaton itself, so the order on the blocks is the maximum co-lex
+relation and its own lift; whenever the two relations are equal the width
+is reused.
 
 ``compare_report`` (and ``max_colex_relation_from_quotient``) run the
 propagation once, on the quotient Q, and derive the automaton's maximum
 co-lex relation from Q's order by the quotient route: the mark matrix
-starts as the complement of the lift L of that order, every distinct pair
+starts as the complement of the lift L of that order, gathered in one
+pass from the complement of the order on the blocks, every distinct pair
 of states in one block with two or more (predecessor block, label) codes
 is marked too, and push rounds run from those within-block pairs alone.
 Every member of a forward-stable block holds all of the block's codes, so
@@ -79,8 +86,10 @@ relation, by three facts about the marked pairs M of the automaton:
    codes (beta(u), a) and (beta(v), a): it is seeded too.
 3. A pair in a block with one code (B, a) has all its predecessor pairs
    inside B, so it is marked exactly when one of them is; the push carries
-   those marks.  With no block of two codes nothing inside a block is
-   marked, and the relation is L itself.
+   those marks.  With no block of two states and two codes nothing inside
+   a block is marked, and the relation is L itself, which the route then
+   returns without building the marks; with one, that block's pairs lie in
+   L and are marked, so the two differ.
 
 So the marked set holds every axiom-1 seed and is closed under
 successors, and each of its pairs is marked in the automaton: it is M,
@@ -101,14 +110,15 @@ from .fs_partition import QuotientMap, build_quotient, coarsest_fs_partition
 # colex.PairGraph.successors, so its --trace 1 pass needs the name here.
 from .oracle import PairGraph
 from .relations import (
+    _BLOCK_CELLS,
     _EDGE_PAIR_CELLS,
     Relation,
     WidthCertificate,
+    _label_major,
     _require_dense,
     _spread,
     check_colex_relation,
     induced_equivalence,
-    label_edges,
     width,
 )
 
@@ -120,9 +130,6 @@ _CHUNK = 1 << 12
 # Running count of out-edges of the frontier pairs' first states at which a
 # push batch is cut; a pair whose first state has more makes its batch.
 _FANOUT = 1 << 16
-# Cells of the quotient route's seed matrix handed to one push: at the
-# dense limit their indices take at most half the push's n*n int32 array.
-_SEED_CELLS = 1 << 22
 
 
 def _edge_table(nfa: Nfa) -> tuple[np.ndarray, np.ndarray]:
@@ -172,9 +179,11 @@ def _pull_cells(nfa: Nfa, hi: np.ndarray, lo: np.ndarray,
     pre = np.empty(size, dtype=np.int32)
     post = np.empty(size, dtype=np.int32)
     filled = 0
-    for rank, (src, dst) in enumerate(label_edges(nfa), 1):
-        rows, cols = hi[dst] == rank, lo[dst] == rank
-        rs, rd, cs, cd = src[rows] * n, dst[rows], src[cols], dst[cols]
+    src, _, dst, ends = _label_major(nfa)
+    for rank, (b, e) in enumerate(zip(ends, ends[1:]), 1):
+        s, t = src[b:e], dst[b:e]
+        rows, cols = hi[t] == rank, lo[t] == rank
+        rs, rd, cs, cd = s[rows] * n, t[rows], s[cols], t[cols]
         step = max(1, _EDGE_PAIR_CELLS // max(1, len(cd)))
         for r in range(0, len(rd), step):
             d = rd[r:r + step, None]
@@ -187,30 +196,23 @@ def _pull_cells(nfa: Nfa, hi: np.ndarray, lo: np.ndarray,
 
 
 def _pull(nfa: Nfa, flat: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-          size: int, deg: np.ndarray) -> np.ndarray:
+          size: int) -> np.ndarray:
     """Pull rounds over the cell list, as the module docstring describes;
     returns the frontier left to push."""
-    n = nfa.n_states
     pre, post = _pull_cells(nfa, hi, lo, size)
-    while True:
+    while len(pre):
         flat[post[flat[pre]]] = True
         # The cells' target pairs were all unmarked, so the dropped cells
         # lead to exactly the pairs this round marked.
         drop = flat[post]
-        new = np.sort(post[drop])
-        frontier = new[np.diff(new, prepend=-1) != 0]
+        dropped = int(np.count_nonzero(drop))
+        if not dropped:
+            break
+        if 2 * dropped < len(pre):
+            return np.unique(post[drop])
         keep = ~drop
         pre, post = pre[keep], post[keep]
-        if not len(frontier) or not len(pre):
-            return frontier[:0]
-        u, v = np.divmod(frontier, n)
-        pushed = 0
-        for d in deg.reshape(n, -1).T:
-            pushed += int(np.dot(d[u], d[v]))
-            if pushed > len(pre):
-                break
-        else:
-            return frontier
+    return post[:0]
 
 
 def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray,
@@ -275,9 +277,10 @@ def max_colex_relation(nfa: Nfa) -> Relation:
     deg, ptr = _edge_table(nfa)
     cells, pushed = _round0_costs(nfa, hi, lo, deg)
     if cells < pushed:
-        _push(nfa, flat, _pull(nfa, flat, hi, lo, cells, deg), deg, ptr)
+        frontier = _pull(nfa, flat, hi, lo, cells)
     else:
-        _push(nfa, flat, np.flatnonzero(flat), deg, ptr)
+        frontier = np.flatnonzero(flat)
+    _push(nfa, flat, frontier, deg, ptr)
 
     rel = Relation.from_matrix(~bad)
     del bad, flat, deg, ptr
@@ -298,38 +301,44 @@ def _checked(nfa: Nfa, rel: Relation) -> Relation:
     return rel
 
 
-def _from_quotient(nfa: Nfa, qm: QuotientMap, lifted: Relation) -> Relation:
-    """The maximum co-lex relation of ``nfa`` from ``lifted``, the order of
-    the forward-stable quotient lifted to the states, by the quotient route
-    of the module docstring, self-checked."""
-    partition = qm.partition
-    beta, k = partition.block_array, partition.n_blocks
-    split = (np.bincount(qm.quotient.dst, minlength=k) > 1)[beta]
-    if not split.any():  # fact 3 alone: no pair inside a block is marked
-        return _checked(nfa, lifted)
-    n = nfa.n_states
-    # The states of a block with two codes share its number as key; every
-    # other state has a key of its own.
-    key = np.where(split, beta, np.arange(k, k + n))
-    seed = key[:, None] == key[None, :]
-    np.fill_diagonal(seed, False)
-    bad = seed | ~lifted.bits
-    # A pair pushes nothing unless both of its states have out-edges.
-    out = np.diff(nfa.out_start) > 0
-    seed &= out[:, None]
-    seed &= out[None, :]
-    # The fixpoint is unique, so the seeds may be pushed a row block at a
-    # time; each block's 8-byte pair indices stay small.  The push marks
-    # ``bad`` through this flat view: were ``bad`` column-major, reshape
-    # would return a copy and the marks would be lost.
+def _from_quotient(nfa: Nfa, qm: QuotientMap, order: Relation,
+                   split: np.ndarray) -> Relation:
+    """The maximum co-lex relation of ``nfa`` from ``order``, the order on
+    the blocks of the forward-stable quotient, by the quotient route of the
+    module docstring, self-checked; ``split`` flags the blocks of two or
+    more states with two codes."""
+    n, beta = nfa.n_states, qm.partition.block_array
+    # Marked: the pairs outside the lifted order, and those inside a block
+    # of ``split`` (off the diagonal).
+    marks = np.logical_not(order.bits)
+    idx = np.flatnonzero(split)
+    marks[idx, idx] = True
+    bad = marks[np.ix_(beta, beta)]
+    del marks
+    np.fill_diagonal(bad, False)
+    # The push marks ``bad`` through this flat view: were ``bad``
+    # column-major, reshape would return a copy and the marks would be lost.
     flat = bad.reshape(-1)
     assert flat.base is bad
-    deg, ptr = _edge_table(nfa)
-    rows = max(1, _SEED_CELLS // n)
-    for r in range(0, n, rows):
-        _push(nfa, flat, np.flatnonzero(seed[r:r + rows]) + r * n, deg, ptr)
-    del seed, flat, deg, ptr
-    return _checked(nfa, Relation.from_matrix(np.logical_not(bad, out=bad)))
+    # A pair pushes nothing unless both of its states have out-edges.  The
+    # states of a block of ``split`` with out-edges share its number as key;
+    # every other state has a key of its own.
+    live = split[beta] & (np.diff(nfa.out_start) > 0)
+    if live.any():
+        key = np.where(live, beta, np.arange(len(split), len(split) + n))
+        deg, ptr = _edge_table(nfa)
+        # The fixpoint is unique, so the seeds may be pushed a row block at
+        # a time; each block's 8-byte pair indices stay small.  The flat
+        # indices of the diagonal are the multiples of n + 1.
+        rows = max(1, _BLOCK_CELLS // n)
+        for r in range(0, n, rows):
+            seed = np.flatnonzero(key[r:r + rows, None] == key) + r * n
+            _push(nfa, flat, seed[seed % (n + 1) != 0], deg, ptr)
+        del seed, deg, ptr
+    # from_matrix copies: the marks are freed before the self-check.
+    rel = Relation.from_matrix(np.logical_not(bad, out=bad))
+    del bad, flat
+    return _checked(nfa, rel)
 
 
 def max_colex_order(nfa: Nfa) -> Relation | None:
@@ -426,17 +435,24 @@ class CompareReport:
         return asdict(self)
 
 
-def _quotient_route(nfa: Nfa) -> tuple[QuotientMap, Relation, Relation, Relation]:
+def _quotient_route(nfa: Nfa) -> tuple[QuotientMap, Relation, Relation | None, Relation]:
     """The forward-stable quotient map, the order on its blocks, that order
-    lifted to the states, and the maximum co-lex relation derived from it.
-    Raises TooLarge, before the partition is refined, above MAX_DENSE_STATES
-    states."""
+    lifted to the states when it is the maximum co-lex relation (else None:
+    the lift is not built), and the maximum co-lex relation derived from it.
+    Raises TooLarge, before the partition is refined, above
+    MAX_DENSE_STATES states."""
     _require_dense(nfa.n_states, "the maximum co-lex relation")
     qm = build_quotient(nfa, coarsest_fs_partition(nfa))
     order = _fs_order(qm)
+    beta, k = qm.partition.block_array, qm.partition.n_blocks
+    split = ((np.bincount(qm.quotient.dst, minlength=k) > 1)
+             & (np.bincount(beta, minlength=k) > 1))
+    if split.any():
+        return qm, order, None, _from_quotient(nfa, qm, order, split)
+    # Fact 3 alone: no pair inside a block is marked.  A discrete
+    # partition's lift is the order itself, checked already.
     lifted = _lifted(order, qm)
-    rel_r = lifted if qm.quotient is nfa else _from_quotient(nfa, qm, lifted)
-    return qm, order, lifted, rel_r
+    return qm, order, lifted, lifted if qm.quotient is nfa else _checked(nfa, lifted)
 
 
 def max_colex_relation_from_quotient(nfa: Nfa) -> Relation:
@@ -451,32 +467,31 @@ def compare_report(nfa: Nfa) -> CompareReport:
 
     The maximum co-lex relation is derived from the quotient's order by the
     quotient route of the module docstring, so the propagation runs once,
-    on the quotient.  The lifted forward-stable preorder must contain the
-    maximum co-lex relation, have no more classes and no larger width, and
-    coincide with it exactly when the two class partitions coincide.  Any
-    failed guarantee raises InternalInvariantViolation.
+    on the quotient.  The route builds that relation inside the lifted
+    forward-stable preorder and returns the lift itself exactly when the
+    two are equal, so containment holds by construction and equality is
+    read off the route.  The preorder must have no more classes and no
+    larger width, and equal the relation exactly when the two class
+    partitions coincide.  Any failed guarantee raises
+    InternalInvariantViolation.
     """
     qm, order, lifted, rel_r = _quotient_route(nfa)
     partition = qm.partition
     classes_r = induced_equivalence(rel_r)
     width_r = width(rel_r).width
-    same = bool(np.array_equal(rel_r.bits, lifted.bits))
+    same = rel_r is lifted
     # The preorder's classes are the blocks: its width is width(order).
     width_fs = width_r if same else width(order).width
-    superset = not (rel_r.bits & ~lifted.bits).any()
     report = CompareReport(
         n_states=nfa.n_states,
         classes_R=classes_r.n_blocks,
         classes_FS=partition.n_blocks,
         width_R=width_r,
         width_FS=width_fs,
-        superset_holds=superset,
+        superset_holds=True,
         quasi_wheeler=_quasi_wheeler(nfa, order),
         max_order_exists=rel_r.is_antisymmetric(),
     )
-    if not superset:
-        raise InternalInvariantViolation(
-            "forward-stable preorder does not contain the maximum co-lex relation")
     if report.classes_FS > report.classes_R:
         raise InternalInvariantViolation(
             f"forward-stable construction has more classes "

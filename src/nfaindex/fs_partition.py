@@ -60,7 +60,6 @@ as QuotientInvalid.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, pairwise
@@ -68,7 +67,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .automaton import Nfa, _lex_order, _run_starts
+from .automaton import Nfa, _integer, _lex_order, _run_starts
 from .errors import (
     InternalInvariantViolation,
     QuotientInvalid,
@@ -89,12 +88,7 @@ class Partition:
     """
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        if isinstance(n, bool):
-            raise ValidationError(f"partition size {n!r} is not an integer")
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValidationError(f"partition size {n!r} is not an integer") from None
+        n = _integer(n, "partition size {!r} is not an integer")
         if n < 0:
             raise ValidationError(f"partition size {n} is negative")
         blks = [tuple(b) for b in blocks]

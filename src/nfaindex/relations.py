@@ -36,14 +36,13 @@ input that is already rejected.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .automaton import Nfa
+from .automaton import Nfa, _integer
 from .errors import (
     InternalInvariantViolation,
     NotPreorder,
@@ -76,12 +75,7 @@ class Relation:
     """
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
-        if isinstance(n, bool):
-            raise ValidationError(f"relation size {n!r} is not an integer")
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValidationError(f"relation size {n!r} is not an integer") from None
+        n = _integer(n, "relation size {!r} is not an integer")
         if n < 0:
             raise ValidationError(f"relation size {n} is negative")
         pairs = list(pairs)
@@ -484,13 +478,6 @@ def _label_major(nfa: Nfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int
     lab = nfa.lab[order]
     ends = np.searchsorted(lab, np.arange(len(nfa.alphabet) + 1)).tolist()
     return nfa.src[order], lab, nfa.dst[order], ends
-
-
-def label_edges(nfa: Nfa) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per label in alphabet order, its edges as (sources, targets) arrays
-    sorted by source, then target."""
-    src, _, dst, ends = _label_major(nfa)
-    return [(src[b:e], dst[b:e]) for b, e in zip(ends, ends[1:])]
 
 
 def _first_hit(mask: np.ndarray) -> tuple[int, int] | None:

@@ -185,6 +185,15 @@ def random_automaton(n, sigma, degree, seed):
     return Nfa(n, 0, sorted(edges))
 
 
+def dense_head_unary_tail(tail=100):
+    """random_automaton(120, 4, 6, 0), whose seed marks most pairs, with a
+    path of ``tail`` states on its lowest label hanging off state 1."""
+    head = random_automaton(120, 4, 6, 0)
+    path = [1, *range(120, 120 + tail)]
+    edges = list(head.transitions) + [(u, "l00", v) for u, v in zip(path, path[1:])]
+    return Nfa(120 + tail, 0, edges)
+
+
 def unary_path(n):
     return Nfa(n, 0, [(i, "a", i + 1) for i in range(n - 1)])
 
@@ -260,14 +269,24 @@ def edge_pair_counts(nfa):
 
 @pytest.fixture
 def branches(monkeypatch):
-    """Records whether the pull's cell list was built, and the size of each
-    frontier handed to the push rounds."""
-    seen = {"cells": 0, "pushed": []}
+    """Records whether the pull's cell list was built, the length of the
+    list in each pull round, and the size of each frontier handed to the
+    push rounds."""
+    seen = {"cells": 0, "lists": [], "pushed": []}
     real_cells, real_push = colex._pull_cells, colex._push
+
+    class Cells(np.ndarray):
+        # The cells' source pairs: each cut of the list records its length.
+        def __getitem__(self, key):
+            kept = super().__getitem__(key)
+            seen["lists"].append(len(kept))
+            return kept
 
     def cells(*args):
         seen["cells"] += 1
-        return real_cells(*args)
+        pre, post = real_cells(*args)
+        seen["lists"].append(len(pre))
+        return pre.view(Cells), post
 
     def push(nfa, flat, frontier, *table):
         seen["pushed"].append(len(frontier))
@@ -284,19 +303,38 @@ class TestPushPull:
         (lambda: random_automaton(120, 4, 6, 0), True, False),
         # a pull round first, then push rounds from the pairs it marked
         (lambda: random_automaton(100, 2, 2, 1), True, True),
+        # one pull round, then push rounds down the tail
+        (lambda: dense_head_unary_tail(), True, True),
         # sparse seeds never build the cell list
         (lambda: unary_path(1000), False, True),
         (lambda: word_trie(270, 2), False, True),
         (lambda: gen_separation_family(600), False, True),
         (lambda: word_trie(1000, 3, [f"l{i:03d}" for i in range(200)]), False, True),
-    ], ids=["pull-throughout", "pull-then-push", "path1000", "trie270", "sep600",
-            "trie1000-200-letters"])
+    ], ids=["pull-throughout", "pull-then-push", "head-tail", "path1000", "trie270",
+            "sep600", "trie1000-200-letters"])
     def test_each_branch_matches_push_only_propagation(
             self, branches, make, pulls, pushes):
         nfa = make()
         rel = max_colex_relation(nfa)
         assert branches["cells"] == pulls
         assert [k > 0 for k in branches["pushed"]] == [pushes]
+        assert np.array_equal(rel.bits, push_only_reference(nfa))
+        # Each round pulls from at most half the list of the round before,
+        # so the pull looks at no more than twice the first round's cells.
+        lists = branches["lists"]
+        assert all(2 * b <= a for a, b in zip(lists, lists[1:]))
+        assert sum(lists) <= 2 * lists[0] if pulls else not lists
+
+    def test_a_round_that_leaves_most_cells_hands_off(self, branches):
+        # The head's seed marks most pairs; the tail's pairs are marked one
+        # step down the tail per round, so the first round drops few of the
+        # tail's cells and its marks are pushed from then on.
+        nfa = dense_head_unary_tail()
+        hi, lo = nfa.label_bounds
+        cells, pushed = colex._round0_costs(nfa, hi, lo, colex._edge_table(nfa)[0])
+        assert cells < pushed
+        rel = max_colex_relation(nfa)
+        assert branches["lists"] == [cells] and branches["pushed"][0] > 0
         assert np.array_equal(rel.bits, push_only_reference(nfa))
 
     @pytest.mark.parametrize("make", [
@@ -572,8 +610,11 @@ class TestSourceDistances:
 
 def quotient_route(nfa):
     """The quotient map, the lifted order and the relation derived from it,
-    with the number of (predecessor block, label) codes of each block."""
-    qm, _, lifted, rel = colex._quotient_route(nfa)
+    with the number of (predecessor block, label) codes of each block.  The
+    lift is the route's own when it returns one, else built here."""
+    qm, order, lifted, rel = colex._quotient_route(nfa)
+    if lifted is None:
+        lifted = colex._lifted(order, qm)
     codes = np.bincount(qm.quotient.dst, minlength=qm.partition.n_blocks)
     return qm, lifted, rel, codes.tolist()
 
@@ -666,7 +707,7 @@ class TestQuotientRoute:
     def test_blocks_whose_pairs_stay_related(self, branches):
         # {x, y} and {z, w} each have one code whose predecessor block holds
         # no marked pair; {p, q} has two labels.  Only its own pairs are
-        # marked, and the push from them finds nothing.
+        # marked, and with no out-edges they are not pushed.
         nfa = Nfa(7, 0, [(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 4),
                          (0, "c", 5), (0, "d", 5), (0, "c", 6), (0, "d", 6)],
                   names=["s", "x", "y", "z", "w", "p", "q"])
@@ -675,8 +716,7 @@ class TestQuotientRoute:
         assert codes == [0, 1, 1, 2]
         assert all(rel.contains(u, v) for u, v in [(1, 2), (2, 1), (3, 4), (4, 3)])
         assert not rel.contains(5, 6) and not rel.contains(6, 5)
-        assert len(branches["pushed"]) == 2  # the quotient's, then the seeds'
-        assert branches["pushed"][1] == 0
+        assert len(branches["pushed"]) == 1  # the quotient's alone
         assert rel == brute_max_colex_relation(nfa)
 
     @pytest.mark.parametrize("k", [3, 1000])
@@ -698,7 +738,7 @@ class TestQuotientRoute:
 
     @pytest.mark.parametrize("cells", [1, 50])
     def test_seeds_pushed_a_few_rows_at_a_time(self, monkeypatch, cells):
-        monkeypatch.setattr(colex, "_SEED_CELLS", cells)
+        monkeypatch.setattr(colex, "_BLOCK_CELLS", cells)
         for nfa in quotient_route_table()[::4]:
             assert quotient_route(nfa)[2] == max_colex_relation(nfa)
 
@@ -717,8 +757,33 @@ class TestQuotientRoute:
         nfa = gen_separation_family(1024)
         qm, lifted, rel, codes = quotient_route(nfa)
         assert codes == [0, 1, 1, 1, 2]
-        assert branches["pushed"] == [branches["pushed"][0], 0]
+        assert len(branches["pushed"]) == 1  # the quotient's alone
         assert rel == max_colex_relation(nfa)
+
+    def test_returns_the_lift_exactly_when_it_is_the_relation(self):
+        # z is a block of its own entered on a from p and from q, which lie
+        # in two blocks: it has two codes and no pair to mark.
+        one = Nfa(6, 0, [(0, "a", 1), (0, "b", 2), (1, "a", 3), (2, "a", 3),
+                         (0, "c", 4), (0, "c", 5)], names=["s", "p", "q", "z", "x", "y"])
+        table = [one, gen_fixture("fig2"), gen_fixture("wheeler3")]
+        table += [gen_separation_family(n) for n in range(5, 13)]
+        table += [comb(k, length) for k in (2, 3, 7) for length in (1, 4, 25)]
+        table += [gen_random(n, sigma, density, seed) for n in (6, 12, 25, 50)
+                  for sigma in (1, 2, 3) for density in (0.05, 0.15) for seed in range(5)]
+        rng = random.Random(29)
+        table += [random_automaton(rng.randint(10, 100), 1 + seed % 4, 1 + seed % 3, seed)
+                  for seed in range(80)]
+        kinds = {"discrete": 0, "lift": 0, "derived": 0}
+        for nfa in table:
+            qm, order, lifted, rel = colex._quotient_route(nfa)
+            full = colex._lifted(order, qm)
+            assert (rel is lifted) == np.array_equal(rel.bits, full.bits), nfa
+            assert not (rel.bits & ~full.bits).any(), nfa
+            assert rel == max_colex_relation(nfa)
+            kinds["discrete" if qm.quotient is nfa else "lift" if rel is lifted else "derived"] += 1
+        assert min(kinds.values()) >= 10, kinds
+        qm, _, lifted, rel = colex._quotient_route(one)
+        assert qm.partition.blocks == ((0,), (1,), (2,), (3,), (4, 5)) and rel is lifted
 
     def test_is_self_checked(self, monkeypatch):
         # sep:8's quotient has 5 states: only the derived relation is broken.
