@@ -365,6 +365,18 @@ class Nfa:
         lo.setflags(write=False)
         return hi, lo
 
+    @cached_property
+    def _label_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+        """The edges' sources, labels and targets, label by label in alphabet
+        order and each label's sorted by source, then target, with the offsets
+        where each label's edges start and, last, their number."""
+        order = np.argsort(self.lab, kind="stable")
+        edges = self.src[order], self.lab[order], self.dst[order]
+        for arr in edges:
+            arr.setflags(write=False)
+        ends = np.searchsorted(edges[1], np.arange(len(self.alphabet) + 1))
+        return (*edges, tuple(ends.tolist()))
+
     # -- queries ---------------------------------------------------------
 
     def targets(self, u: int, a: str) -> tuple[int, ...]:

@@ -5,12 +5,17 @@ Two constructions are provided and compared.  ``max_colex_relation``
 computes the union of all co-lex relations of an automaton, which is
 always a preorder: a distinct pair (u, v) belongs to it exactly when no
 pair of equally labelled paths into u and v passes through a pair of
-states whose incoming-label sets are out of order.  That characterization
-is implemented by seeding the label-violating pairs from per-state
-incoming-label ranks and propagating "badness" forward through the pair
-graph to a fixpoint.  Propagation runs on numpy arrays and picks a
-direction per round, as direction-optimising breadth-first search does
-(Beamer, Asanovic and Patterson, SC 2012).
+states whose incoming-label sets are out of order.  One fixpoint
+implements that characterization: an n*n mark matrix starts from pairs
+known to lie outside the relation, "badness" is propagated forward
+through the pair graph from frontiers of marked pairs until nothing more
+is marked, and the unmarked pairs, with the diagonal, form the relation.
+Two sources feed it marks and frontiers: ``max_colex_relation`` seeds the
+label-violating pairs from per-state incoming-label ranks, and the
+quotient route below starts from the forward-stable quotient's order.
+Propagation runs on numpy arrays and picks a direction per round, as
+direction-optimising breadth-first search does (Beamer, Asanovic and
+Patterson, SC 2012).
 
 A push round expands only the pairs marked in the round before: each
 out-edge u -a-> x of a pair (u, v) looks up the count and first offset of
@@ -60,12 +65,13 @@ relation and its own lift; whenever the two relations are equal the width
 is reused.
 
 ``compare_report`` (and ``max_colex_relation_from_quotient``) run the
-propagation once, on the quotient Q, and derive the automaton's maximum
-co-lex relation from Q's order by the quotient route: the mark matrix
-starts as the complement of the lift L of that order, gathered in one
-pass from the complement of the order on the blocks, every distinct pair
-of states in one block with two or more (predecessor block, label) codes
-is marked too, and push rounds run from those within-block pairs alone.
+label seed's propagation once, on the quotient Q, and derive the
+automaton's maximum co-lex relation from Q's order by the quotient route:
+the mark matrix starts as the complement of the lift L of that order,
+gathered in one pass from the complement of the order on the blocks,
+every distinct pair of states in one block with two or more (predecessor
+block, label) codes is marked too, and the fixpoint pushes those
+within-block pairs alone, a block of rows at a time.
 Every member of a forward-stable block holds all of the block's codes, so
 a block's codes are its in-edges in Q.  The result is the maximum co-lex
 relation, by three facts about the marked pairs M of the automaton:
@@ -94,7 +100,7 @@ relation, by three facts about the marked pairs M of the automaton:
 So the marked set holds every axiom-1 seed and is closed under
 successors, and each of its pairs is marked in the automaton: it is M,
 and a pair in two blocks is marked exactly when it lies outside L.  The
-result gets the self-check of ``max_colex_relation``.
+fixpoint self-checks the result as it does the label seed's.
 """
 
 from __future__ import annotations
@@ -114,7 +120,6 @@ from .relations import (
     _EDGE_PAIR_CELLS,
     Relation,
     WidthCertificate,
-    _label_major,
     _require_dense,
     _spread,
     check_colex_relation,
@@ -179,7 +184,7 @@ def _pull_cells(nfa: Nfa, hi: np.ndarray, lo: np.ndarray,
     pre = np.empty(size, dtype=np.int32)
     post = np.empty(size, dtype=np.int32)
     filled = 0
-    src, _, dst, ends = _label_major(nfa)
+    src, _, dst, ends = nfa._label_major
     for rank, (b, e) in enumerate(zip(ends, ends[1:]), 1):
         s, t = src[b:e], dst[b:e]
         rows, cols = hi[t] == rank, lo[t] == rank
@@ -260,6 +265,29 @@ def _push(nfa: Nfa, flat: np.ndarray, frontier: np.ndarray,
         frontier = np.concatenate(found)
 
 
+def _fixpoint(nfa: Nfa, marks: np.ndarray, frontiers) -> Relation:
+    """The maximum co-lex relation from ``marks``, a row-major n*n matrix,
+    owned by the call, of pairs that lie outside it: the diagonal is
+    cleared, each frontier of ``frontiers(flat, deg)`` is pushed to the
+    fixpoint, and the pairs left unmarked form the result, self-checked.
+    ``flat`` is the marks' flat view, which a pull may mark, and ``deg``
+    is from _edge_table."""
+    np.fill_diagonal(marks, False)
+    # The push marks through this flat view: were ``marks`` column-major,
+    # reshape would return a copy and the marks would be lost.
+    flat = marks.reshape(-1)
+    assert flat.base is marks
+    deg, ptr = _edge_table(nfa)
+    for frontier in frontiers(flat, deg):
+        _push(nfa, flat, frontier, deg, ptr)
+        del frontier
+    del flat, deg, ptr
+    # from_matrix copies: the marks are freed before the self-check.
+    rel = Relation.from_matrix(np.logical_not(marks, out=marks))
+    del marks
+    return _checked(nfa, rel)
+
+
 def max_colex_relation(nfa: Nfa) -> Relation:
     """Union of all co-lex relations of the automaton; always a preorder.
 
@@ -268,23 +296,13 @@ def max_colex_relation(nfa: Nfa) -> Relation:
     co-lex axioms are re-verified before returning.  Raises TooLarge, before
     allocating anything, for automata of more than MAX_DENSE_STATES states.
     """
-    n = nfa.n_states
-    _require_dense(n, "the maximum co-lex relation")
+    _require_dense(nfa.n_states, "the maximum co-lex relation")
     hi, lo = nfa.label_bounds
-    bad = hi[:, None] > lo[None, :]
-    np.fill_diagonal(bad, False)
-    flat = bad.reshape(-1)
-    deg, ptr = _edge_table(nfa)
-    cells, pushed = _round0_costs(nfa, hi, lo, deg)
-    if cells < pushed:
-        frontier = _pull(nfa, flat, hi, lo, cells)
-    else:
-        frontier = np.flatnonzero(flat)
-    _push(nfa, flat, frontier, deg, ptr)
 
-    rel = Relation.from_matrix(~bad)
-    del bad, flat, deg, ptr
-    return _checked(nfa, rel)
+    def seeded(flat, deg):
+        cells, pushed = _round0_costs(nfa, hi, lo, deg)
+        return [_pull(nfa, flat, hi, lo, cells) if cells < pushed else np.flatnonzero(flat)]
+    return _fixpoint(nfa, hi[:, None] > lo[None, :], seeded)
 
 
 def _checked(nfa: Nfa, rel: Relation) -> Relation:
@@ -299,46 +317,6 @@ def _checked(nfa: Nfa, rel: Relation) -> Relation:
         raise InternalInvariantViolation(
             f"maximum co-lex relation fails its own axioms: {viol}")
     return rel
-
-
-def _from_quotient(nfa: Nfa, qm: QuotientMap, order: Relation,
-                   split: np.ndarray) -> Relation:
-    """The maximum co-lex relation of ``nfa`` from ``order``, the order on
-    the blocks of the forward-stable quotient, by the quotient route of the
-    module docstring, self-checked; ``split`` flags the blocks of two or
-    more states with two codes."""
-    n, beta = nfa.n_states, qm.partition.block_array
-    # Marked: the pairs outside the lifted order, and those inside a block
-    # of ``split`` (off the diagonal).
-    marks = np.logical_not(order.bits)
-    idx = np.flatnonzero(split)
-    marks[idx, idx] = True
-    bad = marks[np.ix_(beta, beta)]
-    del marks
-    np.fill_diagonal(bad, False)
-    # The push marks ``bad`` through this flat view: were ``bad``
-    # column-major, reshape would return a copy and the marks would be lost.
-    flat = bad.reshape(-1)
-    assert flat.base is bad
-    # A pair pushes nothing unless both of its states have out-edges.  The
-    # states of a block of ``split`` with out-edges share its number as key;
-    # every other state has a key of its own.
-    live = split[beta] & (np.diff(nfa.out_start) > 0)
-    if live.any():
-        key = np.where(live, beta, np.arange(len(split), len(split) + n))
-        deg, ptr = _edge_table(nfa)
-        # The fixpoint is unique, so the seeds may be pushed a row block at
-        # a time; each block's 8-byte pair indices stay small.  The flat
-        # indices of the diagonal are the multiples of n + 1.
-        rows = max(1, _BLOCK_CELLS // n)
-        for r in range(0, n, rows):
-            seed = np.flatnonzero(key[r:r + rows, None] == key) + r * n
-            _push(nfa, flat, seed[seed % (n + 1) != 0], deg, ptr)
-        del seed, deg, ptr
-    # from_matrix copies: the marks are freed before the self-check.
-    rel = Relation.from_matrix(np.logical_not(bad, out=bad))
-    del bad, flat
-    return _checked(nfa, rel)
 
 
 def max_colex_order(nfa: Nfa) -> Relation | None:
@@ -361,8 +339,8 @@ def cfs_order(nfa: Nfa) -> tuple[Relation, QuotientMap]:
     partition is refined.
     """
     _require_dense(nfa.n_states, "the forward-stable preorder")
-    qm = build_quotient(nfa, coarsest_fs_partition(nfa))
-    return _lifted(_fs_order(qm), qm), qm
+    qm, order = _fs_order(nfa)
+    return _lifted(order, qm), qm
 
 
 def cfs_width(nfa: Nfa) -> WidthCertificate:
@@ -372,19 +350,20 @@ def cfs_width(nfa: Nfa) -> WidthCertificate:
     of more than MAX_DENSE_STATES states raises TooLarge before its order
     is allocated.
     """
+    qm, order = _fs_order(nfa)
+    return width(order).spliced(qm.partition)
+
+
+def _fs_order(nfa: Nfa) -> tuple[QuotientMap, Relation]:
+    """The forward-stable quotient map and the preorder on its blocks,
+    checked antisymmetric: the maximum co-lex relation of the quotient."""
     qm = build_quotient(nfa, coarsest_fs_partition(nfa))
     _require_dense(qm.quotient.n_states, "the co-lex order of the forward-stable quotient")
-    return width(_fs_order(qm)).spliced(qm.partition)
-
-
-def _fs_order(qm: QuotientMap) -> Relation:
-    """The forward-stable preorder on the blocks of ``qm``, checked
-    antisymmetric: the maximum co-lex relation of the quotient."""
     order = max_colex_relation(qm.quotient)
     if not order.is_antisymmetric():
         raise InternalInvariantViolation(
             "maximum co-lex relation of the forward-stable quotient is not antisymmetric")
-    return order
+    return qm, order
 
 
 def _lifted(order: Relation, qm: QuotientMap) -> Relation:
@@ -435,31 +414,50 @@ class CompareReport:
         return asdict(self)
 
 
-def _quotient_route(nfa: Nfa) -> tuple[QuotientMap, Relation, Relation | None, Relation]:
-    """The forward-stable quotient map, the order on its blocks, that order
-    lifted to the states when it is the maximum co-lex relation (else None:
-    the lift is not built), and the maximum co-lex relation derived from it.
-    Raises TooLarge, before the partition is refined, above
+def _quotient_route(nfa: Nfa) -> tuple[QuotientMap, Relation, Relation, bool]:
+    """The forward-stable quotient map, the order on its blocks, the
+    maximum co-lex relation derived from it by the quotient route of the
+    module docstring, and whether that relation is the order lifted to the
+    states.  Raises TooLarge, before the partition is refined, above
     MAX_DENSE_STATES states."""
-    _require_dense(nfa.n_states, "the maximum co-lex relation")
-    qm = build_quotient(nfa, coarsest_fs_partition(nfa))
-    order = _fs_order(qm)
+    n = nfa.n_states
+    _require_dense(n, "the maximum co-lex relation")
+    qm, order = _fs_order(nfa)
     beta, k = qm.partition.block_array, qm.partition.n_blocks
     split = ((np.bincount(qm.quotient.dst, minlength=k) > 1)
              & (np.bincount(beta, minlength=k) > 1))
-    if split.any():
-        return qm, order, None, _from_quotient(nfa, qm, order, split)
-    # Fact 3 alone: no pair inside a block is marked.  A discrete
-    # partition's lift is the order itself, checked already.
-    lifted = _lifted(order, qm)
-    return qm, order, lifted, lifted if qm.quotient is nfa else _checked(nfa, lifted)
+    if not split.any():
+        # Fact 3 alone: no pair inside a block is marked.  A discrete
+        # partition's lift is the order itself, checked already.
+        lifted = _lifted(order, qm)
+        return qm, order, lifted if qm.quotient is nfa else _checked(nfa, lifted), True
+
+    def within_blocks(flat, deg):
+        # A pair pushes nothing unless both of its states have out-edges.
+        # The states of a block of ``split`` with out-edges share its number
+        # as key; every other state has a key of its own.
+        live = split[beta] & (np.diff(nfa.out_start) > 0)
+        if not live.any():
+            return
+        key = np.where(live, beta, np.arange(k, k + n))
+        # The fixpoint is unique, so the seeds may be pushed a row block at
+        # a time; each block's 8-byte pair indices stay small.  The flat
+        # indices of the diagonal are the multiples of n + 1.
+        rows = max(1, _BLOCK_CELLS // n)
+        for r in range(0, n, rows):
+            seed = np.flatnonzero(key[r:r + rows, None] == key) + r * n
+            yield seed[seed % (n + 1) != 0]
+    # Marked: the pairs outside the lifted order, and those inside a block
+    # of ``split``, whose own pair (b, b) is marked before the gather.
+    rel = _fixpoint(nfa, (np.diag(split) | ~order.bits)[np.ix_(beta, beta)], within_blocks)
+    return qm, order, rel, False
 
 
 def max_colex_relation_from_quotient(nfa: Nfa) -> Relation:
     """``max_colex_relation(nfa)`` by the quotient route of the module
     docstring: the propagation runs on the forward-stable quotient alone,
     and the result gets max_colex_relation's self-check."""
-    return _quotient_route(nfa)[3]
+    return _quotient_route(nfa)[2]
 
 
 def compare_report(nfa: Nfa) -> CompareReport:
@@ -475,11 +473,10 @@ def compare_report(nfa: Nfa) -> CompareReport:
     partitions coincide.  Any failed guarantee raises
     InternalInvariantViolation.
     """
-    qm, order, lifted, rel_r = _quotient_route(nfa)
+    qm, order, rel_r, same = _quotient_route(nfa)
     partition = qm.partition
     classes_r = induced_equivalence(rel_r)
     width_r = width(rel_r).width
-    same = rel_r is lifted
     # The preorder's classes are the blocks: its width is width(order).
     width_fs = width_r if same else width(order).width
     report = CompareReport(

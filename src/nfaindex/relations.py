@@ -470,16 +470,6 @@ def _check_size(nfa: Nfa, rel: Relation) -> None:
 _EDGE_PAIR_CELLS = 1 << 14
 
 
-def _label_major(nfa: Nfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """The edges' sources, labels and targets, label by label in alphabet
-    order and each label's sorted by source, then target, with the offsets
-    where each label's edges start and, last, their number."""
-    order = np.argsort(nfa.lab, kind="stable")
-    lab = nfa.lab[order]
-    ends = np.searchsorted(lab, np.arange(len(nfa.alphabet) + 1)).tolist()
-    return nfa.src[order], lab, nfa.dst[order], ends
-
-
 def _first_hit(mask: np.ndarray) -> tuple[int, int] | None:
     """Row-major first True cell of a 2-D mask, or None."""
     if not mask.any():  # also covers an empty mask, where argmax raises
@@ -593,7 +583,7 @@ def _axiom2_violation(nfa: Nfa, rel: Relation, strict_name: str) -> Violation | 
     # one pass.  A label with fewer than two edges has no pair with
     # distinct targets.  Hits are (i, j) over all edges, label by label.
     bits = rel.bits
-    src, lab, dst, ends = _label_major(nfa)
+    src, lab, dst, ends = nfa._label_major
     mask_cells = sum((e - b) ** 2 for b, e in zip(ends, ends[1:]))
     hit = _sparse_first_edge_pair(bits, src, dst, lab, mask_cells)
     if hit is False:

@@ -576,6 +576,28 @@ class TestTransitionArrays:
             == list(nfa.transitions)
 
 
+class TestLabelMajor:
+    @pytest.mark.parametrize("make", [
+        lambda: parse_nfa(FIG2_TEXT),
+        lambda: gen_fixture("wheeler3"),
+        lambda: gen_separation_family(9),
+        lambda: parse_nfa("initial s\ntrans s b y\ntrans s a x\ntrans x B y\n"
+                          "trans s a y\ntrans y b x\n"),
+        *[lambda seed=seed: gen_random(12, 3, 0.2, seed) for seed in range(5)],
+    ])
+    def test_is_a_stable_sort_by_label_read_once(self, make):
+        nfa = make()
+        src, lab, dst, ends = nfa._label_major
+        assert nfa._label_major is nfa._label_major
+        order = np.argsort(nfa.lab, kind="stable")
+        for got, column in zip((src, lab, dst), (nfa.src, nfa.lab, nfa.dst)):
+            assert np.array_equal(got, column[order]) and not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0
+        assert ends == tuple(np.searchsorted(lab, np.arange(len(nfa.alphabet) + 1)).tolist())
+        assert ends[0] == 0 and ends[-1] == len(lab)
+
+
 class TestLabels:
     def test_lambda_sets_fig2(self, fig2):
         lam = [set(fig2.lambda_set(u)) for u in range(7)]

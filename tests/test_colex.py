@@ -420,6 +420,44 @@ class TestPushPull:
         assert branches["cells"] == 1
 
 
+@pytest.fixture
+def tables(monkeypatch):
+    """The automata that colex._edge_table is called on, in call order."""
+    built = []
+    real = colex._edge_table
+
+    def edge_table(nfa):
+        built.append(nfa)
+        return real(nfa)
+    monkeypatch.setattr(colex, "_edge_table", edge_table)
+    return built
+
+
+class TestFixpoint:
+    """Both routes to the maximum co-lex relation push their frontiers
+    through one fixpoint, which builds the (state, label) table once."""
+
+    @pytest.mark.parametrize("make,pulls", [
+        (lambda: random_automaton(100, 2, 2, 1), True),
+        (lambda: word_trie(270, 2), False),
+    ], ids=["pull-then-push", "trie270"])
+    def test_direct_route_builds_the_table_once(self, branches, tables, make, pulls):
+        nfa = make()
+        assert max_colex_relation(nfa) == Relation.from_matrix(push_only_reference(nfa))
+        assert branches["cells"] == pulls and len(branches["pushed"]) == 1
+        assert tables == [nfa]
+
+    def test_derived_route_builds_the_table_once(self, monkeypatch, branches, tables):
+        # One row per row block: the automaton's 9 rows are pushed one by one,
+        # after the quotient's own push.
+        monkeypatch.setattr(colex, "_BLOCK_CELLS", 1)
+        nfa = large_block(3)
+        qm, _, rel, same = colex._quotient_route(nfa)
+        assert not same and len(branches["pushed"]) == 1 + nfa.n_states
+        assert tables == [qm.quotient, nfa]
+        assert rel == max_colex_relation(nfa)
+
+
 class TestMaxColexOrder:
     def test_exists_for_separation_family(self):
         for n in (5, 7, 12):
@@ -611,10 +649,10 @@ class TestSourceDistances:
 def quotient_route(nfa):
     """The quotient map, the lifted order and the relation derived from it,
     with the number of (predecessor block, label) codes of each block.  The
-    lift is the route's own when it returns one, else built here."""
-    qm, order, lifted, rel = colex._quotient_route(nfa)
-    if lifted is None:
-        lifted = colex._lifted(order, qm)
+    lift is the route's relation when the route says they are the same,
+    else built here."""
+    qm, order, rel, same = colex._quotient_route(nfa)
+    lifted = rel if same else colex._lifted(order, qm)
     codes = np.bincount(qm.quotient.dst, minlength=qm.partition.n_blocks)
     return qm, lifted, rel, codes.tolist()
 
@@ -632,6 +670,15 @@ def quotient_route_table():
     table += [comb(k, length) for k in (2, 3, 7) for length in (1, 4, 25)]
     return [nfa for nfa in table
             if coarsest_fs_partition(nfa).n_blocks < nfa.n_states]
+
+
+def large_block(k):
+    """p < q both enter k middles on a, and each middle has a c-edge to a
+    leaf of its own."""
+    edges = [(0, "a", 1), (0, "b", 2)]
+    for i in range(k):
+        edges += [(1, "a", 3 + i), (2, "a", 3 + i), (3 + i, "c", 3 + k + i)]
+    return Nfa(3 + 2 * k, 0, edges)
 
 
 class TestQuotientRoute:
@@ -721,14 +768,10 @@ class TestQuotientRoute:
 
     @pytest.mark.parametrize("k", [3, 1000])
     def test_push_from_a_large_block(self, k):
-        # p < q both enter k middles on a, and each middle has a c-edge to a
-        # leaf of its own: the leaves' pairs are marked only by the push from
-        # the middles' pairs.  At 2003 states the lift's gathered matrix was
-        # column-major, and the push marked a copy of the mark matrix.
-        edges = [(0, "a", 1), (0, "b", 2)]
-        for i in range(k):
-            edges += [(1, "a", 3 + i), (2, "a", 3 + i), (3 + i, "c", 3 + k + i)]
-        nfa = Nfa(3 + 2 * k, 0, edges)
+        # The leaves' pairs are marked only by the push from the middles'
+        # pairs.  At 2003 states the lift's gathered matrix was column-major,
+        # and the push marked a copy of the mark matrix.
+        nfa = large_block(k)
         qm, lifted, rel, codes = quotient_route(nfa)
         assert codes == [0, 1, 1, 2, 1]
         assert rel.bits.flags.c_contiguous and lifted.bits.flags.c_contiguous
@@ -775,15 +818,15 @@ class TestQuotientRoute:
                   for seed in range(80)]
         kinds = {"discrete": 0, "lift": 0, "derived": 0}
         for nfa in table:
-            qm, order, lifted, rel = colex._quotient_route(nfa)
+            qm, order, rel, same = colex._quotient_route(nfa)
             full = colex._lifted(order, qm)
-            assert (rel is lifted) == np.array_equal(rel.bits, full.bits), nfa
+            assert same == np.array_equal(rel.bits, full.bits), nfa
             assert not (rel.bits & ~full.bits).any(), nfa
             assert rel == max_colex_relation(nfa)
-            kinds["discrete" if qm.quotient is nfa else "lift" if rel is lifted else "derived"] += 1
+            kinds["discrete" if qm.quotient is nfa else "lift" if same else "derived"] += 1
         assert min(kinds.values()) >= 10, kinds
-        qm, _, lifted, rel = colex._quotient_route(one)
-        assert qm.partition.blocks == ((0,), (1,), (2,), (3,), (4, 5)) and rel is lifted
+        qm, _, _, same = colex._quotient_route(one)
+        assert qm.partition.blocks == ((0,), (1,), (2,), (3,), (4, 5)) and same
 
     def test_is_self_checked(self, monkeypatch):
         # sep:8's quotient has 5 states: only the derived relation is broken.

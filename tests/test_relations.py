@@ -759,7 +759,7 @@ class TestSparseScanMatchesMasks:
         rng = np.random.default_rng(5)
         for nfa in [gen_fixture("fig2"), gen_separation_family(9),
                     random_automaton(30, 3, 4, 1), word_trie(40, 2)]:
-            src, lab, dst, _ = relations._label_major(nfa)
+            src, lab, dst, _ = nfa._label_major
             base = max_colex_relation(nfa)
             for rel in (base, corrupted(base, rng, 0.2), Relation(nfa.n_states)):
                 own = scan_items_reference(nfa, rel) + scan_cells_reference(nfa, rel)[1]
