@@ -468,7 +468,8 @@ def compare_report(nfa: Nfa) -> CompareReport:
     on the quotient.  The route builds that relation inside the lifted
     forward-stable preorder and returns the lift itself exactly when the
     two are equal, so containment holds by construction and equality is
-    read off the route.  The preorder must have no more classes and no
+    read off the route; the width is then taken once, on the quotient's
+    order.  The preorder must have no more classes and no
     larger width, and equal the relation exactly when the two class
     partitions coincide.  Any failed guarantee raises
     InternalInvariantViolation.
@@ -476,9 +477,12 @@ def compare_report(nfa: Nfa) -> CompareReport:
     qm, order, rel_r, same = _quotient_route(nfa)
     partition = qm.partition
     classes_r = induced_equivalence(rel_r)
-    width_r = width(rel_r).width
-    # The preorder's classes are the blocks: its width is width(order).
-    width_fs = width_r if same else width(order).width
+    # The preorder's classes are the blocks, listed by least state as the
+    # quotient's states are: its order on them is ``order`` and its width is
+    # width(order), which is also the relation's when the route returned the
+    # lift.
+    width_fs = width(order).width
+    width_r = width_fs if same else width(rel_r).width
     report = CompareReport(
         n_states=nfa.n_states,
         classes_R=classes_r.n_blocks,

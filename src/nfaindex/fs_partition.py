@@ -22,28 +22,32 @@ refinement (Blom and Orzan, 2005): each round groups them by their sets
 of (predecessor block, label) pairs, a settled predecessor's block being
 final and the others' their blocks of the round before, the first round
 starting from one block.  Each round refines the one before it, and
-rounds go on while each at least doubles the number of blocks, so there
-are at most log2(n) + 1 of them, each one sort of the m edges into
-those states.  The coarsest partition refines every round's, so a round
-that leaves each of those states alone ends the refinement.  Otherwise
-they are refined by the algorithm of Paige and Tarjan (SIAM J. Comput.
-1987) on the label-wise reversed edges, with three-way splitting.
-Besides the partition being refined, a coarser partition of compound
-blocks is kept, and the fine partition is stable with respect to every
-compound block.  The last round's blocks are the fine partition,
-the blocks its pairs were taken over are the compound blocks, and each
-settled block is a compound block of its own; when the last round split
-nothing, no compound block holds two fine blocks and the partition is
-final.  Each step takes a compound block S holding at least two
-fine blocks, makes its smaller block B a compound block of its own, and
-for every label a splits the fine blocks by delta(B, a) and then by
-delta(B, a) minus delta(S - B, a).  The second set holds the states whose
-number of a-predecessors in B equals their number in S; these counts are
-kept per (state, label, compound block).  Each state carries the label
-of its fine block and each fine block a count of its states and a tuple
-of them; a split relabels the states it moves, and a tuple that still
-lists states which have left is cut down when its block is walked as B
-or holds over twice its count, so the tuples hold at most 2n states.  A
+rounds go on while each at least doubles the number of blocks or at
+least halves the number of states less blocks, the splits a discrete
+partition would still take.  Neither count can be doubled or halved more
+than log2(n) times, so there are at most 2*log2(n) + 1 rounds, each one
+sort of the m edges into those states; the second rule lets rounds
+finish a partition that is nearly discrete.  The coarsest partition
+refines every round's, so a round that leaves each of those states alone
+ends the refinement, and so does a round that splits no block: its
+blocks are then stable.  Otherwise the rounds stop at one that neither
+doubles nor halves, and the states are refined by the algorithm of Paige
+and Tarjan (SIAM J. Comput. 1987) on the label-wise reversed edges,
+with three-way splitting.  Besides the partition being refined, a
+coarser partition of compound blocks is kept, and the fine partition is
+stable with respect to every compound block.  The last round's blocks
+are the fine partition, the blocks its pairs were taken over are the
+compound blocks, and each settled block is a compound block of its own.
+Each step takes a compound block S holding at least two fine blocks,
+makes its smaller block B a compound block of its own, and for every
+label a splits the fine blocks by delta(B, a) and then by delta(B, a)
+minus delta(S - B, a).  The second set holds the states whose number of
+a-predecessors in B equals their number in S; these counts are kept per
+(state, label, compound block).  Each state carries the label of its
+fine block and each fine block a count of its states and a tuple of
+them; a split relabels the states it moves, and a tuple that still lists
+states which have left is cut down when its block is walked as B or
+holds over twice its count, so the tuples hold at most 2n states.  A
 state lies in a block taken as B at most log2(n) times, and each time
 only its out-edges are walked, so this part runs in O(m log n) for its m
 edges.  Neither the rounds nor the splitting walk an edge between two
@@ -243,9 +247,11 @@ def coarsest_fs_partition(nfa: Nfa) -> Partition:
     docstring: a topological pass settles the states with no cycle above
     them, in O(n + m) hash lookups.  The states below cycles are split by
     rounds of signature refinement while each round at least doubles the
-    blocks, at most log2(n) + 1 rounds of O(m log m), and Paige-Tarjan
-    refinement, in O(m log n), starts from the last two rounds' partitions;
-    a round that leaves each of those states alone is the last step.
+    blocks or at least halves the states less blocks, at most
+    2*log2(n) + 1 rounds of O(m log m), and Paige-Tarjan refinement, in
+    O(m log n), starts from the last two rounds' partitions; a round that
+    leaves each of those states alone, or splits no block, is the last
+    step.
     Forward stability of the result is re-verified by is_forward_stable
     before returning; a partition into singletons is stable by definition.
     """
@@ -316,11 +322,13 @@ def _refine(nfa: Nfa) -> np.ndarray:
     # round before; the first round starts from one block.  Equal codes over
     # finer blocks stay equal over coarser ones, so each round refines the
     # one before it.  Rounds go on while each at least doubles the number of
-    # blocks, at most log2(n) + 1 of them, and end when a round leaves every
-    # remaining state alone: the coarsest partition refines each round's, so
-    # it keeps them apart too.  No finished state has a remaining
-    # predecessor, so the splitters below never walk an edge of the finished
-    # part.
+    # blocks or at least halves the remaining states less blocks, at most
+    # 2*log2(n) + 1 of them, and end when a round leaves every remaining
+    # state alone, or splits no block: the coarsest partition refines each
+    # round's, so it keeps them apart too, and blocks that their own codes
+    # do not split are stable.  No finished state has a remaining
+    # predecessor, so the splitters below never walk an edge of the
+    # finished part.
     settled = len(ids) + 1
     rest = np.flatnonzero(beta < 0)
     into = np.flatnonzero(beta[nfa.dst] < 0)
@@ -335,10 +343,10 @@ def _refine(nfa: Nfa) -> np.ndarray:
         # Each remaining state has an in-edge, all of them in into, so the
         # distinct codes of the x-th remaining state are the x-th run of dst.
         fine, k_fine = _group_runs(dst[held], code[held])
-        if k_fine == len(rest):
+        if k_fine == len(rest) or k_fine == k:
             beta[rest] = settled + fine
             return beta
-        if k_fine < 2 * k:
+        if k_fine < 2 * k and 2 * (len(rest) - k_fine) > len(rest) - k:
             break
         group, k = fine, k_fine
 

@@ -750,7 +750,7 @@ def _class_order(rel: Relation, classes: Partition) -> Relation:
     if classes.n_blocks == rel.n:
         return rel
     reps = classes._members[classes._starts[:-1]]
-    return Relation.from_matrix(rel.bits[np.ix_(reps, reps)])
+    return Relation.from_matrix(rel.bits.take(reps, 0).take(reps, 1))
 
 
 @dataclass(frozen=True)
@@ -793,28 +793,41 @@ def _max_matching(rows: list[int]) -> tuple[list[int], list[int]]:
     """Kuhn's augmenting paths over the edges i -> j of the set bits j of
     rows[i]; returns (match_left, match_right), -1 = free.  Left vertices
     and the neighbours of each are tried in ascending order, so the
-    matching is deterministic."""
+    matching is deterministic.
+
+    A failed search changes nothing, and the right vertices it saw are all
+    matched, their partners' neighbours all seen: no later search before
+    the next augmentation finds a free vertex through them.  So the seen
+    set is carried over failed searches and cleared after an augmentation,
+    and a root with no unseen neighbour is skipped.  Each search then
+    meets its unseen vertices in the order a fresh search would, and finds
+    the same augmenting path: the matching is that of searches from
+    scratch."""
     m = len(rows)
     match_left = [-1] * m
     match_right = [-1] * m
+    everyone = unseen = (1 << m) - 1  # the seen set's complement
     for root in range(m):
+        if not rows[root] & unseen:
+            continue
         # Depth-first search on an explicit stack, immune to the recursion limit;
         # each neighbour tried is marked seen, so the lowest unseen one is next.
-        seen = 0
         stack, path = [root], []
         while stack:
-            untried = rows[stack[-1]] & ~seen
+            untried = rows[stack[-1]] & unseen
             if not untried:
                 stack.pop()
                 del path[-1:]  # the root was entered by no right vertex
                 continue
-            j = (untried & -untried).bit_length() - 1
-            seen |= 1 << j
+            low = untried & -untried
+            unseen ^= low
+            j = low.bit_length() - 1
             path.append(j)
             i = match_right[j]
             if i < 0:
                 for i, j in zip(stack, path):
                     match_left[i], match_right[j] = j, i
+                unseen = everyone
                 break
             stack.append(i)
     return match_left, match_right
@@ -830,6 +843,9 @@ def width(rel: Relation) -> WidthCertificate:
     extension of their order, by down-set size, so on a total order each
     class is matched to the next at the first try; class-index order, which
     is not a linear extension, makes its augmenting paths run deep.  The
+    search carries its seen set across failed searches, so no dead end is
+    explored twice between two augmentations; the matching is the one that
+    searches from scratch would find (see _max_matching).  The
     antichain, listed by state id, is the same for every maximum matching
     (Dulmage-Mendelsohn); the chains depend on the matching found.
     The certificate is found and re-validated on the class order, then
@@ -839,27 +855,28 @@ def width(rel: Relation) -> WidthCertificate:
     classes = induced_equivalence(rel)  # raises NotPreorder on bad input
     order = _class_order(rel, classes)
     # Vertex i is class lin[i]: classes sorted by down-set size (the column
-    # sums), a linear extension, so every edge i -> j has i < j.
+    # sums), a linear extension, so every edge i -> j has i < j.  Two takes,
+    # rows and then columns, gather faster than one np.ix_.
     lin = np.argsort(order.bits.sum(axis=0), kind="stable")
-    strict = order.bits[np.ix_(lin, lin)]
+    strict = order.bits.take(lin, 0).take(lin, 1)
     np.fill_diagonal(strict, False)
-    lin = lin.tolist()
     # Row i of the strict order, as an int whose bit j is vertex i < vertex j.
-    rows = [int.from_bytes(r.tobytes(), "little")
-            for r in np.packbits(strict, axis=1, bitorder="little")]
+    packed = np.packbits(strict, axis=1, bitorder="little")
+    rows = [int.from_bytes(r.tobytes(), "little") for r in packed]
     m = len(rows)
     match_left, match_right = _max_matching(rows)
     w = match_left.count(-1)  # m classes less one per matched edge
 
     chains: list[tuple[int, ...]] = []
+    at = lin.tolist()
     for start in range(m):
         if match_right[start] >= 0:
             continue
-        chain = [lin[start]]
+        chain = [at[start]]
         c = start
         while match_left[c] >= 0:
             c = match_left[c]
-            chain.append(lin[c])
+            chain.append(at[c])
         chains.append(tuple(chain))
     chains.sort()  # by first class: chains share no class
 
@@ -880,8 +897,9 @@ def width(rel: Relation) -> WidthCertificate:
             if i >= 0 and not in_left[i]:
                 in_left[i] = True
                 queue.append(i)
-    antichain = tuple(sorted(lin[i] for i in range(m)
-                             if in_left[i] and not in_right >> i & 1))
+    reached = np.unpackbits(np.frombuffer(in_right.to_bytes(packed.shape[1], "little"),
+                                          np.uint8), count=m, bitorder="little")
+    antichain = tuple(np.sort(lin[np.array(in_left, bool) & ~reached.view(bool)]).tolist())
 
     cert = WidthCertificate(width=w, antichain=antichain, chains=tuple(chains))
     _validate_certificate(order, cert)
@@ -893,21 +911,26 @@ def _validate_certificate(rel: Relation, cert: WidthCertificate) -> None:
         raise InternalInvariantViolation(
             f"certificate sizes {len(cert.antichain)}/{len(cert.chains)} "
             f"do not match width {cert.width}")
-    # The row-major first hit in a strict upper triangle is the pair (i, j),
+    # An antichain of distinct members meets the reflexive relation on its
+    # diagonal alone: its rows hold one member each.  On failure, the
+    # row-major first hit in a strict upper triangle is the pair (i, j),
     # i < j, that a loop over i and then over j > i would report first.
     a = np.array(cert.antichain, dtype=np.intp)
-    comparable = rel.bits[np.ix_(a, a)]
-    hit = _first_hit(np.triu(comparable | comparable.T, k=1))
-    if hit is not None:
+    member = np.zeros(rel.n, dtype=bool)
+    member[a] = True
+    if (np.count_nonzero(member) != len(a)
+            or np.count_nonzero(rel.bits[a] & member) != len(a)):
+        comparable = rel.bits[np.ix_(a, a)]
+        i, j = _first_hit(np.triu(comparable | comparable.T, k=1))
         raise InternalInvariantViolation(
-            f"antichain members {cert.antichain[hit[0]]} and "
-            f"{cert.antichain[hit[1]]} are comparable")
-    flat = sorted(x for c in cert.chains for x in c)
-    if flat != list(range(rel.n)):
+            f"antichain members {cert.antichain[i]} and {cert.antichain[j]} are comparable")
+    # n entries, none negative, that count each of 0..n-1: each exactly once.
+    order = np.array([x for c in cert.chains for x in c], dtype=np.intp)
+    if (len(order) != rel.n or order.min(initial=0) < 0
+            or not np.bincount(order, minlength=rel.n)[:rel.n].all()):
         raise InternalInvariantViolation("chains do not partition the elements")
     # The relation is transitive, so a chain is ordered when each element
     # precedes the next; the first such pair out of order is reported.
-    order = np.array([x for c in cert.chains for x in c], dtype=np.intp)
     chain_of = np.repeat(np.arange(len(cert.chains)), [len(c) for c in cert.chains])
     bad = np.flatnonzero((chain_of[:-1] == chain_of[1:]) & ~rel.bits[order[:-1], order[1:]])
     if len(bad):

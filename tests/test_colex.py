@@ -938,6 +938,27 @@ class TestCompareReport:
         compare_report(gen_fixture("fig2"))  # 6 classes against 4 blocks
         assert products == [4, 7]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nearly_discrete_takes_one_width_on_the_quotients_order(self, monkeypatch, seed):
+        # The lift's classes are the blocks, listed by least state as the
+        # quotient's states are, so its order on them is the quotient's:
+        # its width is the quotient order's, taken once for both columns.
+        nfa = random_automaton(200, 2, 2, seed)
+        qm, order, rel, same = colex._quotient_route(nfa)
+        assert same and 185 <= qm.partition.n_blocks < nfa.n_states
+        calls = []
+
+        def counted(rel, _real=colex.width):
+            calls.append(rel)
+            return _real(rel)
+        monkeypatch.setattr(colex, "width", counted)
+        rep = compare_report(nfa)
+        assert calls == [order]
+        cert = width(rel)
+        assert cert == width(order).spliced(qm.partition)
+        assert rep.width_R == rep.width_FS == cert.width
+        assert (rep.classes_R, rep.classes_FS) == (qm.partition.n_blocks,) * 2
+
     @given(seed=st.integers(0, 400))
     @settings(max_examples=60, deadline=None)
     def test_report_internally_consistent(self, seed):

@@ -466,20 +466,27 @@ class TestPaigeTarjan:
         nfa = Nfa(3, 0, [(0, "a", 1), (0, "a", 2), (1, "a", 1)])
         assert coarsest_fs_partition(nfa).blocks == ((0,), (1,), (2,))
         # The same shape one step below a loop on h: q0 -a-> h -a-> h,
-        # h -a-> x, x -a-> q1, x -a-> q2, q2 -a-> q2.  Every state but q0
-        # remains.  Round 1 splits off h (entered from q0), round 2 splits
-        # off x (entered from h); it finds three blocks {h}, {x}, {q1, q2}
-        # over the two {h}, {x, q1, q2} of round 1, less than double, so the
-        # rounds stop with q1 and q2 together (both hold only ({x, q1, q2},
-        # a)).  The one splitter is B = {x} out of S = {x, q1, q2}:
-        # delta(B, a) = {q1, q2} splits nothing, and the compound block
-        # {q1, q2} left behind is one block, never a splitter.  Only
-        # delta(B, a) minus delta(S - B, a) = {q1}, found by comparing q1's
-        # a-predecessor counts in B and in S, separates q1 from q2.
-        nfa = Nfa(5, 0, [(0, "a", 1), (1, "a", 1), (1, "a", 2), (2, "a", 3), (2, "a", 4),
-                         (4, "a", 4)])
-        assert signature_rounds(nfa) == [2, 3]
-        assert coarsest_fs_partition(nfa).blocks == ((0,), (1,), (2,), (3,), (4,))
+        # h -a-> x, x -a-> q1, x -a-> q2, q2 -a-> q2, and four states
+        # p5 .. p8, each entered on b from h and on a b-loop, which stay
+        # one block.  Every state but q0 remains.  Round 1 splits off h
+        # (entered from q0) and the p's (entered on b), round 2 splits off
+        # x (entered from h); it finds four blocks {h}, {x}, {q1, q2},
+        # {p5 .. p8} over the three {h}, {x, q1, q2}, {p5 .. p8} of round 1,
+        # less than double, and 8 - 4 = 4 states less blocks against
+        # 8 - 3 = 5, more than half, so the rounds stop with q1 and q2 together
+        # (both hold only ({x, q1, q2}, a)).  Without the p's, round 2
+        # would leave 1 against 2, and round 3 would end the refinement.
+        # The one splitter is B = {x} out of S = {x, q1, q2}: delta(B, a) =
+        # {q1, q2} splits nothing, and the compound block {q1, q2} left
+        # behind is one block, never a splitter.  Only delta(B, a) minus
+        # delta(S - B, a) = {q1}, found by comparing q1's a-predecessor
+        # counts in B and in S, separates q1 from q2.
+        pad = [(1, "b", v) for v in range(5, 9)] + [(v, "b", v) for v in range(5, 9)]
+        nfa = Nfa(9, 0, [(0, "a", 1), (1, "a", 1), (1, "a", 2), (2, "a", 3), (2, "a", 4),
+                         (4, "a", 4)] + pad)
+        assert signature_rounds(nfa) == [3, 4]
+        assert coarsest_fs_partition(nfa).blocks == ((0,), (1,), (2,), (3,), (4,),
+                                                     (5, 6, 7, 8))
 
     def test_block_bookkeeping(self):
         # Unary; every state but q0 lies below a cycle.  The rounds stop at
@@ -623,13 +630,16 @@ def signature_rounds(nfa: Nfa) -> list[int]:
     below cycles start as one block, and each round splits them by their
     sets of (predecessor block, label) pairs, a predecessor below a cycle
     having its block of the round before.  The last count is that of the
-    first round that leaves each of those states alone or less than
-    doubles the count before it."""
+    first round that leaves each of those states alone, or that neither
+    doubles the count before it nor halves the number of states less
+    blocks."""
     coarse = worklist_coarsest_fs_partition(nfa).block_of
     rest = below_cycles(nfa)
     block = {v: 0 for v in rest}
     counts = [1]
-    while len(counts) == 1 or len(rest) > counts[-1] >= 2 * counts[-2]:
+    r = len(rest)
+    while len(counts) == 1 or r > counts[-1] and (
+            counts[-1] >= 2 * counts[-2] or 2 * (r - counts[-1]) <= r - counts[-2]):
         pairs: dict[int, set] = {v: set() for v in rest}
         for (u, a, v) in nfa.transitions:
             if v in pairs:
@@ -678,9 +688,10 @@ def rounds(monkeypatch):
 
 class TestSignatureRounds:
     """Below the topological pass, signature rounds split the remaining
-    states while each at least doubles the blocks, and Paige-Tarjan starts
-    from the last two rounds' partitions; a round that leaves each
-    remaining state alone is the last step."""
+    states while each at least doubles the blocks or at least halves the
+    remaining states less blocks, and Paige-Tarjan starts from the last two
+    rounds' partitions; a round that leaves each remaining state alone, or
+    splits no block, is the last step."""
 
     @pytest.mark.parametrize("edges,counts,final", [
         # One state on a self-loop, and two on a cycle entered alike: round 1
@@ -690,11 +701,12 @@ class TestSignatureRounds:
         # A lasso of three states leaves both below its cycle alone in
         # round 1 ...
         ([(0, "a", 1), (1, "a", 2), (2, "a", 1)], [2], 2),
-        # ... one of five stops in round 2 with splitter work left.
-        ([(0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 4), (4, "a", 1)], [2, 3], 4),
-        # Three rounds, 3, 6 and then 7 blocks of 8.
+        # ... one of five in round 3: round 2's 3 blocks of 4 states are
+        # less than double 2, but leave 1 state less blocks against 2.
+        ([(0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 4), (4, "a", 1)], [2, 3, 4], 4),
+        # Four rounds, 3, 6, 7 and then 8 blocks of 8: 7 halves 8 - 6.
         ([(0, "a", 1), (1, "a", 2), (1, "b", 1), (1, "b", 5), (2, "b", 3), (3, "b", 4),
-          (4, "b", 7), (5, "a", 6), (7, "b", 8)], [3, 6, 7], 8),
+          (4, "b", 7), (5, "a", 6), (7, "b", 8)], [3, 6, 7, 8], 8),
         # The settled block {1, 2} holds two states, so the result is not
         # discrete and its stability is still checked; the cycle 3 <-> 4
         # is entered on b and on c, which round 1 tells apart.
@@ -703,6 +715,15 @@ class TestSignatureRounds:
         # One state below a cycle, under settled blocks of two states.
         ([(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 3), (2, "b", 4), (1, "b", 4),
           (4, "c", 5), (5, "c", 5)], [1], 1),
+        # A lasso of seven, its cycle entered at q1: 2 and then 3 blocks of
+        # 6 states, neither double nor 3 states less blocks against 4 half,
+        # so Paige-Tarjan separates the rest.
+        ([(i, "a", i + 1) for i in range(6)] + [(6, "a", 1)], [2, 3], 6),
+        # Two cycles entered alike, the second on b from both states of the
+        # first: round 1 splits them apart, and round 2 splits neither, so
+        # its blocks are stable and the refinement ends there.
+        ([(0, "a", 1), (0, "a", 2), (1, "a", 2), (2, "a", 1), (1, "b", 3), (1, "b", 4),
+          (2, "b", 3), (2, "b", 4), (3, "b", 4), (4, "b", 3)], [2, 2], 2),
     ])
     def test_stopping_points(self, rounds, edges, counts, final):
         nfa = Nfa(1 + max(v for (_, _, v) in edges), 0, edges)
@@ -732,19 +753,26 @@ class TestSignatureRounds:
                 nfa = lasso(n, j, labels)
                 assert coarsest_fs_partition(nfa) == worklist_coarsest_fs_partition(nfa), (n, j)
 
-    def test_agrees_with_worklist_reference_on_cycles_with_branching_tails(self):
+    def test_agrees_with_worklist_reference_on_cycles_with_branching_tails(self, rounds):
         rng = random.Random(5)
-        stops = set()
+        stops, slack = set(), []
         for i in range(600):
             nfa = cycle_with_branching_tails(rng)
+            rounds.clear()
             p = coarsest_fs_partition(nfa)
             assert p == worklist_coarsest_fs_partition(nfa), i
             counts = signature_rounds(nfa)
+            assert rounds == counts, i
+            # At most log2(r) rounds double the blocks and log2(r) halve the
+            # r remaining states less blocks, and one more ends them.
+            r = len(below_cycles(nfa))
+            slack.append(2 * r.bit_length() - 1 - len(counts))
             left = len({p.block_of[v] for v in below_cycles(nfa)}) > counts[-1]
             stops.add((min(len(counts), 3), left))
         # Every stopping point, with splitter work left after two rounds and
-        # after three or more.
+        # after three or more; the bound is reached and never exceeded.
         assert {(1, False), (2, False), (2, True), (3, False), (3, True)} <= stops
+        assert min(slack) == 0
 
 
 def words_by_parent_pointers(nfa: Nfa) -> list[tuple[str, ...]]:

@@ -326,13 +326,37 @@ class TestWidth:
             width(Relation(3, [(0, 1), (1, 2)]))
 
     def test_matching_is_recursive_kuhns(self):
-        # The certificates depend on which maximum matching is found.
+        # The certificates depend on which maximum matching is found, and
+        # _max_matching carries its seen set over failed searches, which a
+        # fresh search per root would not.  Small posets, sparse ones (points
+        # in four to eight dimensions) of up to 300 points, and the class
+        # orders of bench-shaped automata in the linear extension width
+        # searches in; the last two leave many roots free.
         rng = np.random.default_rng(5)
+        strict_orders = []
         for _ in range(60):
             n = int(rng.integers(1, 40))
             points = rng.random((n, int(rng.integers(1, 4))))
-            strict = (points[:, None, :] < points[None, :, :]).all(axis=2)
-            assert _max_matching(bitset_rows(strict)) == kuhn_reference(strict)
+            strict_orders.append(("small", (points[:, None, :] < points[None, :, :]).all(axis=2)))
+        rng = np.random.default_rng(6)
+        for _ in range(12):
+            n = int(rng.integers(100, 301))
+            points = rng.random((n, int(rng.integers(4, 9))))
+            strict_orders.append(("sparse", (points[:, None, :] < points[None, :, :]).all(axis=2)))
+        for seed in range(6):
+            rel = max_colex_relation(random_automaton(200, 2, 2, seed))
+            order = _class_order(rel, induced_equivalence(rel)).bits
+            lin = np.argsort(order.sum(axis=0), kind="stable")
+            strict = order[np.ix_(lin, lin)]
+            np.fill_diagonal(strict, False)
+            strict_orders.append(("automaton", strict))
+        failed = dict.fromkeys(("small", "sparse", "automaton"), 0)
+        for kind, strict in strict_orders:
+            match_left, match_right = kuhn_reference(strict)
+            assert _max_matching(bitset_rows(strict)) == (match_left, match_right)
+            # A root left free with a neighbour had a failed search.
+            failed[kind] += sum(j < 0 and row.any() for j, row in zip(match_left, strict))
+        assert failed["sparse"] >= 400 and failed["automaton"] >= 100
 
     def test_certificates_match_the_neighbour_list_reference(self):
         for rel in width_table():
@@ -1238,3 +1262,41 @@ class TestCertificateValidation:
                 assert str(exc.value) == expected
                 messages.add(expected.split()[0])
         assert {"antichain", "chain"} <= messages
+
+    def test_chain_and_width_mutations_match_the_loop(self):
+        # A chain element dropped, repeated in place of another or on top,
+        # a repeated antichain member, and a width off by one either way.
+        rng = np.random.default_rng(8)
+        messages = set()
+        for t in range(80):
+            n = int(rng.integers(3, 16))
+            pairs = [tuple(rng.integers(0, n, size=2)) for _ in range(int(rng.integers(0, 2 * n)))]
+            rel = closure(n, pairs)
+            cert = width(rel)
+            antichain, chains = list(cert.antichain), [list(c) for c in cert.chains]
+            c = chains[rng.integers(len(chains))]
+            x = int(rng.integers(n))
+            w = cert.width
+            kind = t % 6
+            if kind == 0:
+                del c[rng.integers(len(c))]
+            elif kind == 1:
+                c[rng.integers(len(c))] = x
+            elif kind == 2:
+                c.insert(int(rng.integers(len(c) + 1)), x)
+            elif kind == 3:
+                antichain.append(antichain[rng.integers(len(antichain))])
+                chains.append([])
+                w += 1
+            else:
+                w += 1 if kind == 4 else -1
+            bad = WidthCertificate(w, tuple(antichain), tuple(tuple(c) for c in chains))
+            expected = validate_reference(rel, bad)
+            if expected is None:  # a chain element replaced by itself
+                _validate_certificate(rel, bad)
+                continue
+            with pytest.raises(InternalInvariantViolation) as exc:
+                _validate_certificate(rel, bad)
+            assert str(exc.value) == expected
+            messages.add(" ".join(expected.split()[:2]))
+        assert messages == {"certificate sizes", "antichain members", "chains do"}
