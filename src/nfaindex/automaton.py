@@ -224,8 +224,9 @@ class Nfa:
     ``alphabet``; they are the only edge storage.  The out-edge offsets
     ``out_start`` sit beside them.  Built from them on first use, and then
     kept: the (from, label, to) triples ``transitions``, the incoming-label
-    sets ``lambda_sets``, the name-to-id dict ``id_of`` and the
-    incoming-label ranks ``label_bounds``.  ``targets`` reads
+    sets ``lambda_sets``, the name-to-id dict ``id_of``, the
+    incoming-label ranks ``label_bounds`` and, for a tree, the co-lex ranks
+    of the words into the states ``tree_ranks``.  ``targets`` reads
     ``out_start``, ``sources`` scans all of ``dst`` and ``delta_set`` calls
     ``targets``.
     """
@@ -364,6 +365,46 @@ class Nfa:
         hi.setflags(write=False)
         lo.setflags(write=False)
         return hi, lo
+
+    @cached_property
+    def tree_ranks(self) -> np.ndarray | None:
+        """For a tree, the dense co-lexicographic ranks of the words
+        reaching the states; None for any other automaton.
+
+        Every state is reachable and the initial state has no in-edge, so
+        the automaton is a tree, each other state entered by one edge,
+        exactly when it has n - 1 edges.  Each state u is then reached by
+        one word alpha_u, and rank[u] <= rank[v] exactly when alpha_u
+        reversed is at most alpha_v reversed, in label order with a proper
+        prefix first: equal ranks mean equal words.  The ranks come from
+        prefix doubling over parent pointers (Manber and Myers, SIAM J.
+        Comput. 1993).  Reversed, alpha_u is u's label, then its parent's
+        reversed word, padded with the initial state's rank 0 below every
+        label; after round i the ranks order the first 2**i of those
+        symbols, each round ranking the pairs (rank of u, rank of u's
+        2**i-th ancestor) and squaring the ancestor map, the initial state
+        its own parent.  Rounds end when the ranks are distinct or a round
+        adds no rank, a fixpoint: at most log2(depth) + 1 rounds of one
+        sort of n keys.
+        """
+        n = self.n_states
+        if len(self.dst) != n - 1:
+            return None
+        up = np.arange(n)  # the initial state, entered by no edge, keeps its own
+        up[self.dst] = self.src
+        rank = np.zeros_like(up)
+        rank[self.dst] = self.lab + 1
+        k = len(self.alphabet) + 1  # every label enters some state
+        while k < n:
+            key = rank * k + rank[up]
+            order = key.argsort()
+            rank[order] = _run_starts(key[order]).cumsum() - 1
+            count = int(rank[order[-1]]) + 1
+            if count == k:
+                break
+            k, up = count, up[up]
+        rank.setflags(write=False)
+        return rank
 
     @cached_property
     def _label_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:

@@ -17,6 +17,23 @@ Propagation runs on numpy arrays and picks a direction per round, as
 direction-optimising breadth-first search does (Beamer, Asanovic and
 Patterson, SC 2012).
 
+A tree, where each state but the initial one is entered by one edge, as
+exactly the automata of n - 1 edges are, skips the fixpoint: its relation
+has a closed form.  Each state u is reached by one word alpha_u, and u
+<=_R v exactly when alpha_u <= alpha_v co-lexicographically, compared
+from the last label back, a proper suffix first.  ``Nfa.tree_ranks``
+ranks the words by prefix doubling, and the relation is rank[u] <=
+rank[v].  Proof sketch, by induction on depth: the initial state's label
+set {#} lies below every other, so no pair (initial, v) is marked and
+every pair (u, initial), u != initial, is a seed.  For x entered from u
+on a and y from v on b, a != b makes (x, y) a seed exactly when a > b,
+and otherwise leaves no pair of equally labelled edges to carry a mark
+into it; a == b gives (x, y) the one predecessor pair (u, v), so (x, y)
+is marked exactly when u != v and (u, v) is.  That is the co-lex
+comparison of alpha_u a with alpha_v b.  The relation gets the
+fixpoint's self-check.  A tree's forward-stable quotient is a tree too,
+so the quotient route below takes this closed form on it.
+
 A push round expands only the pairs marked in the round before: each
 out-edge u -a-> x of a pair (u, v) looks up the count and first offset of
 v's a-edges in one (state, label) table, each such edge v -a-> y gives the
@@ -291,12 +308,23 @@ def _fixpoint(nfa: Nfa, marks: np.ndarray, frontiers) -> Relation:
 def max_colex_relation(nfa: Nfa) -> Relation:
     """Union of all co-lex relations of the automaton; always a preorder.
 
-    The pairs left unmarked by the pull and push rounds of the module
-    docstring, plus the diagonal, form the result.  Transitivity and both
-    co-lex axioms are re-verified before returning.  Raises TooLarge, before
-    allocating anything, for automata of more than MAX_DENSE_STATES states.
+    A tree's relation is its closed form, read off ``Nfa.tree_ranks``;
+    for any other automaton the pairs left unmarked by the pull and push
+    rounds of the module docstring, plus the diagonal, form the result.
+    Either way transitivity and both co-lex axioms are re-verified before
+    returning.  Raises TooLarge, before allocating anything, for automata
+    of more than MAX_DENSE_STATES states.
     """
     _require_dense(nfa.n_states, "the maximum co-lex relation")
+    ranks = nfa.tree_ranks
+    if ranks is not None:
+        return _checked(nfa, Relation.from_matrix(ranks[:, None] <= ranks))
+    return _propagated(nfa)
+
+
+def _propagated(nfa: Nfa) -> Relation:
+    """The maximum co-lex relation by the label seed's pull and push rounds,
+    for any automaton: ``max_colex_relation`` without the tree route."""
     hi, lo = nfa.label_bounds
 
     def seeded(flat, deg):

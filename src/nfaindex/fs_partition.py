@@ -8,14 +8,22 @@ two sorts of the edges, in O(m log m).  Forward stability is closed under
 coarsest-common-coarsening, so every NFA has a unique coarsest
 forward-stable partition.
 
-It is computed in two parts.  Forward stability is bisimulation on the
-reversed automaton, so, after the rank-based step of Dovier, Piazza and
-Policriti (TCS 2004), the states with no cycle above them are settled in
-one topological pass (Kahn's algorithm from the initial state): each
-state's block is looked up by its set of (predecessor block, label) pairs,
-its predecessors' blocks being final already, at one hash lookup per state
-and edge.  No such state shares a block with a state below a cycle, and
-none has a predecessor below one.
+A tree, each state but the initial one entered by one edge, is ranked
+before any of this.  Each of its states is reached by one word, and two
+states share a block of the coarsest partition exactly when their words
+are equal: the members of a block share their incoming labels and their
+parents' blocks.  ``Nfa.tree_ranks`` numbers the words by prefix doubling
+over parent pointers, in O(n log n) array steps, and those numbers are
+the block labels, re-checked by ``is_forward_stable`` as any result is.
+
+Any other automaton is refined in two parts.  Forward stability is
+bisimulation on the reversed automaton, so, after the rank-based step of
+Dovier, Piazza and Policriti (TCS 2004), the states with no cycle above
+them are settled in one topological pass (Kahn's algorithm from the
+initial state): each state's block is looked up by its set of
+(predecessor block, label) pairs, its predecessors' blocks being final
+already, at one hash lookup per state and edge.  No such state shares a
+block with a state below a cycle, and none has a predecessor below one.
 
 The states below cycles are first split in rounds of signature
 refinement (Blom and Orzan, 2005): each round groups them by their sets
@@ -244,18 +252,20 @@ def is_forward_stable(nfa: Nfa, partition: Partition) -> tuple[bool, FsViolation
 
 def coarsest_fs_partition(nfa: Nfa) -> Partition:
     """Unique coarsest forward-stable partition, as described in the module
-    docstring: a topological pass settles the states with no cycle above
-    them, in O(n + m) hash lookups.  The states below cycles are split by
-    rounds of signature refinement while each round at least doubles the
-    blocks or at least halves the states less blocks, at most
-    2*log2(n) + 1 rounds of O(m log m), and Paige-Tarjan refinement, in
-    O(m log n), starts from the last two rounds' partitions; a round that
-    leaves each of those states alone, or splits no block, is the last
-    step.
+    docstring: a tree's blocks are its states' words, ranked by
+    ``Nfa.tree_ranks``.  Otherwise a topological pass settles the states
+    with no cycle above them, in O(n + m) hash lookups.  The states below
+    cycles are split by rounds of signature refinement while each round at
+    least doubles the blocks or at least halves the states less blocks, at
+    most 2*log2(n) + 1 rounds of O(m log m), and Paige-Tarjan refinement,
+    in O(m log n), starts from the last two rounds' partitions; a round
+    that leaves each of those states alone, or splits no block, is the
+    last step.
     Forward stability of the result is re-verified by is_forward_stable
     before returning; a partition into singletons is stable by definition.
     """
-    partition = Partition.from_block_of(_refine(nfa))
+    ranks = nfa.tree_ranks
+    partition = Partition.from_block_of(_refine(nfa) if ranks is None else ranks)
     ok, viol = is_forward_stable(nfa, partition)
     if not ok:
         raise InternalInvariantViolation(

@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import functools
 import json
 import random
 import re
@@ -109,6 +110,22 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(path), "--oracle")
         assert code == 0 and err == ""
         assert json.loads(out)["classes_FS"] == 6
+
+    def test_oracle_on_trees(self, capsys, tmp_path):
+        # Trees take the tree ranks for both the partition and the relation;
+        # exhaustive search must agree, with equal sibling labels, merged
+        # blocks and a quotient route on some of them.
+        path = tmp_path / "tree.nfa"
+        merged = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            n, labels = 1 + seed % 8, "abc"[:1 + seed % 3]
+            nfa = Nfa(n, 0, [(rng.randrange(v), rng.choice(labels), v) for v in range(1, n)])
+            path.write_text(nfa.serialize())
+            code, out, err = run(capsys, "analyze", str(path), "--oracle")
+            assert code == 0 and err == "", seed
+            merged += json.loads(out)["classes_FS"] < n
+        assert merged >= 20
 
     def test_missing_file_is_io_error(self, capsys):
         code, out, err = run(capsys, "analyze", "missing.nfa")
@@ -254,6 +271,32 @@ def comb_text(k, length):
             lines.append(f"trans {prev} {'ab'[j % 2]} c{i}_{j}")
             prev = f"c{i}_{j}"
     return "\n".join(lines) + "\n"
+
+
+class TestTreeRanks:
+    @pytest.mark.parametrize("text,ranked", [
+        ("initial s\ntrans s a x\ntrans s b y\ntrans x a z\n", [4]),
+        (comb_text(3, 4), [13, 5]),  # the automaton, then its quotient
+    ], ids=["trie", "comb"])
+    @pytest.mark.parametrize("argv", [["analyze"], ["cfs"], ["width", "--rel", "cfs"]])
+    def test_a_tree_is_ranked_once(self, capsys, tmp_path, monkeypatch, text, ranked, argv):
+        # A trie's partition is discrete, so its quotient is the automaton
+        # and the relation reads the ranks the partition took.
+        sizes = []
+        real = Nfa.tree_ranks.func
+
+        def counted(nfa):
+            sizes.append(nfa.n_states)
+            return real(nfa)
+
+        spy = functools.cached_property(counted)
+        spy.__set_name__(Nfa, "tree_ranks")
+        monkeypatch.setattr(Nfa, "tree_ranks", spy)
+        path = tmp_path / "tree.nfa"
+        path.write_text(text)
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 0 and err == ""
+        assert sizes == ranked
 
 
 class TestDenseLimit:

@@ -2,6 +2,7 @@
 
 import random
 import re
+import string
 from collections import deque
 
 import numpy as np
@@ -21,12 +22,15 @@ from nfaindex import (
     brute_coarsest_fs,
     build_quotient,
     coarsest_fs_partition,
+    compare_report,
     gen_random,
     gen_separation_family,
     is_forward_stable,
+    max_colex_relation,
     parse_nfa,
 )
-from nfaindex import fs_partition
+from nfaindex import colex, fs_partition
+from nfaindex.automaton import label_key
 from nfaindex.oracle import _growth_strings
 from test_colex import random_automaton
 
@@ -822,6 +826,85 @@ class TestClosedFormOnTrees:
     ])
     def test_combs(self, k, length, pattern):
         self.assert_blocks_are_words(comb(k, length, pattern))
+
+
+def colex_ranks_by_words(nfa: Nfa) -> list[int]:
+    """On a tree, each state's rank among the distinct words reaching the
+    states, reversed and compared as tuples of label keys, a proper prefix
+    first: u <=_R v exactly when u's rank is at most v's.  A sort of Python
+    tuples, sharing no code with the prefix doubling of Nfa.tree_ranks."""
+    keys = [tuple(label_key(a) for a in reversed(w)) for w in words_by_parent_pointers(nfa)]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
+def tree_cases() -> list:
+    cases = [pytest.param(Nfa(1, 0, []), id="one-state")]
+    cases += [pytest.param(unary_path(n), id=f"path{n}") for n in (2, 3, 50, 1000)]
+    cases += [pytest.param(comb(k, length, pattern), id=f"comb{k}x{length}")
+              for k, length, pattern in [(2, 3, "ab"), (6, 12, "abbab"), (30, 30, "aab")]]
+    for labels in ("a", "ab", "abc", string.ascii_lowercase):
+        for n in (2, 10, 100, 1000):
+            for reach in (3, 10**6):
+                rng = random.Random(f"{labels}{n}{reach}")
+                cases.append(pytest.param(random_tree(rng, n, labels, reach),
+                                          id=f"tree{n}-{len(labels)}-{min(reach, 9)}"))
+    return cases
+
+
+class TestTreeRoute:
+    """A tree's partition and maximum co-lex relation come from the ranks
+    of its words; the general routes, called directly, and the words
+    themselves agree with them."""
+
+    @pytest.mark.parametrize("nfa", tree_cases())
+    def test_ranks_are_the_words_order(self, nfa):
+        rank = np.array(colex_ranks_by_words(nfa))
+        assert np.array_equal(nfa.tree_ranks, rank)
+        assert np.array_equal(max_colex_relation(nfa).bits, rank[:, None] <= rank)
+
+    @pytest.mark.parametrize("nfa", tree_cases())
+    def test_general_routes_agree(self, nfa):
+        assert max_colex_relation(nfa) == colex._propagated(nfa)
+        assert coarsest_fs_partition(nfa) == Partition.from_block_of(fs_partition._refine(nfa))
+
+    def test_trees_skip_the_general_routes(self, monkeypatch):
+        def never(nfa):
+            raise AssertionError("general route on a tree")
+
+        monkeypatch.setattr(fs_partition, "_refine", never)
+        monkeypatch.setattr(colex, "_propagated", never)
+        for nfa in (unary_path(300), comb(5, 20, "ab"), Nfa(1, 0, [])):
+            compare_report(nfa)
+            max_colex_relation(nfa)
+
+    @pytest.mark.parametrize("nfa", [
+        # The bench's analyze-random shapes: (states, labels, out-degree).
+        *(pytest.param(random_automaton(n, s, d, n), id=f"random{n}")
+          for n, s, d in ((50, 3, 4), (71, 2, 3), (100, 2, 2), (141, 4, 6), (200, 2, 2))),
+        # Its quotient, s -a-> {x, y} -b-> z, is a tree.
+        pytest.param(Nfa(4, 0, [(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 3)]),
+                     id="diamond"),
+        pytest.param(Nfa(60, 0, [(v // 2, "ab"[v % 2], v) for v in range(1, 60)]
+                         + [(7, "a", 40)]), id="tree-plus-edge"),
+        pytest.param(gen_separation_family(9), id="sep9"),
+    ])
+    def test_more_edges_never_take_the_tree_route(self, monkeypatch, nfa):
+        assert len(nfa.dst) > nfa.n_states - 1
+        asked = []
+        real = Nfa.tree_ranks.func
+
+        def spy(automaton):
+            ranks = real(automaton)
+            asked.append((automaton is nfa, ranks is not None))
+            return ranks
+
+        monkeypatch.setattr(Nfa, "tree_ranks", property(spy))
+        coarsest_fs_partition(nfa)
+        max_colex_relation(nfa)
+        compare_report(nfa)
+        # A quotient may be a tree; the automaton itself never is.
+        assert (True, False) in asked and (True, True) not in asked
 
 
 class TestImageScanReference:

@@ -580,6 +580,50 @@ class TestExactTransitivity:
         assert out["valid"] is False
         assert out["violation"]["rule"] == "not-transitive"
 
+    def test_nested_rows_against_a_loop_reference(self):
+        # Total preorders from random ranks pass the nested-rows test; a copy
+        # with one cell flipped gets the product's witness, which is the
+        # loop's: the row-major first (u, w), then the least v.
+        def loop_witness(bits):
+            n = len(bits)
+            for u in range(n):
+                for w in range(n):
+                    if not bits[u, w]:
+                        for v in range(n):
+                            if bits[u, v] and bits[v, w]:
+                                return (u, v, w)
+            return None
+
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            rank = rng.integers(0, int(rng.integers(1, n + 1)), n)
+            bits = rank[:, None] <= rank
+            rel = Relation.from_matrix(bits)
+            assert rel._nested_transitive() and rel.transitivity_witness() is None
+            if n < 2:
+                continue
+            u, v = rng.choice(n, 2, replace=False)
+            bits[u, v] = not bits[u, v]
+            rel = Relation.from_matrix(bits)
+            witness = rel.transitivity_witness()
+            assert witness == loop_witness(rel.bits)
+            assert not (rel._nested_transitive() and witness)
+            outcomes.add((rel.is_total(), witness is None))
+        # Flips that keep the relation total and transitive, total and not,
+        # and neither.
+        assert {(True, True), (True, False), (False, False)} <= outcomes
+
+    def test_nested_rows_need_a_total_count(self):
+        assert Relation(0)._nested_transitive()
+        assert not Relation(2)._nested_transitive()
+        # Nested rows {0, 1} < {0, 1, 2} = {0, 1, 2}, so total, yet 0 R 1
+        # while R(1) is larger than R(0): not transitive.
+        rel = Relation(3, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)])
+        assert rel.is_total() and not rel._nested_transitive()
+        assert rel.transitivity_witness() == (0, 1, 2)
+
 
 def axiom1_reference(nfa, rel, strict_name):
     """Loop form of the axiom-1 check: first (u, v) in row-major order."""
