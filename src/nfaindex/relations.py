@@ -16,20 +16,20 @@ of bounded size; the first hit in row-major order is the witness a scan
 over edge pairs in listed order would find.  Transitivity is the float32
 product R @ R in row blocks, n^3 multiply-adds, stopping at the first
 block with a gap; an O(n^2) test of nested rows proves a total preorder,
-such as a tree's maximum co-lex relation, transitive without it.  A relation with few related pairs gets a sparse
-axiom-2 scan instead: it visits only the a-edge pairs into a related
-distinct pair (u, v), the sum of in_a(u) * in_a(v), for all labels in one
-pass over the edges listed label by label, with the in-edges looked up by
-(label, target), and reports the mask scans' first witness, the least hit
-in row-major order of the first label with one.  It hands the check to
-the masks as soon as its own count of its work shows that they cost
-less.  The JSON form of a relation is read
-without json when its text has one of two plain layouts, by its quotes
-and 8-byte words (``relation_from_plain_json``), and otherwise decoded
-and read with one name lookup per entry; both end in a single scatter
-into the matrix.  ``relation_to_json_text`` writes it without the generic
-JSON encoder, as ``quotient_to_json_text`` writes the quotient's blocks
-and text.
+such as a tree's maximum co-lex relation, transitive without it.  A
+relation with few related pairs gets a sparse axiom-2 scan instead: it
+visits only the a-edge pairs into a related distinct pair (u, v), the sum
+of in_a(u) * in_a(v), for all labels in one pass over the edges listed
+label by label, with the in-edges looked up by (label, target), and
+reports the mask scans' first witness, the least hit in row-major order
+of the first label with one.  It hands the check to the masks as soon as
+its own count of its work shows that they cost less.  The JSON form of
+a relation is read without json when its text has one of two plain
+layouts, by its quotes and 8-byte words (``relation_from_plain_json``),
+and otherwise decoded and read with one name lookup per entry; both end
+in a single scatter into the matrix.  ``relation_to_json_text`` writes
+it without the generic JSON encoder, as ``quotient_to_json_text`` writes
+the quotient's blocks and text.
 Inputs are re-scanned one item at a time only to word the error for an
 input that is already rejected.
 """
